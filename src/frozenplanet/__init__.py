@@ -8,7 +8,6 @@ and period, and classifies whether the electron orbits intersect against
 the lemniscatic-constant threshold charge.
 """
 
-from ._backend import has_compiled, kernel_name, use_kernel
 from .errors import ConvergenceError, DomainError
 from .intersect import IntersectionClass, classify, classify_kappa, critical_gamma, critical_mu
 from .model import (
@@ -58,9 +57,7 @@ __all__ = [
     "fixpoint_residual",
     "gamma_fn",
     "gamma_of_mu",
-    "has_compiled",
     "kappa_of",
-    "kernel_name",
     "lemniscate_constant",
     "mean_q1",
     "mean_residual",
@@ -74,6 +71,5 @@ __all__ = [
     "sigma_pair",
     "solve_orbit",
     "time_integral",
-    "use_kernel",
     "__version__",
 ]

@@ -1,8 +1,12 @@
-"""Gauss-Legendre levels on [0, 1] and the node-doubling convergence driver.
+"""Stacked Gauss-Legendre node tables on [0, 1] and the node-doubling loop.
 
-Every quadrature in the package is a weighted sum over one of these levels.
-Levels are cached per node count (read-only arrays, safe to share across
-threads) because the deepest levels are expensive to generate.
+Every quadrature in the package is a weighted sum over Gauss-Legendre
+levels whose node counts double from one to the next.  A node table holds
+``m`` consecutive levels (n, 2n, ..., 2**(m-1) * n nodes) side by side, so
+an integrand is evaluated once on all of their nodes and one matrix-vector
+product with a block-row weight matrix returns the rule of every level.
+Tables are cached per (n, m) as read-only arrays, safe to share across
+threads, because the deepest levels are expensive to generate.
 """
 
 from __future__ import annotations
@@ -15,77 +19,109 @@ from scipy.special import roots_legendre
 
 from .errors import ConvergenceError
 
+# The doubling test needs two consecutive agreements, so every call
+# evaluates at least three levels; they are computed in one product.
+_STACKED_LEVELS = 3
 
-class Level(NamedTuple):
-    """Nodes/weights on [0, 1] plus factors precomputed for the ratio kernel.
 
-    The ratio integrals are evaluated in the angle variable theta on
-    [0, pi/2] (node theta_i = (pi/2) * u_i), so the level carries
+class NodeTable(NamedTuple):
+    """Consecutive Gauss-Legendre levels on [0, 1], concatenated.
 
-        s2  = sin(theta_i)**2
-        ws  = pi * w * s2        (weight for the k = 1/2 moment)
-        wss = pi * w * s2**2     (weight for the k = 3/2 moment)
+    ``u`` holds the nodes of all levels, level after level.  Each weight
+    matrix has one row per level (two for ``wk``), zero outside that
+    level's block of nodes.  The ratio integrals are evaluated in the
+    angle variable theta on [0, pi/2] (node theta_i = (pi/2) * u_i), so the
+    table also carries
+
+        s2 = sin(theta_i)**2
+        wk = rows pi * w * s2     (weight for the k = 1/2 moment)
+             and pi * w * s2**2   (weight for the k = 3/2 moment),
+             interleaved level by level.
     """
 
     u: np.ndarray
-    w: np.ndarray
     s2: np.ndarray
-    ws: np.ndarray
-    wss: np.ndarray
+    w: np.ndarray
+    wk: np.ndarray
 
 
-_CACHE: dict[int, Level] = {}
+_CACHE: dict[tuple[int, int], NodeTable] = {}
 _LOCK = threading.Lock()
 
 
-def gauss_level(n: int) -> Level:
-    """Return the cached Gauss-Legendre level with ``n`` nodes on [0, 1]."""
-    level = _CACHE.get(n)
-    if level is not None:
-        return level
+def _build(n: int, levels: int) -> NodeTable:
+    counts = [n * 2**i for i in range(levels)]
+    u = np.empty(sum(counts))
+    w = np.zeros((levels, u.size))
+    start = 0
+    for row, count in enumerate(counts):
+        x, wx = roots_legendre(count)
+        u[start : start + count] = 0.5 * (x + 1.0)
+        w[row, start : start + count] = 0.5 * wx
+        start += count
+    s = np.sin(0.5 * np.pi * u)
+    s2 = s * s
+    ws = np.pi * w * s2
+    wk = np.empty((2 * levels, u.size))
+    wk[0::2] = ws
+    wk[1::2] = ws * s2
+    table = NodeTable(u, s2, w, wk)
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def node_table(n: int, levels: int = 1) -> NodeTable:
+    """Return the cached table of ``levels`` levels starting at ``n`` nodes."""
+    key = (n, levels)
+    table = _CACHE.get(key)
+    if table is not None:
+        return table
     with _LOCK:
-        level = _CACHE.get(n)
-        if level is None:
-            x, w = roots_legendre(n)
-            u = 0.5 * (x + 1.0)
-            w = 0.5 * w
-            s = np.sin(0.5 * np.pi * u)
-            s2 = s * s
-            level = Level(u, w, s2, np.pi * w * s2, np.pi * w * s2 * s2)
-            for arr in level:
-                arr.setflags(write=False)
-            _CACHE[n] = level
-    return level
+        table = _CACHE.get(key)
+        if table is None:
+            table = _build(n, levels)
+            _CACHE[key] = table
+    return table
+
+
+def _agree(curr: Sequence[float], prev: Sequence[float], rel_tol: float) -> bool:
+    for c, p in zip(curr, prev):
+        if not abs(c - p) <= rel_tol * max(abs(c), 1e-300):
+            return False
+    return True
 
 
 def converge_levels(
-    estimate: Callable[[int], Sequence[float]],
+    estimate: Callable[[NodeTable], list[float]],
     base_nodes: int,
     max_doublings: int,
     rel_tol: float,
 ) -> tuple[float, ...]:
     """Double the node count until two consecutive estimates agree twice.
 
-    ``estimate(n)`` returns a tuple of values computed on the ``n``-node
-    level; every component must satisfy the relative tolerance on two
-    successive doublings before the last estimate is accepted.
+    ``estimate(table)`` returns, as a flat list of Python floats, the same
+    number of values for each of the table's levels in order.  Every
+    component must satisfy the relative tolerance on two successive
+    doublings before the last estimate is accepted.  The leading levels
+    (at most three) are requested in one call, then one level per doubling.
     """
-
-    def agree(curr, prev):
-        return all(
-            abs(c - p) <= rel_tol * max(abs(c), 1e-300)
-            for c, p in zip(curr, prev)
-        )
-
-    n = base_nodes
-    prev = tuple(estimate(n))
+    first = min(_STACKED_LEVELS, max_doublings + 1)
+    values = estimate(node_table(base_nodes, first))
+    width = len(values) // first
+    prev = values[:width]
     agreed_once = False
-    for _ in range(max_doublings):
+    n = base_nodes
+    for k in range(1, max_doublings + 1):
         n *= 2
-        curr = tuple(estimate(n))
-        if agree(curr, prev) and agreed_once:
-            return curr
-        agreed_once = agree(curr, prev)
+        if k < first:
+            curr = values[k * width : (k + 1) * width]
+        else:
+            curr = estimate(node_table(n))
+        agreed = _agree(curr, prev, rel_tol)
+        if agreed and agreed_once:
+            return tuple(curr)
+        agreed_once = agreed
         prev = curr
     raise ConvergenceError(
         f"quadrature did not settle to rel_tol={rel_tol:g} within "

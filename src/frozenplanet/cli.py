@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._backend import kernel_name
 from .certify import run_suite
 from .errors import ConvergenceError, DomainError
 from .intersect import classify_kappa, critical_gamma, critical_mu
@@ -106,7 +105,6 @@ def _manifest(
         "command": command,
         "parameters": parameters,
         "tool_version": __version__,
-        "kernel": kernel_name(),
         "quadrature": {
             "base_nodes": settings.quad.base_nodes,
             "max_doublings": settings.quad.max_doublings,

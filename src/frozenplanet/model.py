@@ -19,8 +19,10 @@ def gamma_of_mu(mu: float) -> float:
     """Gap ratio gamma = (1 + sqrt(mu)) / (mu - 1) for nucleus charge mu > 1.
 
     Decreasing in mu; below mu = 1 the outer electron is not bound and no
-    periodic orbit exists.
+    periodic orbit exists.  A non-finite mu is rejected.
     """
+    if not math.isfinite(mu):
+        raise DomainError(f"mu={mu!r}: the nucleus charge must be a finite number")
     if mu <= 1.0:
         raise DomainError(
             f"mu={mu!r}: for charge mu <= 1 the outer electron is unbound "

@@ -80,6 +80,10 @@ def reconstruct(
         target = 2.0 * g_full * (j / n_samples)
 
         def defect(u: float) -> float:
+            # brentq evaluates the bracket end u = 1 for every sample;
+            # G(1) is g_full, so that quadrature is not repeated.
+            if u == 1.0:
+                return g_full - target
             return time_integral(a, u, config) - target
 
         u_j = brentq(defect, 0.0, 1.0, xtol=1e-15, rtol=_BRENTQ_RTOL)

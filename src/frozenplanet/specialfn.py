@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._gauss import converge_levels, gauss_level
-from .errors import DomainError
+from ._gauss import converge_levels
+from .errors import ConvergenceError, DomainError
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEF = (
@@ -63,12 +63,10 @@ def _varpi_integral() -> float:
     the integrand becomes 4 / sqrt((2 - u^2) * (1 + (1 - u^2)^2)).
     """
 
-    def estimate(n):
-        level = gauss_level(n)
-        u2 = level.u * level.u
+    def estimate(table):
+        u2 = table.u * table.u
         t = 1.0 - u2
-        val = 4.0 * float(level.w @ (1.0 / ((2.0 - u2) * (1.0 + t * t)) ** 0.5))
-        return (val,)
+        return (4.0 * table.w.dot(1.0 / ((2.0 - u2) * (1.0 + t * t)) ** 0.5)).tolist()
 
     return converge_levels(estimate, 64, 6, 1e-13)[0]
 
@@ -85,12 +83,13 @@ def lemniscate_constant(check_tol: float = 1e-10) -> float:
 
     Evaluates both the defining arc-length integral and the closed Gamma
     form, verifies they agree to ``check_tol`` relative, and returns the
-    closed-form value (the tighter of the two).
+    closed-form value (the tighter of the two).  A disagreement raises
+    :class:`ConvergenceError`.
     """
     by_gamma = _varpi_gamma()
     by_integral = _varpi_integral()
     if abs(by_gamma - by_integral) > check_tol * abs(by_gamma):
-        raise ArithmeticError(
+        raise ConvergenceError(
             "lemniscatic constant routes disagree: "
             f"gamma={by_gamma!r} integral={by_integral!r}"
         )

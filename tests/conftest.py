@@ -3,6 +3,14 @@
 import pytest
 
 import frozenplanet as fp
+from frozenplanet import specialfn
+
+_CACHED_CONSTANTS = (
+    fp.lemniscate_constant,
+    fp.constants,
+    fp.critical_gamma,
+    fp.critical_mu,
+)
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +31,19 @@ def sol_touch():
 @pytest.fixture(scope="session")
 def traj_mu2(sol_mu2):
     return fp.reconstruct(sol_mu2, 1024)
+
+
+@pytest.fixture
+def broken_varpi(monkeypatch):
+    """Make the quadrature route of the lemniscatic constant disagree.
+
+    The cached constants built on it are cleared before and after, so no
+    other test sees a value computed while the route was broken.
+    """
+    for fn in _CACHED_CONSTANTS:
+        fn.cache_clear()
+    monkeypatch.setattr(specialfn, "_varpi_integral", lambda: 2.6)
+    yield
+    monkeypatch.undo()
+    for fn in _CACHED_CONSTANTS:
+        fn.cache_clear()

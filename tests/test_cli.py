@@ -41,7 +41,7 @@ def test_solve_json_payload(capsys):
     assert len(payload["trajectory"]["q1"]) == 33
     manifest = payload["manifest"]
     assert manifest["command"] == "solve"
-    assert manifest["kernel"] in ("compiled", "python")
+    assert "kernel" not in manifest
     assert manifest["quadrature"]["base_nodes"] == 64
     # JSON floats are reprs and therefore round-trip bitwise.
     assert sol["qbar1"] == fp.solve_orbit(2.0).qbar1
@@ -61,6 +61,11 @@ def test_solve_rejects_unbound_charge(capsys):
     assert code == 2
     assert out == ""
     assert "ioniz" in err
+    for mu in ("nan", "inf"):
+        code, out, err = _run(capsys, ["solve", "--mu", mu])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
 
 def test_solve_rejects_odd_samples(capsys):
@@ -157,6 +162,13 @@ def test_threshold_payload(capsys):
     assert payload["gamma_star"] == fp.critical_gamma()
     assert payload["mu_star"] == fp.critical_mu()
     assert "formulas" in payload
+
+
+def test_threshold_route_disagreement_exit_code(capsys, broken_varpi):
+    code, out, err = _run(capsys, ["threshold"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "routes disagree" in err
 
 
 def test_verify_fast(capsys):

@@ -33,6 +33,12 @@ def test_gamma_of_mu_rejects_unbound_charge():
             gamma_of_mu(mu)
 
 
+def test_gamma_of_mu_rejects_non_finite_charge():
+    for mu in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            gamma_of_mu(mu)
+
+
 def test_mu_of_gamma_at_one():
     assert mu_of_gamma(1.0) == pytest.approx(4.0, abs=1e-15)
 

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import roots_jacobi
+from scipy.special import roots_jacobi, roots_legendre
 
 from frozenplanet import (
     ConvergenceError,
@@ -86,8 +86,9 @@ def test_ratio_integrals_deep_well_limit():
 
 
 def test_ratio_integrals_rejects_positive_a():
-    with pytest.raises(DomainError):
-        ratio_integrals(1e-9)
+    for a in (1e-9, math.nan):
+        with pytest.raises(DomainError):
+            ratio_integrals(a)
 
 
 def test_ratio_monotone_in_k():
@@ -205,9 +206,61 @@ def test_time_integral_domain_errors():
     with pytest.raises(DomainError):
         time_integral(0.5, 0.5)  # a must be <= 0
     with pytest.raises(DomainError):
+        time_integral(math.nan, 0.5)
+    with pytest.raises(DomainError):
         time_integral(-1.0, 1.5)
     with pytest.raises(DomainError):
         time_integral(-1.0, -0.1)
+
+
+def _one_level_at_a_time(a, config):
+    """Reference node-doubling loop: one Gauss level per step, built here.
+
+    Returns the accepted (I_1/2, I_3/2) or None where the rule never
+    accepts.
+    """
+
+    def estimate(n):
+        x, w = roots_legendre(n)
+        s2 = np.sin(0.25 * math.pi * (x + 1.0)) ** 2
+        f = 1.0 / np.sqrt(s2 - a)
+        return [0.5 * math.pi * float((w * s2) @ f), 0.5 * math.pi * float((w * s2 * s2) @ f)]
+
+    n = config.base_nodes
+    prev = estimate(n)
+    agreed_once = False
+    for _ in range(config.max_doublings):
+        n *= 2
+        curr = estimate(n)
+        agreed = all(
+            abs(c - p) <= config.rel_tol * max(abs(c), 1e-300) for c, p in zip(curr, prev)
+        )
+        if agreed and agreed_once:
+            return curr
+        agreed_once = agreed
+        prev = curr
+    return None
+
+
+def test_stacked_levels_match_one_level_at_a_time():
+    # Summing the leading levels in one product changes only the rounding,
+    # never which level is accepted; a = -1e-6 needs five levels.
+    rtol = 64 * np.finfo(float).eps
+    configs = (
+        QuadratureConfig(),
+        QuadratureConfig(base_nodes=96, max_doublings=2),
+        QuadratureConfig(base_nodes=2, max_doublings=1),
+        QuadratureConfig(base_nodes=8, max_doublings=3),
+    )
+    for cfg in configs:
+        for a in (0.0, -1e-6, -1.0, -1e8):
+            ref = _one_level_at_a_time(a, cfg)
+            if ref is None:
+                with pytest.raises(ConvergenceError):
+                    ratio_integrals(a, cfg)
+            else:
+                r = ratio_integrals(a, cfg)
+                assert_allclose([r.i_half, r.i_three_half], ref, rtol=rtol, atol=0.0)
 
 
 def test_quadrature_thread_safety():

@@ -12,7 +12,14 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from frozenplanet import DomainError, beta_fn, constants, gamma_fn, lemniscate_constant
+from frozenplanet import (
+    ConvergenceError,
+    DomainError,
+    beta_fn,
+    constants,
+    gamma_fn,
+    lemniscate_constant,
+)
 from frozenplanet.specialfn import _varpi_gamma, _varpi_integral
 
 # 2.62205755429211981046... frozen from mpmath.
@@ -89,6 +96,11 @@ def test_lemniscate_routes_agree():
     assert abs(v_int - v_gam) <= 1e-10 * abs(v_gam)
     assert_allclose(v_int, VARPI_REF, rtol=1e-10)
     assert_allclose(v_gam, VARPI_REF, rtol=1e-12)
+
+
+def test_lemniscate_routes_disagreeing_raise_convergence_error(broken_varpi):
+    with pytest.raises(ConvergenceError, match="routes disagree"):
+        lemniscate_constant()
 
 
 def test_lemniscate_beta_form():
