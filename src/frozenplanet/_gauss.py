@@ -6,7 +6,8 @@ levels whose node counts double from one to the next.  A node table holds
 an integrand is evaluated once on all of their nodes and one matrix-vector
 product with a block-row weight matrix returns the rule of every level.
 Tables are cached per (n, m) as read-only arrays, safe to share across
-threads, because the deepest levels are expensive to generate.
+threads, because the deepest levels are expensive to generate: the
+generator below costs O(n**2), so no level above ``MAX_NODES`` is built.
 """
 
 from __future__ import annotations
@@ -15,13 +16,22 @@ import threading
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import ConvergenceError
 
 # The doubling test needs two consecutive agreements, so every call
 # evaluates at least three levels; they are computed in one product.
 _STACKED_LEVELS = 3
+
+# Largest Gauss-Legendre level ever built: the deepest level of the default
+# policy started from 128 nodes (128 * 2**6).  Generating it takes about
+# 0.6 s on a 2-vCPU host; each further doubling would take four times as long.
+MAX_NODES = 8192
+
+_EPS = float(np.finfo(float).eps)
+# Newton reaches the rounding floor within four steps from the initial guess
+# below for every n from 2 to 699 and at the doubling levels up to MAX_NODES.
+_NEWTON_CAP = 10
 
 
 class NodeTable(NamedTuple):
@@ -49,13 +59,56 @@ _CACHE: dict[tuple[int, int], NodeTable] = {}
 _LOCK = threading.Lock()
 
 
+def _legendre_dtheta(n: int, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(cos theta) and its theta-derivative, by the three-term recurrence."""
+    x = np.cos(theta)
+    p_prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+    return p, n * (x * p - p_prev) / np.sin(theta)
+
+
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Newton's method on P_n(cos theta) = 0 in the angle theta refines the
+    non-negative roots from Tricomi's initial guess; the negative roots are
+    their mirror images.  Newton stops once no step moves a node
+    x = cos(theta) by more than a few units of rounding.  The weights are
+    2 / (dP_n/dtheta)**2, evaluated at the final angles.
+    """
+    half = (n + 1) // 2
+    k = np.arange(half, 0, -1)
+    theta = np.pi * (4 * k - 1) / (4 * n + 2)
+    theta += (n - 1) / (8.0 * n**3) / np.tan(theta)
+    for _ in range(_NEWTON_CAP):
+        p, dp = _legendre_dtheta(n, theta)
+        step = p / dp
+        theta -= step
+        if np.max(np.abs(step) * np.sin(theta)) <= 4.0 * _EPS:
+            break
+    else:
+        raise ConvergenceError(
+            f"Gauss-Legendre nodes for n={n} did not settle in {_NEWTON_CAP} Newton steps"
+        )
+    x = np.cos(theta)
+    w = 2.0 / _legendre_dtheta(n, theta)[1] ** 2
+    # For odd n the first non-negative root is the middle one, x = 0, which
+    # has no mirror image.
+    odd = n % 2
+    return (
+        np.concatenate([-x[odd:][::-1], x]),
+        np.concatenate([w[odd:][::-1], w]),
+    )
+
+
 def _build(n: int, levels: int) -> NodeTable:
     counts = [n * 2**i for i in range(levels)]
     u = np.empty(sum(counts))
     w = np.zeros((levels, u.size))
     start = 0
     for row, count in enumerate(counts):
-        x, wx = roots_legendre(count)
+        x, wx = _gauss_legendre(count)
         u[start : start + count] = 0.5 * (x + 1.0)
         w[row, start : start + count] = 0.5 * wx
         start += count
@@ -105,8 +158,16 @@ def converge_levels(
     component must satisfy the relative tolerance on two successive
     doublings before the last estimate is accepted.  The leading levels
     (at most three) are requested in one call, then one level per doubling.
+    A level above ``MAX_NODES`` is never built: reaching it raises
+    ``ConvergenceError``, as running out of doublings does.
     """
-    first = min(_STACKED_LEVELS, max_doublings + 1)
+    # Levels base_nodes * 2**k with k < depth stay within MAX_NODES.
+    depth = (MAX_NODES // base_nodes).bit_length()
+    if depth == 0:
+        raise ConvergenceError(
+            f"{base_nodes} quadrature nodes exceed MAX_NODES={MAX_NODES}"
+        )
+    first = min(_STACKED_LEVELS, max_doublings + 1, depth)
     values = estimate(node_table(base_nodes, first))
     width = len(values) // first
     prev = values[:width]
@@ -116,8 +177,14 @@ def converge_levels(
         n *= 2
         if k < first:
             curr = values[k * width : (k + 1) * width]
-        else:
+        elif k < depth:
             curr = estimate(node_table(n))
+        else:
+            raise ConvergenceError(
+                f"quadrature did not settle to rel_tol={rel_tol:g} within "
+                f"{k - 1} doublings from {base_nodes} nodes; the next level, "
+                f"{n} nodes, would exceed MAX_NODES={MAX_NODES}"
+            )
         agreed = _agree(curr, prev, rel_tol)
         if agreed and agreed_once:
             return tuple(curr)

@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quad-nodes",
         type=int,
         default=None,
-        help="initial Gauss-Legendre node count (default 64)",
+        help="initial Gauss-Legendre node count (default 64, at most 8192)",
     )
     quad.add_argument(
         "--quad-doublings",

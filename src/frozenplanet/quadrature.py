@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._gauss import converge_levels
+from ._gauss import MAX_NODES, converge_levels
 from .errors import DomainError
 from .model import sigma_pair
 
@@ -36,6 +36,8 @@ class QuadratureConfig:
     Starting from ``base_nodes`` Gauss-Legendre nodes, the node count is
     doubled (at most ``max_doublings`` times) until two consecutive
     doublings each change the result by no more than ``rel_tol`` relative.
+    ``base_nodes`` may not exceed ``MAX_NODES`` (8192), and a quadrature
+    that would need a level above it raises ``ConvergenceError``.
     """
 
     base_nodes: int = 64
@@ -43,8 +45,10 @@ class QuadratureConfig:
     rel_tol: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.base_nodes < 2:
-            raise DomainError(f"base_nodes must be >= 2, got {self.base_nodes!r}")
+        if not 2 <= self.base_nodes <= MAX_NODES:
+            raise DomainError(
+                f"base_nodes must lie in [2, {MAX_NODES}], got {self.base_nodes!r}"
+            )
         if self.max_doublings < 1:
             raise DomainError(f"max_doublings must be >= 1, got {self.max_doublings!r}")
         if not 1e-14 <= self.rel_tol <= 1e-6:
@@ -71,8 +75,8 @@ def ratio_integrals(a: float, config: QuadratureConfig = DEFAULT_CONFIG) -> Rati
     desingularization above is invalid).  Both components must pass the
     doubling test before the pair is accepted.
     """
-    if not a <= 0.0:
-        raise DomainError(f"ratio integrals require a <= 0, got a={a!r}")
+    if not -math.inf < a <= 0.0:
+        raise DomainError(f"ratio integrals require a finite a <= 0, got a={a!r}")
 
     def estimate(table):
         # Both moments share the factor 1/sqrt(sin(theta)**2 - a).
@@ -125,6 +129,37 @@ def period(gamma: float, qbar1: float, config: QuadratureConfig = DEFAULT_CONFIG
     return math.sqrt(2.0) * gamma * qbar1 * math.sqrt(q1max) * ints.i_half
 
 
+# Angles per converge_levels call of the time map: bounds its work arrays at
+# _TIME_BLOCK * (nodes of the table) values, whatever the number of angles.
+_TIME_BLOCK = 32
+
+
+def _time_map(a: float, p: np.ndarray, config: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """H(p) = G(sin p) = int_0^p cos(s)**2 / sqrt(cos(s)**2 - a) ds, elementwise.
+
+    ``p`` holds angles in [0, pi/2] and ``a`` is finite and <= 0; callers
+    check both.  The integrand is analytic in s up to and including the
+    swing endpoint p = pi/2.  Angles are evaluated in blocks of
+    ``_TIME_BLOCK``, each block on shared nodes, and every angle of a block
+    must pass the doubling test before the block is accepted.
+    """
+    out = np.empty(p.shape)
+    for start in range(0, p.size, _TIME_BLOCK):
+        block = p[start : start + _TIME_BLOCK]
+
+        def estimate(table):
+            # int_0^1 cos(p*t)**2 / sqrt(cos(p*t)**2 - a) dt for each p of the
+            # block, level by level; the factor p is applied once below.
+            c = np.cos(np.multiply.outer(block, table.u))
+            cc = c * c
+            return table.w.dot((cc / np.sqrt(cc - a)).T).ravel().tolist()
+
+        out[start : start + block.size] = block * np.array(
+            converge_levels(estimate, config.base_nodes, config.max_doublings, config.rel_tol)
+        )
+    return out
+
+
 def time_integral(
     a: float, upper: float, config: QuadratureConfig = DEFAULT_CONFIG
 ) -> float:
@@ -132,24 +167,10 @@ def time_integral(
 
     Monotone increasing in ``upper`` on [0, 1]; G(U)/(2*G(1)) is the scaled
     time at which the inner electron passes q1 = q1max * (1 - U**2).
-    Evaluated in the angle variable u = sin(p), which makes the integrand
-    analytic up to and including the swing endpoint upper = 1.
+    Evaluated by ``_time_map`` at the single angle p = asin(upper).
     """
-    if not a <= 0.0:
-        raise DomainError(f"time integral requires a <= 0, got a={a!r}")
+    if not -math.inf < a <= 0.0:
+        raise DomainError(f"time integral requires a finite a <= 0, got a={a!r}")
     if not 0.0 <= upper <= 1.0:
         raise DomainError(f"time integral requires 0 <= upper <= 1, got {upper!r}")
-    if upper == 0.0:
-        return 0.0
-    theta = math.asin(upper)
-
-    def estimate(table):
-        # int_0^1 cos(p)**2 / sqrt(cos(p)**2 - a) du with p = theta * u; the
-        # factor theta is applied once to the accepted value.
-        c = np.cos(theta * table.u)
-        cc = c * c
-        return table.w.dot(cc / np.sqrt(cc - a)).tolist()
-
-    return theta * converge_levels(
-        estimate, config.base_nodes, config.max_doublings, config.rel_tol
-    )[0]
+    return float(_time_map(a, np.array([math.asin(upper)]), config)[0])

@@ -223,6 +223,13 @@ def test_nonconvergence_exit_code(capsys):
     assert "error:" in err
 
 
+def test_quad_nodes_above_bound_exit_code(capsys):
+    # Refused before any node table is allocated.
+    code, _, err = _run(capsys, ["solve", "--mu", "2", "--quad-nodes", "100000000"])
+    assert code == 2
+    assert "base_nodes" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

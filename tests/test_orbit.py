@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from frozenplanet import (
+    ConvergenceError,
     DomainError,
     critical_mu,
     energy_residual,
@@ -15,7 +17,9 @@ from frozenplanet import (
     mean_residual,
     reconstruct,
     solve_orbit,
+    time_integral,
 )
+from frozenplanet import orbit
 
 
 def test_reconstruct_rejects_bad_sample_counts(sol_mu2):
@@ -154,3 +158,44 @@ def test_reconstruct_above_threshold_amplitude():
     sol = solve_orbit(20.0)
     traj = reconstruct(sol, 64)
     assert traj.q1[0] > traj.q2_const
+
+
+@pytest.mark.parametrize("mu", [1.02, 2.0, "mu*", 100.0, 1e6])
+def test_reconstruct_against_brentq(mu):
+    # Reference: each first-half sample solved on its own by a bracketed
+    # root solve of G(u) = 2 G(1) t in u, with q1 = q1max (1 - u**2).
+    sol = solve_orbit(critical_mu() if mu == "mu*" else mu)
+    n = 64
+    a = sol.q1antimax / sol.q1max
+    g_full = time_integral(a, 1.0)
+    ref = []
+    for j in range(1, n // 2):
+        target = 2.0 * g_full * (j / n)
+        u = brentq(
+            lambda u: time_integral(a, u) - target,
+            0.0,
+            1.0,
+            xtol=1e-15,
+            rtol=4 * np.finfo(float).eps,
+        )
+        ref.append(sol.q1max * (1.0 - u) * (1.0 + u))
+    q1 = reconstruct(sol, n).q1[1 : n // 2]
+    assert np.max(np.abs(q1 - ref)) <= 1e-14 * sol.q1max
+
+
+def test_reconstruct_closed_form_at_zero_a(sol_mu2):
+    # With q1antimax = 0 the time map is G(u) = u, so the first half of the
+    # period is q1 = q1max * (1 - 4 t**2) exactly.
+    sol = dataclasses.replace(sol_mu2, q1antimax=0.0)
+    n = 512
+    traj = reconstruct(sol, n)
+    t = traj.t[: n // 2 + 1]
+    expected = sol.q1max * (1.0 - 4.0 * t * t)
+    assert np.max(np.abs(traj.q1[: n // 2 + 1] - expected)) <= 1e-14 * sol.q1max
+
+
+def test_reconstruct_newton_cap_reports_context(sol_mu2, monkeypatch):
+    # Two Newton steps are too few; the error names the orbit and the step.
+    monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)
+    with pytest.raises(ConvergenceError, match=r"a=-.*n_samples=64, worst step"):
+        reconstruct(sol_mu2, 64)

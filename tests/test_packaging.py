@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "frozenplanet"
+TESTS_DIR = ROOT / "tests"
 
 
 def _pyproject():
@@ -24,9 +25,9 @@ def _requirement_names(requirements):
     }
 
 
-def _third_party_imports():
+def _third_party_imports(directory):
     names = set()
-    for path in PACKAGE_DIR.glob("*.py"):
+    for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
@@ -40,7 +41,16 @@ def _third_party_imports():
 
 def test_runtime_dependencies_match_imports():
     declared = _requirement_names(_pyproject()["project"]["dependencies"])
-    assert _third_party_imports() == declared == {"numpy", "scipy"}
+    assert _third_party_imports(PACKAGE_DIR) == declared == {"numpy"}
+
+
+def test_test_imports_are_declared():
+    # SciPy serves the tests as an oracle, so it belongs to the test extra.
+    project = _pyproject()["project"]
+    declared = _requirement_names(
+        project["dependencies"] + project["optional-dependencies"]["test"]
+    )
+    assert _third_party_imports(TESTS_DIR) <= declared
 
 
 def test_build_requires_only_setuptools():

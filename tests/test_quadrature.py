@@ -28,6 +28,7 @@ from frozenplanet import (
     ratio_integrals,
     time_integral,
 )
+from frozenplanet import _gauss
 
 # Frozen regression values (current double-precision build; independently
 # cross-checked against 30-digit arbitrary-precision evaluations).
@@ -56,6 +57,27 @@ def test_config_validation():
         QuadratureConfig(rel_tol=1e-15)
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=1e-5)
+    # --quad-nodes 128 with six doublings reaches 128 * 2**6 = 8192 nodes,
+    # and a generous doubling budget is legal as long as it is not used up.
+    assert _gauss.MAX_NODES >= 8192
+    QuadratureConfig(base_nodes=_gauss.MAX_NODES)
+    QuadratureConfig(base_nodes=128, max_doublings=6)
+    r = ratio_integrals(-1.0, QuadratureConfig(max_doublings=40))
+    assert r.i_half == ratio_integrals(-1.0).i_half
+    with pytest.raises(DomainError):
+        QuadratureConfig(base_nodes=_gauss.MAX_NODES + 1)
+
+
+def test_converge_levels_stops_at_node_bound(monkeypatch):
+    # a = -1e-6 needs five levels from 64 nodes; with the bound lowered to
+    # 256 the fourth level is refused before it is built.
+    monkeypatch.setattr(_gauss, "MAX_NODES", 256)
+    monkeypatch.setattr(_gauss, "_CACHE", {})
+    with pytest.raises(ConvergenceError, match="MAX_NODES=256"):
+        ratio_integrals(-1e-6)
+    assert max(n * 2 ** (levels - 1) for n, levels in _gauss._CACHE) == 256
+    with pytest.raises(ConvergenceError, match="MAX_NODES=256"):
+        _gauss.converge_levels(lambda table: [0.0], 512, 6, 1e-12)
 
 
 def test_ratio_integrals_at_zero():
@@ -86,7 +108,7 @@ def test_ratio_integrals_deep_well_limit():
 
 
 def test_ratio_integrals_rejects_positive_a():
-    for a in (1e-9, math.nan):
+    for a in (1e-9, math.nan, -math.inf):
         with pytest.raises(DomainError):
             ratio_integrals(a)
 
@@ -208,6 +230,8 @@ def test_time_integral_domain_errors():
     with pytest.raises(DomainError):
         time_integral(math.nan, 0.5)
     with pytest.raises(DomainError):
+        time_integral(-math.inf, 0.5)
+    with pytest.raises(DomainError):
         time_integral(-1.0, 1.5)
     with pytest.raises(DomainError):
         time_integral(-1.0, -0.1)
@@ -261,6 +285,27 @@ def test_stacked_levels_match_one_level_at_a_time():
             else:
                 r = ratio_integrals(a, cfg)
                 assert_allclose([r.i_half, r.i_three_half], ref, rtol=rtol, atol=0.0)
+
+
+# Every Gauss-Legendre level the default and test configs reach, up to 4096
+# nodes (base counts 2, 8, 32, 64, 96 and 128), plus a few odd counts.
+_NODE_COUNTS = sorted(
+    {n * 2**k for n in (2, 8, 32, 64, 96, 128) for k in range(7) if n * 2**k <= 4096}
+    | {3, 5, 65}
+)
+
+
+def test_gauss_legendre_against_scipy():
+    eps = np.finfo(float).eps
+    for n in _NODE_COUNTS:
+        x, w = _gauss._gauss_legendre(n)
+        x_ref, _ = roots_legendre(n)
+        assert np.max(np.abs(x - x_ref)) <= 4 * eps, n
+        assert abs(w.sum() - 2.0) <= 8 * eps, n
+        # The n-point rule integrates x**(2k) exactly for 2k < 2n.
+        for k in range(1, min(n, 10)):
+            exact = 2.0 / (2 * k + 1)
+            assert abs(w @ x ** (2 * k) - exact) <= 64 * eps * exact, (n, k)
 
 
 def test_quadrature_thread_safety():
