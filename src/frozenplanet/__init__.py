@@ -21,15 +21,7 @@ from .model import (
     sigma_pair,
 )
 from .orbit import Trajectory, energy_residual, mean_q1, mean_residual, reconstruct
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    RatioIntegrals,
-    big_f,
-    period,
-    ratio_integrals,
-    time_integral,
-)
+from .quadrature import RatioIntegrals, big_f, period, ratio_integrals, time_integral
 from .solver import OrbitSolution, fixpoint_residual, solve_orbit
 from .specialfn import Constants, beta_fn, constants, gamma_fn, lemniscate_constant
 
@@ -38,11 +30,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "Constants",
-    "DEFAULT_CONFIG",
     "DomainError",
     "IntersectionClass",
     "OrbitSolution",
-    "QuadratureConfig",
     "RatioIntegrals",
     "SigmaPair",
     "Trajectory",

@@ -24,13 +24,7 @@ from .intersect import (
 )
 from .model import gamma_of_mu, mu_of_gamma
 from .orbit import Trajectory, energy_residual, mean_residual, reconstruct
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    big_f,
-    ratio_integrals,
-    time_integral,
-)
+from .quadrature import big_f, ratio_integrals, time_integral
 from .solver import solve_orbit
 from .specialfn import beta_fn, gamma_fn, lemniscate_constant
 from .specialfn import _varpi_gamma, _varpi_integral
@@ -59,16 +53,16 @@ def _rel(value: float, reference: float) -> float:
     return abs(value - reference) / max(abs(reference), 1e-14)
 
 
-def check_anchor_f_value(config: QuadratureConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_anchor_f_value() -> CheckResult:
     """F(-1, 0) = 8/3: the one point where the functional is closed-form."""
-    value = big_f(-1.0, 0.0, config)
+    value = big_f(-1.0, 0.0)
     err = abs(value - 8.0 / 3.0)
     return CheckResult(
         "anchor_f_value", err <= 1e-10, f"F(-1,0)={value!r}, |defect|={err:.2e}"
     )
 
 
-def check_lemniscate_routes(config: QuadratureConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_lemniscate_routes() -> CheckResult:
     """Defining integral vs Gamma closed form, and the coarse printed value."""
     by_gamma = _varpi_gamma()
     by_integral = _varpi_integral()
@@ -81,7 +75,7 @@ def check_lemniscate_routes(config: QuadratureConfig = DEFAULT_CONFIG) -> CheckR
     )
 
 
-def check_gamma_beta_identities(config: QuadratureConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_gamma_beta_identities() -> CheckResult:
     """Gamma recurrence/duplication and the Beta form of the lemniscatic constant."""
     dup = abs(gamma_fn(0.75) * gamma_fn(1.25) - math.pi / (2.0 * math.sqrt(2.0)))
     rec = _rel(gamma_fn(1.75), 0.75 * gamma_fn(0.75))
@@ -95,17 +89,17 @@ def check_gamma_beta_identities(config: QuadratureConfig = DEFAULT_CONFIG) -> Ch
     )
 
 
-def check_quadrature_anchors(config: QuadratureConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_quadrature_anchors() -> CheckResult:
     """Beta reductions at a = -1, the a = 0 closed ratio, and the F(1,2) value."""
-    ints = ratio_integrals(-1.0, config)
+    ints = ratio_integrals(-1.0)
     e_half = _rel(ints.i_half, 0.5 * beta_fn(0.75, 0.5))
     e_three = _rel(ints.i_three_half, 0.5 * beta_fn(1.25, 0.5))
-    at0 = ratio_integrals(0.0, config)
+    at0 = ratio_integrals(0.0)
     e_zero = max(_rel(at0.i_half, 2.0), _rel(at0.i_three_half, 4.0 / 3.0))
     varpi = lemniscate_constant()
-    e_f12 = _rel(big_f(1.0, 2.0, config), 4.0 * varpi * varpi / (3.0 * math.pi))
+    e_f12 = _rel(big_f(1.0, 2.0), 4.0 * varpi * varpi / (3.0 * math.pi))
     half_identity = max(
-        _rel(time_integral(a, 1.0, config), 0.5 * ratio_integrals(a, config).i_half)
+        _rel(time_integral(a, 1.0), 0.5 * ratio_integrals(a).i_half)
         for a in (0.0, -1e-3, -1.0, -1e3)
     )
     ok = (
@@ -123,7 +117,7 @@ def check_quadrature_anchors(config: QuadratureConfig = DEFAULT_CONFIG) -> Check
     )
 
 
-def check_threshold_value(config: QuadratureConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_threshold_value() -> CheckResult:
     """Critical charge by direct formula vs the gamma route, and its magnitude."""
     varpi = lemniscate_constant()
     v2 = varpi * varpi
@@ -143,13 +137,13 @@ def check_threshold_value(config: QuadratureConfig = DEFAULT_CONFIG) -> CheckRes
     )
 
 
-def check_touch_point(config: QuadratureConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_touch_point() -> CheckResult:
     """At mu = mu* the solved orbit must touch: qbar1 = 2/gamma*^2, kappa = 0."""
     gstar = critical_gamma()
-    sol = solve_orbit(critical_mu(), config=config)
+    sol = solve_orbit(critical_mu())
     e_qbar1 = _rel(sol.qbar1, 2.0 / (gstar * gstar))
     e_eta = _rel(sol.eta, _ETA_TOUCH_REF)
-    e_f = abs(big_f(gstar, 2.0 / (gstar * gstar), config) - 2.0)
+    e_f = abs(big_f(gstar, 2.0 / (gstar * gstar)) - 2.0)
     ok = e_qbar1 <= 1e-8 and abs(sol.kappa) <= 1e-8 and e_eta <= 1e-9 and e_f <= 1e-9
     return CheckResult(
         "touch_point",
@@ -158,13 +152,13 @@ def check_touch_point(config: QuadratureConfig = DEFAULT_CONFIG) -> CheckResult:
     )
 
 
-def check_reference_orbit(config: QuadratureConfig = DEFAULT_CONFIG) -> CheckResult:
+def check_reference_orbit() -> CheckResult:
     """The mu = 2 orbit against frozen reference values, plus its classification."""
-    sol = solve_orbit(2.0, config=config)
+    sol = solve_orbit(2.0)
     e_q = _rel(sol.qbar1, _QBAR1_MU2_REF)
     e_eta = _rel(sol.eta, _ETA_MU2_REF)
     ordered = 0.0 < sol.qbar1 < sol.q1max < sol.qbar2
-    verdict = classify(2.0, config=config)
+    verdict = classify(2.0)
     ok = (
         e_q <= 1e-9
         and e_eta <= 1e-9
@@ -178,22 +172,18 @@ def check_reference_orbit(config: QuadratureConfig = DEFAULT_CONFIG) -> CheckRes
     )
 
 
-def check_monotone_unique_grid(
-    config: QuadratureConfig = DEFAULT_CONFIG,
-    n_mu: int = 25,
-    n_grid: int = 10_000,
-) -> CheckResult:
+def check_monotone_unique_grid(n_mu: int = 25, n_grid: int = 10_000) -> CheckResult:
     """Solver convergence plus grid uniqueness/monotonicity of F for each mu."""
     worst_res = 0.0
     for mu in np.geomspace(1.02, 100.0, n_mu):
         gamma = gamma_of_mu(float(mu))
-        sol = solve_orbit(float(mu), tol=1e-10, config=config)
+        sol = solve_orbit(float(mu), tol=1e-10)
         worst_res = max(worst_res, sol.fixpoint_residual)
         hi = 1.0
-        while big_f(gamma, hi, config) >= 2.0:
+        while big_f(gamma, hi) >= 2.0:
             hi *= 2.0
         xs = np.linspace(1e-6, hi, n_grid)
-        fs = np.array([big_f(gamma, float(x), config) for x in xs])
+        fs = np.array([big_f(gamma, float(x)) for x in xs])
         if not np.all(np.diff(fs) < 0.0):
             return CheckResult(
                 "monotone_unique_grid", False, f"F not strictly decreasing at mu={mu}"
@@ -213,14 +203,12 @@ def check_monotone_unique_grid(
     )
 
 
-def check_classification_grid(
-    config: QuadratureConfig = DEFAULT_CONFIG, n_mu: int = 50
-) -> CheckResult:
+def check_classification_grid(n_mu: int = 50) -> CheckResult:
     """One Disjoint -> Intersects flip, bracketing mu*, with kappa/q1max agreement."""
     mus = np.geomspace(1.02, 40.0, n_mu)
     verdicts = []
     for mu in mus:
-        sol = solve_orbit(float(mu), tol=1e-10, config=config)
+        sol = solve_orbit(float(mu), tol=1e-10)
         if abs(sol.kappa) > 1e-9 and (sol.kappa > 0.0) != (sol.q1max > sol.qbar2):
             return CheckResult(
                 "classification_grid",
@@ -267,23 +255,21 @@ def _fd_second_derivative_defect(traj: Trajectory, lo: float, hi: float) -> floa
     return float(np.max(np.abs(fd / rhs - 1.0)))
 
 
-def check_trajectory_residuals(
-    config: QuadratureConfig = DEFAULT_CONFIG, n_samples: int = 1024
-) -> CheckResult:
+def check_trajectory_residuals(n_samples: int = 1024) -> CheckResult:
     """Mean/energy residuals, time-reversal symmetry, and the FD motion law
     with second-order convergence, at mu in {2, 4, mu*}."""
     details = []
     for mu in (2.0, 4.0, critical_mu()):
-        sol = solve_orbit(mu, config=config)
-        traj = reconstruct(sol, n_samples, config=config)
+        sol = solve_orbit(mu)
+        traj = reconstruct(sol, n_samples)
         mean_rel = abs(mean_residual(traj)) / sol.qbar1
         energy = abs(energy_residual(traj))
         symmetry = float(np.max(np.abs(traj.q1 - traj.q1[::-1])))
         defect_coarse = _fd_second_derivative_defect(
-            reconstruct(sol, 256, config=config), 0.1, 0.4
+            reconstruct(sol, 256), 0.1, 0.4
         )
         defect_fine = _fd_second_derivative_defect(
-            reconstruct(sol, 512, config=config), 0.1, 0.4
+            reconstruct(sol, 512), 0.1, 0.4
         )
         order = math.log2(defect_coarse / defect_fine)
         if not (
@@ -302,12 +288,10 @@ def check_trajectory_residuals(
     return CheckResult("trajectory_residuals", True, "; ".join(details))
 
 
-def check_f_extension_monotone(
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> CheckResult:
+def check_f_extension_monotone() -> CheckResult:
     """F(gamma, 0) is strictly increasing in gamma on [-1, 5]."""
     gammas = np.linspace(-1.0, 5.0, 50)
-    fs = np.array([big_f(float(g), 0.0, config) for g in gammas])
+    fs = np.array([big_f(float(g), 0.0) for g in gammas])
     ok = bool(np.all(np.diff(fs) > 0.0))
     return CheckResult(
         "f_extension_monotone",
@@ -334,11 +318,9 @@ _FULL_CHECKS: tuple[Callable[..., CheckResult], ...] = (
 )
 
 
-def run_suite(
-    level: str = "fast", config: QuadratureConfig = DEFAULT_CONFIG
-) -> list[CheckResult]:
+def run_suite(level: str = "fast") -> list[CheckResult]:
     """Run the ``fast`` or ``full`` certification suite."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
     checks = _FAST_CHECKS + (_FULL_CHECKS if level == "full" else ())
-    return [check(config) for check in checks]
+    return [check() for check in checks]

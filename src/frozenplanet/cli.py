@@ -24,14 +24,13 @@ from .certify import run_suite
 from .errors import ConvergenceError, DomainError
 from .intersect import classify_kappa, critical_gamma, critical_mu
 from .orbit import energy_residual, mean_residual, reconstruct
-from .quadrature import QuadratureConfig
 from .solver import solve_orbit
 from .specialfn import lemniscate_constant
 
 _DEFAULT_TOL = 1e-10
 _DEFAULT_SAMPLES = 512
 _CONFIG_ENV = "FROZEN_PLANET_CONFIG"
-_CONFIG_KEYS = ("quad_nodes", "quad_doublings", "quad_tol", "tol", "samples")
+_CONFIG_KEYS = ("tol", "samples")
 
 _SCAN_HEADER = "mu,gamma,qbar1,qbar2,kappa,q1max,q1antimax,eta,class"
 
@@ -40,7 +39,6 @@ _SCAN_HEADER = "mu,gamma,qbar1,qbar2,kappa,q1max,q1antimax,eta,class"
 class Settings:
     """Fully resolved run configuration."""
 
-    quad: QuadratureConfig
     tol: float
     samples: int
 
@@ -84,41 +82,33 @@ def _resolve_settings(args: argparse.Namespace) -> Settings:
                 raise DomainError(f"invalid config value for {key}: {exc}") from exc
         return default
 
-    quad = QuadratureConfig(
-        base_nodes=pick(getattr(args, "quad_nodes", None), "quad_nodes", int, 64),
-        max_doublings=pick(
-            getattr(args, "quad_doublings", None), "quad_doublings", int, 6
-        ),
-        rel_tol=pick(getattr(args, "quad_tol", None), "quad_tol", float, 1e-12),
-    )
     return Settings(
-        quad=quad,
         tol=pick(getattr(args, "tol", None), "tol", float, _DEFAULT_TOL),
         samples=pick(getattr(args, "samples", None), "samples", int, _DEFAULT_SAMPLES),
     )
 
 
-def _manifest(
-    command: str, parameters: dict, settings: Settings, wall_time: float
-) -> dict:
+def _manifest(command: str, parameters: dict, wall_time: float) -> dict:
     return {
         "command": command,
         "parameters": parameters,
         "tool_version": __version__,
-        "quadrature": {
-            "base_nodes": settings.quad.base_nodes,
-            "max_doublings": settings.quad.max_doublings,
-            "rel_tol": settings.quad.rel_tol,
-        },
         "wall_time": wall_time,
     }
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path in (None, "-"):
         sys.stdout.write(text)
     else:
-        Path(out_path).write_text(text)
+        _write_file(out_path, text)
 
 
 def _emit_sidecar_manifest(manifest: dict, out_path: str | None) -> None:
@@ -127,13 +117,13 @@ def _emit_sidecar_manifest(manifest: dict, out_path: str | None) -> None:
     if out_path in (None, "-"):
         sys.stderr.write(text)
     else:
-        Path(str(out_path) + ".manifest.json").write_text(text)
+        _write_file(str(out_path) + ".manifest.json", text)
 
 
 def _cmd_solve(args: argparse.Namespace, settings: Settings) -> int:
     start = time.perf_counter()
-    sol = solve_orbit(args.mu, tol=settings.tol, config=settings.quad)
-    traj = reconstruct(sol, settings.samples, config=settings.quad)
+    sol = solve_orbit(args.mu, tol=settings.tol)
+    traj = reconstruct(sol, settings.samples)
     residual_mean = mean_residual(traj)
     residual_energy = energy_residual(traj)
     manifest = _manifest(
@@ -144,7 +134,6 @@ def _cmd_solve(args: argparse.Namespace, settings: Settings) -> int:
             "samples": settings.samples,
             "format": args.format,
         },
-        settings,
         time.perf_counter() - start,
     )
     if args.format == "json":
@@ -191,7 +180,7 @@ def _cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
     start = time.perf_counter()
     lines = [_SCAN_HEADER]
     for mu in np.linspace(args.mu_min, args.mu_max, args.steps):
-        sol = solve_orbit(float(mu), tol=settings.tol, config=settings.quad)
+        sol = solve_orbit(float(mu), tol=settings.tol)
         verdict = classify_kappa(sol.kappa)
         lines.append(
             f"{sol.mu!r},{sol.gamma!r},{sol.qbar1!r},{sol.qbar2!r},"
@@ -206,7 +195,6 @@ def _cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
             "steps": args.steps,
             "tol": settings.tol,
         },
-        settings,
         time.perf_counter() - start,
     )
     _emit("\n".join(lines) + "\n", args.out)
@@ -227,14 +215,14 @@ def _cmd_threshold(args: argparse.Namespace, settings: Settings) -> int:
             "mu_star": "(3 pi / (3 pi - varpi^2))^2 = ((gamma_star + 1) / gamma_star)^2",
         },
     }
-    manifest = _manifest("threshold", {}, settings, time.perf_counter() - start)
+    manifest = _manifest("threshold", {}, time.perf_counter() - start)
     payload = {"manifest": manifest, **payload_body}
     _emit(json.dumps(payload, indent=2) + "\n", getattr(args, "out", None))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
-    results = run_suite(args.level, settings.quad)
+    results = run_suite(args.level)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -245,26 +233,6 @@ def _cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    quad = argparse.ArgumentParser(add_help=False)
-    quad.add_argument(
-        "--quad-nodes",
-        type=int,
-        default=None,
-        help="initial Gauss-Legendre node count (default 64, at most 8192)",
-    )
-    quad.add_argument(
-        "--quad-doublings",
-        type=int,
-        default=None,
-        help="maximum node-count doublings (default 6)",
-    )
-    quad.add_argument(
-        "--quad-tol",
-        type=float,
-        default=None,
-        help="relative quadrature tolerance (default 1e-12)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="frozen-planet",
         description=(
@@ -276,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser(
-        "solve", parents=[quad], help="solve the periodic orbit for one charge"
-    )
+    p_solve = sub.add_parser("solve", help="solve the periodic orbit for one charge")
     p_solve.add_argument("--mu", type=float, required=True, help="nucleus charge (> 1)")
     p_solve.add_argument(
         "--tol", type=float, default=None, help="|F - 2| residual tolerance (default 1e-10)"
@@ -298,9 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_scan = sub.add_parser(
-        "scan", parents=[quad], help="solve and classify a range of charges (CSV)"
-    )
+    p_scan = sub.add_parser("scan", help="solve and classify a range of charges (CSV)")
     p_scan.add_argument("--mu-min", type=float, required=True)
     p_scan.add_argument("--mu-max", type=float, required=True)
     p_scan.add_argument("--steps", type=int, default=50, help="row count (default 50)")
@@ -311,16 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(func=_cmd_scan)
 
     p_thresh = sub.add_parser(
-        "threshold",
-        parents=[quad],
-        help="print the lemniscatic intersection threshold (JSON)",
+        "threshold", help="print the lemniscatic intersection threshold (JSON)"
     )
     p_thresh.add_argument("--out", default="-", help="output path or - for stdout")
     p_thresh.set_defaults(func=_cmd_threshold)
 
-    p_verify = sub.add_parser(
-        "verify", parents=[quad], help="run the numerical certification suites"
-    )
+    p_verify = sub.add_parser("verify", help="run the numerical certification suites")
     p_verify.add_argument(
         "level",
         nargs="?",

@@ -14,7 +14,6 @@ from math import pi
 
 from .errors import ConvergenceError, DomainError
 from .model import mu_of_gamma
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .solver import solve_orbit
 from .specialfn import lemniscate_constant
 
@@ -59,22 +58,18 @@ def classify_kappa(kappa: float, touch_tol: float = 1e-9) -> IntersectionClass:
     return IntersectionClass.INTERSECTS if kappa > 0.0 else IntersectionClass.DISJOINT
 
 
-def classify(
-    mu: float,
-    touch_tol: float = 1e-9,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> IntersectionClass:
+def classify(mu: float, touch_tol: float = 1e-9) -> IntersectionClass:
     """Solve the orbit for ``mu`` and classify the intersection.
 
     The orbit is solved tightly enough that kappa is resolved well below
     ``touch_tol``; the verdict is then cross-checked against the closed-form
-    critical charge, and a disagreement (which would indicate a quadrature
-    or solver regression) raises :class:`ConvergenceError`.
+    critical charge, and a disagreement (which would indicate a regression
+    in the moment integrals or the solver) raises :class:`ConvergenceError`.
     """
     if not 0.0 < touch_tol <= 1e-3:
         raise DomainError(f"touch_tol must lie in (0, 1e-3], got {touch_tol!r}")
     tol = min(1e-10, max(touch_tol / 10.0, 1e-14))
-    sol = solve_orbit(mu, tol=tol, config=config)
+    sol = solve_orbit(mu, tol=tol)
     verdict = classify_kappa(sol.kappa, touch_tol)
 
     mu_star = critical_mu()

@@ -3,7 +3,7 @@
 For nucleus charge mu > 1 the outer electron freezes at qbar2 while the
 inner electron oscillates between the collision q1 = 0 and the turning
 point q1max.  Everything here is elementary algebra in the gap ratio
-gamma = (qbar2 - qbar1) / qbar1; the quadrature-backed pieces live in
+gamma = (qbar2 - qbar1) / qbar1; the elliptic-integral pieces live in
 :mod:`frozenplanet.quadrature`.
 """
 
@@ -106,7 +106,7 @@ def q1_extrema(gamma: float, qbar1: float) -> tuple[float, float]:
 
     q1max = sigma_plus * qbar1 / 2 is the inner electron's turning point;
     q1antimax = sigma_minus * qbar1 / 2 < 0 is the spurious second root of
-    the same energy relation.  Their ratio parametrizes every quadrature.
+    the same energy relation.  Their ratio parametrizes every moment integral.
     """
     if qbar1 <= 0.0:
         raise DomainError(f"q1_extrema requires qbar1 > 0, got {qbar1!r}")

@@ -9,7 +9,9 @@ G from :mod:`frozenplanet.quadrature`.  One period runs from the swing
 maximum at s = 0 through the collision q1 = 0 at s = 1/2 and back; the
 second half is the time-reflected mirror of the first.
 
-In the angle p with U = sin(p) the kernel becomes H(p) = G(sin p), with
+In the angle p with U = sin(p) the kernel becomes H(p) = G(sin p), an
+incomplete elliptic integral evaluated in closed form for all angles in
+one array call, with
 
     H'(p) = cos(p)**2 / sqrt(cos(p)**2 - a),
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, _time_map
+from .quadrature import _time_map
 from .solver import OrbitSolution
 
 _EPS = float(np.finfo(float).eps)
@@ -63,11 +65,7 @@ class Trajectory:
         return float(self.q1[0])
 
 
-def reconstruct(
-    sol: OrbitSolution,
-    n_samples: int = 512,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> Trajectory:
+def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     """Sample one period of the orbit at n_samples + 1 uniform scaled times.
 
     ``n_samples`` must be even (the collision then falls exactly on a grid
@@ -85,7 +83,7 @@ def reconstruct(
     if not -math.inf < a <= 0.0:
         raise DomainError(f"invalid orbit: q1antimax/q1max = {a!r} is not finite and <= 0")
     half = n_samples // 2
-    g_full = float(_time_map(a, np.array([0.5 * math.pi]), config)[0])
+    g_full = float(_time_map(a, np.array([0.5 * math.pi]))[0])
     target = 2.0 * g_full * (np.arange(1, half) / n_samples)
 
     # H(0) = 0 and H'(0) = 1 / sqrt(1 - a): the first Newton step in closed form.
@@ -95,7 +93,7 @@ def reconstruct(
     for _ in range(_NEWTON_CAP):
         pa = p[active]
         cc = np.cos(pa) ** 2
-        step = (target[active] - _time_map(a, pa, config)) * np.sqrt(cc - a) / cc
+        step = (target[active] - _time_map(a, pa)) * np.sqrt(cc - a) / cc
         p[active] = pa + step
         size = np.abs(step)
         settled = (size <= 4.0 * _EPS * pa) | (size >= last[active])

@@ -1,63 +1,69 @@
-"""Collision-regularized quadratures: ratio integrals, shape functional, period.
+"""Moment integrals, shape functional, period and time map, in closed form.
 
 The building block is the pair of singular moment integrals
 
     I_k(a) = int_0^1 r**k / sqrt((1 - r) * (r - a)) dr,   k in {1/2, 3/2},
 
-for a <= 0.  The square-root substitution r = sin(theta)**2 removes the
-1/sqrt(1 - r) endpoint singularity and simultaneously straightens the
-r**k branch at r = 0, giving
+for a <= 0.  With b = -a they are complete elliptic integrals, evaluated
+through Carlson's R_F and R_D (:func:`frozenplanet.specialfn.carlson_rf_rd`):
 
-    I_k = 2 * int_0^{pi/2} sin(theta)**(2k+1) / sqrt(sin(theta)**2 - a) dtheta
+    I_{1/2}  = (2/3) * b * R_D(0, 1 + b, b)
+    I_{-1/2} = 2 * R_F(0, 1 + b, b)
+    I_{3/2}  = (2 * (1 - b) * I_{1/2} + b * I_{-1/2}) / 3,
 
-with an integrand analytic in theta, so Gauss-Legendre under node doubling
-converges geometrically uniformly in a.  Each estimate evaluates the
-integrand once on the nodes of a stacked node table and sums every level
-of it in one matrix-vector product.
+the last from int_0^1 P'(r) / sqrt(P(r)) dr = 0 with P = r (1 - r) (r + b).
+At b = 0 the moments are exactly 2 and 4/3.  For b >= 4 the expansion of
+1 / sqrt(r + b) in powers of r / b <= 1/4 gives instead
+
+    I_k = b**(-1/2) * sum_j (1/2)_j / j! * B(k + j + 1, 1/2) * (-1/b)**j,
+
+summed in Horner form.  Every branch stays within a few units of rounding
+of a 40-digit evaluation, from b = 1e-300 to b = 1e25.  The time map, the
+incomplete form of I_{1/2}, is one array-valued call of the same kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._gauss import MAX_NODES, converge_levels
 from .errors import DomainError
 from .model import sigma_pair
+from .specialfn import carlson_rf_rd
+
+# Below this b the moments equal their b = 0 values to far below rounding
+# (they differ by O(b log(1/b))), while R_D(0, 1 + b, b) ~ 3/b would
+# overflow towards the subnormal range.
+_B_NEGLIGIBLE = 1e-300
+# The power series in -1/b serves b >= _B_SERIES, where its ratio is at
+# most 1/4; after _SERIES_TERMS terms the first omitted one is below 1% of
+# a unit of rounding of the sum.
+_B_SERIES = 4.0
+_SERIES_TERMS = 28
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Node-doubling policy shared by every quadrature in the package.
+def _series_coefficients(k: float, first: float) -> tuple[float, ...]:
+    """(1/2)_j / j! * B(k + j + 1, 1/2) for j < _SERIES_TERMS, highest j first.
 
-    Starting from ``base_nodes`` Gauss-Legendre nodes, the node count is
-    doubled (at most ``max_doublings`` times) until two consecutive
-    doublings each change the result by no more than ``rel_tol`` relative.
-    ``base_nodes`` may not exceed ``MAX_NODES`` (8192), and a quadrature
-    that would need a level above it raises ``ConvergenceError``.
+    ``first`` is B(k + 1, 1/2); each coefficient follows from the one before
+    by the ratio recurrences of the Pochhammer symbol and the Beta function.
     """
-
-    base_nodes: int = 64
-    max_doublings: int = 6
-    rel_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.base_nodes <= MAX_NODES:
-            raise DomainError(
-                f"base_nodes must lie in [2, {MAX_NODES}], got {self.base_nodes!r}"
-            )
-        if self.max_doublings < 1:
-            raise DomainError(f"max_doublings must be >= 1, got {self.max_doublings!r}")
-        if not 1e-14 <= self.rel_tol <= 1e-6:
-            raise DomainError(
-                f"rel_tol must lie in [1e-14, 1e-6], got {self.rel_tol!r}"
-            )
+    coef = [first]
+    for j in range(1, _SERIES_TERMS):
+        coef.append(coef[-1] * (j - 0.5) / j * (k + j) / (k + j + 0.5))
+    return tuple(reversed(coef))
 
 
-DEFAULT_CONFIG = QuadratureConfig()
+# Pairs (I_{1/2} coefficient, I_{3/2} coefficient), from B(3/2, 1/2) = pi/2
+# and B(5/2, 1/2) = 3 pi / 8.
+_SERIES = tuple(
+    zip(
+        _series_coefficients(0.5, 0.5 * math.pi),
+        _series_coefficients(1.5, 0.375 * math.pi),
+    )
+)
 
 
 class RatioIntegrals(NamedTuple):
@@ -68,27 +74,33 @@ class RatioIntegrals(NamedTuple):
     a: float
 
 
-def ratio_integrals(a: float, config: QuadratureConfig = DEFAULT_CONFIG) -> RatioIntegrals:
-    """Evaluate I_{1/2}(a) and I_{3/2}(a) together on shared nodes.
+def ratio_integrals(a: float) -> RatioIntegrals:
+    """Evaluate I_{1/2}(a) and I_{3/2}(a) in closed form (see the module docstring).
 
-    Requires a <= 0 (for a > 0 the integrand changes character and the
-    desingularization above is invalid).  Both components must pass the
-    doubling test before the pair is accepted.
+    Requires a finite a <= 0 (for a > 0 the integrand changes character).
     """
     if not -math.inf < a <= 0.0:
         raise DomainError(f"ratio integrals require a finite a <= 0, got a={a!r}")
-
-    def estimate(table):
-        # Both moments share the factor 1/sqrt(sin(theta)**2 - a).
-        return table.wk.dot(1.0 / np.sqrt(table.s2 - a)).tolist()
-
-    i_half, i_three_half = converge_levels(
-        estimate, config.base_nodes, config.max_doublings, config.rel_tol
-    )
+    b = -a
+    if b < _B_NEGLIGIBLE:
+        i_half, i_three_half = 2.0, 4.0 / 3.0
+    elif b < _B_SERIES:
+        rf, rd = carlson_rf_rd(0.0, 1.0 + b, b)
+        i_half = (2.0 / 3.0) * b * rd
+        i_three_half = (2.0 * (1.0 - b) * i_half + 2.0 * b * rf) / 3.0
+    else:
+        t = -1.0 / b
+        i_half = i_three_half = 0.0
+        for c_half, c_three_half in _SERIES:
+            i_half = i_half * t + c_half
+            i_three_half = i_three_half * t + c_three_half
+        scale = 1.0 / math.sqrt(b)
+        i_half *= scale
+        i_three_half *= scale
     return RatioIntegrals(i_half=i_half, i_three_half=i_three_half, a=a)
 
 
-def big_f(gamma: float, x: float, config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def big_f(gamma: float, x: float) -> float:
     """Shape functional F(gamma, x) = sigma_plus * I_{3/2}(a) / I_{1/2}(a).
 
     Here a = sigma_minus / sigma_plus at the point (gamma, x).  For fixed
@@ -106,11 +118,11 @@ def big_f(gamma: float, x: float, config: QuadratureConfig = DEFAULT_CONFIG) -> 
     a = pair.minus / pair.plus
     if a > 0.0:
         a = 0.0
-    ints = ratio_integrals(a, config)
+    ints = ratio_integrals(a)
     return pair.plus * ints.i_three_half / ints.i_half
 
 
-def period(gamma: float, qbar1: float, config: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def period(gamma: float, qbar1: float) -> float:
     """Orbit period eta = sqrt(2) * gamma * qbar1 * sqrt(q1max) * I_{1/2}(a).
 
     ``qbar1`` is the orbit mean, q1max / q1antimax are its energy-relation
@@ -125,44 +137,37 @@ def period(gamma: float, qbar1: float, config: QuadratureConfig = DEFAULT_CONFIG
         raise DomainError(f"period undefined where sigma_plus <= 0 (gamma={gamma!r})")
     q1max = 0.5 * pair.plus * qbar1
     a = min(pair.minus / pair.plus, 0.0)
-    ints = ratio_integrals(a, config)
+    ints = ratio_integrals(a)
     return math.sqrt(2.0) * gamma * qbar1 * math.sqrt(q1max) * ints.i_half
 
 
-# Angles per converge_levels call of the time map: bounds its work arrays at
-# _TIME_BLOCK * (nodes of the table) values, whatever the number of angles.
-_TIME_BLOCK = 32
-
-
-def _time_map(a: float, p: np.ndarray, config: QuadratureConfig = DEFAULT_CONFIG) -> np.ndarray:
+def _time_map(a: float, p: np.ndarray) -> np.ndarray:
     """H(p) = G(sin p) = int_0^p cos(s)**2 / sqrt(cos(s)**2 - a) ds, elementwise.
 
     ``p`` holds angles in [0, pi/2] and ``a`` is finite and <= 0; callers
-    check both.  The integrand is analytic in s up to and including the
-    swing endpoint p = pi/2.  Angles are evaluated in blocks of
-    ``_TIME_BLOCK``, each block on shared nodes, and every angle of a block
-    must pass the doubling test before the block is accepted.
+    check both.  With b = -a, m = 1 / (1 + b) and Delta**2 = m (cos(p)**2 + b),
+    H = (E(p|m) - (1 - m) F(p|m)) / sqrt(m) in Legendre's incomplete
+    integrals; DLMF 19.25.10 writes this difference as a sum of two positive
+    terms,
+
+        H = sin p cos p / sqrt(cos(p)**2 + b)
+            + (b m**(3/2) / 3) sin(p)**3 R_D(cos(p)**2, 1, Delta**2),
+
+    so no cancellation occurs as b -> 0, where F and E - F each grow like
+    log(1/b) near p = pi/2.  At b = 0, H = sin p.
     """
-    out = np.empty(p.shape)
-    for start in range(0, p.size, _TIME_BLOCK):
-        block = p[start : start + _TIME_BLOCK]
-
-        def estimate(table):
-            # int_0^1 cos(p*t)**2 / sqrt(cos(p*t)**2 - a) dt for each p of the
-            # block, level by level; the factor p is applied once below.
-            c = np.cos(np.multiply.outer(block, table.u))
-            cc = c * c
-            return table.w.dot((cc / np.sqrt(cc - a)).T).ravel().tolist()
-
-        out[start : start + block.size] = block * np.array(
-            converge_levels(estimate, config.base_nodes, config.max_doublings, config.rel_tol)
-        )
-    return out
+    if a == 0.0:
+        return np.sin(p)
+    b = -a
+    m = 1.0 / (1.0 + b)
+    s = np.sin(p)
+    c = np.cos(p)
+    cc = c * c
+    rd = carlson_rf_rd(cc, 1.0, m * (cc + b))[1]
+    return s * c / np.sqrt(cc + b) + (b * m**1.5 / 3.0) * s**3 * rd
 
 
-def time_integral(
-    a: float, upper: float, config: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def time_integral(a: float, upper: float) -> float:
     """Time-of-flight kernel G(upper) = int_0^upper sqrt(1-u**2)/sqrt(1-u**2-a) du.
 
     Monotone increasing in ``upper`` on [0, 1]; G(U)/(2*G(1)) is the scaled
@@ -173,4 +178,4 @@ def time_integral(
         raise DomainError(f"time integral requires a finite a <= 0, got a={a!r}")
     if not 0.0 <= upper <= 1.0:
         raise DomainError(f"time integral requires 0 <= upper <= 1, got {upper!r}")
-    return float(_time_map(a, np.array([math.asin(upper)]), config)[0])
+    return float(_time_map(a, np.array([math.asin(upper)]))[0])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .model import gamma_of_mu, kappa_of, q1_extrema, qbar2_of
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, big_f, period
+from .quadrature import big_f, period
 
 _X_LO = 1e-8
 _X_HI_LIMIT = 1e12
@@ -24,8 +24,8 @@ class OrbitSolution:
     """One solved periodic orbit, with all derived scalars attached.
 
     ``fixpoint_residual`` is |F(gamma, qbar1) - 2| at the accepted root;
-    every other field is closed-form algebra or a single quadrature away
-    from (mu, qbar1).
+    every other field is closed-form algebra or one pair of moment
+    integrals away from (mu, qbar1).
     """
 
     mu: float
@@ -39,20 +39,14 @@ class OrbitSolution:
     fixpoint_residual: float
 
 
-def fixpoint_residual(
-    mu: float, x: float, config: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def fixpoint_residual(mu: float, x: float) -> float:
     """Signed defect F(gamma(mu), x) - 2; positive left of the root."""
     if x <= 0.0:
         raise DomainError(f"fixpoint_residual requires x > 0, got {x!r}")
-    return big_f(gamma_of_mu(mu), x, config) - 2.0
+    return big_f(gamma_of_mu(mu), x) - 2.0
 
 
-def solve_orbit(
-    mu: float,
-    tol: float = 1e-10,
-    config: QuadratureConfig = DEFAULT_CONFIG,
-) -> OrbitSolution:
+def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     """Solve F(gamma(mu), x) = 2 for the orbit mean and assemble the orbit.
 
     ``tol`` bounds the accepted |F - 2| and must lie in [1e-14, 1e-6].
@@ -66,7 +60,7 @@ def solve_orbit(
     gamma = gamma_of_mu(mu)
 
     def f(x: float) -> float:
-        return big_f(gamma, x, config) - 2.0
+        return big_f(gamma, x) - 2.0
 
     lo = _X_LO
     if f(lo) <= 0.0:
@@ -109,6 +103,6 @@ def solve_orbit(
         kappa=kappa_of(gamma, qbar1),
         q1max=q1max,
         q1antimax=q1antimax,
-        eta=period(gamma, qbar1, config),
+        eta=period(gamma, qbar1),
         fixpoint_residual=abs(f_mid),
     )

@@ -35,7 +35,7 @@ def traj_mu2(sol_mu2):
 
 @pytest.fixture
 def broken_varpi(monkeypatch):
-    """Make the quadrature route of the lemniscatic constant disagree.
+    """Make the arc-length route of the lemniscatic constant disagree.
 
     The cached constants built on it are cleared before and after, so no
     other test sees a value computed while the route was broken.

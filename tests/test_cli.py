@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import frozenplanet as fp
+from frozenplanet import orbit
 from frozenplanet.cli import main
 
 WALL_TIME = re.compile(r'"wall_time": [^,}\n]+')
@@ -42,7 +43,7 @@ def test_solve_json_payload(capsys):
     manifest = payload["manifest"]
     assert manifest["command"] == "solve"
     assert "kernel" not in manifest
-    assert manifest["quadrature"]["base_nodes"] == 64
+    assert "quadrature" not in manifest
     # JSON floats are reprs and therefore round-trip bitwise.
     assert sol["qbar1"] == fp.solve_orbit(2.0).qbar1
 
@@ -68,10 +69,21 @@ def test_solve_rejects_unbound_charge(capsys):
         assert "finite" in err
 
 
-def test_solve_rejects_odd_samples(capsys):
+def test_solve_rejects_odd_samples(capsys, tmp_path):
     code, _, err = _run(capsys, ["solve", "--mu", "2", "--samples", "33"])
     assert code == 2
     assert "error:" in err
+    # An output file that cannot be written is a bad input too: a missing
+    # directory, or a directory where the CSV manifest sidecar should go.
+    (tmp_path / "traj.csv.manifest.json").mkdir()
+    for extra in (
+        ["--out", str(tmp_path / "missing" / "x.json")],
+        ["--format", "csv", "--out", str(tmp_path / "traj.csv")],
+    ):
+        code, out, err = _run(capsys, ["solve", "--mu", "2", "--samples", "16", *extra])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "cannot write" in err
 
 
 def test_solve_csv_file_with_sidecar_manifest(capsys, tmp_path):
@@ -141,13 +153,15 @@ def test_scan_to_file(capsys, tmp_path):
     assert (tmp_path / "scan.csv.manifest.json").exists()
 
 
-def test_scan_rejects_bad_ranges(capsys):
+def test_scan_rejects_bad_ranges(capsys, tmp_path):
+    unwritable = str(tmp_path / "missing" / "scan.csv")
     for argv in (
         ["scan", "--mu-min", "0.5", "--mu-max", "2"],
         ["scan", "--mu-min", "1.0", "--mu-max", "2"],
         ["scan", "--mu-min", "3", "--mu-max", "2"],
         ["scan", "--mu-min", "2", "--mu-max", "2"],
         ["scan", "--mu-min", "2", "--mu-max", "4", "--steps", "1"],
+        ["scan", "--mu-min", "2", "--mu-max", "4", "--steps", "2", "--out", unwritable],
     ):
         code, _, err = _run(capsys, argv)
         assert code == 2
@@ -181,19 +195,21 @@ def test_verify_fast(capsys):
 
 def test_config_file_and_flag_precedence(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "fp.cfg"
-    cfg.write_text("quad_nodes = 32  # comment\nsamples = 64\n")
+    cfg.write_text("tol = 1e-12  # comment\nsamples = 64\n")
     monkeypatch.setenv("FROZEN_PLANET_CONFIG", str(cfg))
 
     code, out, _ = _run(capsys, ["solve", "--mu", "2"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["manifest"]["quadrature"]["base_nodes"] == 32
+    assert payload["manifest"]["parameters"]["tol"] == 1e-12  # tol from file
     assert len(payload["trajectory"]["t"]) == 65  # samples from file
 
     # An explicit flag beats the file.
-    code, out, _ = _run(capsys, ["solve", "--mu", "2", "--quad-nodes", "128"])
+    code, out, _ = _run(capsys, ["solve", "--mu", "2", "--tol", "1e-11", "--samples", "32"])
     assert code == 0
-    assert json.loads(out)["manifest"]["quadrature"]["base_nodes"] == 128
+    payload = json.loads(out)
+    assert payload["manifest"]["parameters"]["tol"] == 1e-11
+    assert len(payload["trajectory"]["t"]) == 33
 
 
 def test_config_file_errors(capsys, tmp_path, monkeypatch):
@@ -203,8 +219,15 @@ def test_config_file_errors(capsys, tmp_path, monkeypatch):
     code, _, err = _run(capsys, ["threshold"])
     assert code == 2 and "unknown config key" in err
 
+    # quad_nodes names no setting, so it is an unknown key like any other.
+    quad_key = tmp_path / "quad_key.cfg"
+    quad_key.write_text("quad_nodes = 64\n")
+    monkeypatch.setenv("FROZEN_PLANET_CONFIG", str(quad_key))
+    code, _, err = _run(capsys, ["threshold"])
+    assert code == 2 and "unknown config key" in err
+
     malformed = tmp_path / "malformed.cfg"
-    malformed.write_text("quad_nodes\n")
+    malformed.write_text("tol\n")
     monkeypatch.setenv("FROZEN_PLANET_CONFIG", str(malformed))
     code, _, err = _run(capsys, ["threshold"])
     assert code == 2 and "malformed" in err
@@ -214,20 +237,13 @@ def test_config_file_errors(capsys, tmp_path, monkeypatch):
     assert code == 2 and "cannot read" in err
 
 
-def test_nonconvergence_exit_code(capsys):
-    code, _, err = _run(
-        capsys,
-        ["solve", "--mu", "2", "--quad-nodes", "2", "--quad-doublings", "1"],
-    )
+def test_nonconvergence_exit_code(capsys, monkeypatch):
+    # One Newton step cannot invert the time map for every sample.
+    monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)
+    code, out, err = _run(capsys, ["solve", "--mu", "2"])
     assert code == 3
-    assert "error:" in err
-
-
-def test_quad_nodes_above_bound_exit_code(capsys):
-    # Refused before any node table is allocated.
-    code, _, err = _run(capsys, ["solve", "--mu", "2", "--quad-nodes", "100000000"])
-    assert code == 2
-    assert "base_nodes" in err
+    assert out == ""
+    assert err.startswith("error:") and "did not settle" in err
 
 
 def test_version_flag(capsys):

@@ -1,34 +1,36 @@
-"""Tests for the turning-point quadratures I_k(a), the ratio map, and the period.
+"""Tests for the moment integrals I_k(a), the ratio map, the period and the time map.
 
-Oracles used here, in decreasing order of independence:
+The package evaluates all of them in closed form (Carlson's R_F and R_D, or
+a power series for large |a|).  Oracles used here, in decreasing order of
+independence:
 
 * closed Beta-function forms at a = -1 and elementary values at a = 0,
   evaluated with ``math.gamma`` (the package ships its own gamma);
+* 40-digit ``mpmath`` quadrature of the angle forms of the integrals;
 * Gauss-Jacobi quadrature with the (1-r)^(-1/2) endpoint weight built in,
   applied to the raw integrand r^k / sqrt(r - a) with no substitution at all;
-* a midpoint rule with 10^6 panels on the desingularized angle form
-  (same substitution as the implementation, different quadrature rule).
+* Gauss-Legendre quadrature of the time map's analytic angle integrand;
+* a midpoint rule with 10^6 panels on the desingularized angle form.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import roots_jacobi, roots_legendre
 
 from frozenplanet import (
-    ConvergenceError,
     DomainError,
-    QuadratureConfig,
     big_f,
     lemniscate_constant,
     period,
     ratio_integrals,
     time_integral,
 )
-from frozenplanet import _gauss
+from frozenplanet.quadrature import _time_map
 
 # Frozen regression values (current double-precision build; independently
 # cross-checked against 30-digit arbitrary-precision evaluations).
@@ -36,6 +38,14 @@ I_HALF_AT_MINUS_ONE = 1.1981402347355912
 I_THREE_HALF_AT_MINUS_ONE = 0.8740191847640437
 RATIO_AT_MINUS_1E6 = 0.7499999687500214
 BIG_F_AT_1_2 = 2.9179194869686507
+
+EPS = float(np.finfo(float).eps)
+# b = -a from the subnormal range to 1e25, on both sides of the series
+# switch at b = 4; every physical orbit has b >= 0.517.
+B_VALUES = (
+    5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 1e-12, 1e-8, 1e-4, 1e-2, 0.517,
+    1.0, 2.0, 3.99, 4.0, 4.01, 6.48, 1e2, 1e4, 1e8, 1e12, 1e16, 1e25,
+)
 
 
 def _jacobi_oracle(a, k, n_nodes=400):
@@ -47,37 +57,69 @@ def _jacobi_oracle(a, k, n_nodes=400):
     return float(w @ (1.0 / np.sqrt(r - a))) * 2.0 ** -(k + 0.5)
 
 
-def test_config_validation():
-    QuadratureConfig()  # defaults are legal
-    with pytest.raises(DomainError):
-        QuadratureConfig(base_nodes=1)
-    with pytest.raises(DomainError):
-        QuadratureConfig(max_doublings=0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=1e-15)
-    with pytest.raises(DomainError):
-        QuadratureConfig(rel_tol=1e-5)
-    # --quad-nodes 128 with six doublings reaches 128 * 2**6 = 8192 nodes,
-    # and a generous doubling budget is legal as long as it is not used up.
-    assert _gauss.MAX_NODES >= 8192
-    QuadratureConfig(base_nodes=_gauss.MAX_NODES)
-    QuadratureConfig(base_nodes=128, max_doublings=6)
-    r = ratio_integrals(-1.0, QuadratureConfig(max_doublings=40))
-    assert r.i_half == ratio_integrals(-1.0).i_half
-    with pytest.raises(DomainError):
-        QuadratureConfig(base_nodes=_gauss.MAX_NODES + 1)
+def _mp_moment(b, k):
+    """2 int_0^(pi/2) sin^(2k+1) / sqrt(sin^2 + b) at 40 digits, split where
+    sin^2 = b so that the bend of the integrand falls on a node boundary."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(b)
+        e = 2 * mpmath.mpf(k) + 1
+        pts = [0, mpmath.pi / 2]
+        if b < 1:
+            pts.insert(1, mpmath.asin(mpmath.sqrt(b)))
+
+        def integrand(t):
+            s = mpmath.sin(t)
+            return s**e / mpmath.sqrt(s * s + b)
+
+        return 2 * mpmath.quad(integrand, pts)
 
 
-def test_converge_levels_stops_at_node_bound(monkeypatch):
-    # a = -1e-6 needs five levels from 64 nodes; with the bound lowered to
-    # 256 the fourth level is refused before it is built.
-    monkeypatch.setattr(_gauss, "MAX_NODES", 256)
-    monkeypatch.setattr(_gauss, "_CACHE", {})
-    with pytest.raises(ConvergenceError, match="MAX_NODES=256"):
-        ratio_integrals(-1e-6)
-    assert max(n * 2 ** (levels - 1) for n, levels in _gauss._CACHE) == 256
-    with pytest.raises(ConvergenceError, match="MAX_NODES=256"):
-        _gauss.converge_levels(lambda table: [0.0], 512, 6, 1e-12)
+def _mp_time_map(b, p):
+    """int_0^p cos^2 / sqrt(cos^2 + b) at 40 digits."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(b)
+
+        def integrand(s):
+            cc = mpmath.cos(s) ** 2
+            return cc / mpmath.sqrt(cc + b)
+
+        return mpmath.quad(integrand, [0, p])
+
+
+def _rel_mp(value, ref):
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(value) - ref) / abs(ref))
+
+
+def test_ratio_integrals_against_mpmath():
+    r = ratio_integrals(0.0)
+    assert (r.i_half, r.i_three_half) == (2.0, 4.0 / 3.0)
+    for b in B_VALUES:
+        r = ratio_integrals(-b)
+        assert _rel_mp(r.i_half, _mp_moment(b, 0.5)) <= 8 * EPS, b
+        assert _rel_mp(r.i_three_half, _mp_moment(b, 1.5)) <= 8 * EPS, b
+
+
+def test_time_map_against_mpmath():
+    p = np.array([0.0, 1e-8, 0.3, 1.0, 1.5, 1.5707963, 0.5 * math.pi])
+    assert np.array_equal(_time_map(0.0, p), np.sin(p))
+    for b in B_VALUES:
+        h = _time_map(-b, p)
+        assert h[0] == 0.0
+        for h_i, p_i in zip(h[1:], p[1:]):
+            assert _rel_mp(h_i, _mp_time_map(b, p_i)) <= 32 * EPS, (b, p_i)
+
+
+def test_time_map_against_gauss_legendre():
+    # H(p) = p int_0^1 cos(p t)^2 / sqrt(cos(p t)^2 + b) dt, analytic in t;
+    # 200 nodes resolve it to rounding for b >= 1e-3.
+    x, w = roots_legendre(200)
+    t = 0.5 * (x + 1.0)
+    p = np.linspace(0.05, 0.5 * math.pi, 9)
+    for b in (1e-3, 0.517, 6.48, 1e4):
+        cc = np.cos(np.outer(p, t)) ** 2
+        ref = 0.5 * p * ((cc / np.sqrt(cc + b)) @ w)
+        assert_allclose(_time_map(-b, p), ref, rtol=32 * EPS, atol=0.0)
 
 
 def test_ratio_integrals_at_zero():
@@ -146,13 +188,6 @@ def test_ratio_integrals_against_midpoint_oracle():
         r = ratio_integrals(float(a))
         assert abs(r.i_half - i_half_ref) <= 1e-8 * abs(i_half_ref)
         assert abs(r.i_three_half - i_three_half_ref) <= 1e-8 * abs(i_three_half_ref)
-
-
-def test_ratio_integrals_nonconvergence():
-    # One doubling can never produce two consecutive agreements.
-    cfg = QuadratureConfig(base_nodes=2, max_doublings=1, rel_tol=1e-12)
-    with pytest.raises(ConvergenceError):
-        ratio_integrals(-1.0, cfg)
 
 
 def test_ratio_integrals_deterministic():
@@ -237,80 +272,8 @@ def test_time_integral_domain_errors():
         time_integral(-1.0, -0.1)
 
 
-def _one_level_at_a_time(a, config):
-    """Reference node-doubling loop: one Gauss level per step, built here.
-
-    Returns the accepted (I_1/2, I_3/2) or None where the rule never
-    accepts.
-    """
-
-    def estimate(n):
-        x, w = roots_legendre(n)
-        s2 = np.sin(0.25 * math.pi * (x + 1.0)) ** 2
-        f = 1.0 / np.sqrt(s2 - a)
-        return [0.5 * math.pi * float((w * s2) @ f), 0.5 * math.pi * float((w * s2 * s2) @ f)]
-
-    n = config.base_nodes
-    prev = estimate(n)
-    agreed_once = False
-    for _ in range(config.max_doublings):
-        n *= 2
-        curr = estimate(n)
-        agreed = all(
-            abs(c - p) <= config.rel_tol * max(abs(c), 1e-300) for c, p in zip(curr, prev)
-        )
-        if agreed and agreed_once:
-            return curr
-        agreed_once = agreed
-        prev = curr
-    return None
-
-
-def test_stacked_levels_match_one_level_at_a_time():
-    # Summing the leading levels in one product changes only the rounding,
-    # never which level is accepted; a = -1e-6 needs five levels.
-    rtol = 64 * np.finfo(float).eps
-    configs = (
-        QuadratureConfig(),
-        QuadratureConfig(base_nodes=96, max_doublings=2),
-        QuadratureConfig(base_nodes=2, max_doublings=1),
-        QuadratureConfig(base_nodes=8, max_doublings=3),
-    )
-    for cfg in configs:
-        for a in (0.0, -1e-6, -1.0, -1e8):
-            ref = _one_level_at_a_time(a, cfg)
-            if ref is None:
-                with pytest.raises(ConvergenceError):
-                    ratio_integrals(a, cfg)
-            else:
-                r = ratio_integrals(a, cfg)
-                assert_allclose([r.i_half, r.i_three_half], ref, rtol=rtol, atol=0.0)
-
-
-# Every Gauss-Legendre level the default and test configs reach, up to 4096
-# nodes (base counts 2, 8, 32, 64, 96 and 128), plus a few odd counts.
-_NODE_COUNTS = sorted(
-    {n * 2**k for n in (2, 8, 32, 64, 96, 128) for k in range(7) if n * 2**k <= 4096}
-    | {3, 5, 65}
-)
-
-
-def test_gauss_legendre_against_scipy():
-    eps = np.finfo(float).eps
-    for n in _NODE_COUNTS:
-        x, w = _gauss._gauss_legendre(n)
-        x_ref, _ = roots_legendre(n)
-        assert np.max(np.abs(x - x_ref)) <= 4 * eps, n
-        assert abs(w.sum() - 2.0) <= 8 * eps, n
-        # The n-point rule integrates x**(2k) exactly for 2k < 2n.
-        for k in range(1, min(n, 10)):
-            exact = 2.0 / (2 * k + 1)
-            assert abs(w @ x ** (2 * k) - exact) <= 64 * eps * exact, (n, k)
-
-
 def test_quadrature_thread_safety():
-    # Concurrent evaluations share the cached node tables.
-    cfg = QuadratureConfig(base_nodes=96, max_doublings=4, rel_tol=1e-12)
+    # Concurrent evaluations share the module's series coefficients.
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(lambda _: ratio_integrals(-3.0, cfg), range(32)))
+        results = list(pool.map(lambda _: ratio_integrals(-3.0), range(32)))
     assert all(r == results[0] for r in results)

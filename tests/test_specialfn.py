@@ -1,8 +1,9 @@
-"""Tests for the scalar special functions (gamma, beta, lemniscate constant).
+"""Tests for the special functions (gamma, beta, Carlson R_F/R_D, lemniscate constant).
 
 Expected values come from closed forms evaluated with ``math.gamma`` (which
-the package deliberately does not use internally) and from a 30-digit
-arbitrary-precision evaluation of the defining integrals, frozen below.
+the package deliberately does not use internally), from SciPy's
+``elliprf``/``elliprd`` and from a 30-digit arbitrary-precision evaluation
+of the defining integrals, frozen below.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import elliprd, elliprf
 
 from frozenplanet import (
     ConvergenceError,
@@ -20,7 +22,7 @@ from frozenplanet import (
     gamma_fn,
     lemniscate_constant,
 )
-from frozenplanet.specialfn import _varpi_gamma, _varpi_integral
+from frozenplanet.specialfn import _varpi_gamma, _varpi_integral, carlson_rf_rd
 
 # 2.62205755429211981046... frozen from mpmath.
 VARPI_REF = 2.6220575542921198
@@ -84,6 +86,45 @@ def test_beta_rejects_nonpositive():
         beta_fn(0.0, 1.0)
     with pytest.raises(DomainError):
         beta_fn(1.0, -2.0)
+
+
+def _assert_carlson_matches_scipy(x, y, z):
+    rf, rd = carlson_rf_rd(x, y, z)
+    eps = np.finfo(float).eps
+    assert_allclose(rf, elliprf(x, y, z), rtol=8 * eps, atol=0.0)
+    assert_allclose(rd, elliprd(x, y, z), rtol=8 * eps, atol=0.0)
+
+
+def test_carlson_random_triples_against_scipy():
+    # Arguments spread over 25 decades; a quarter of the triples have x = 0.
+    rng = np.random.default_rng(19)
+    x, y, z = 10.0 ** rng.uniform(-20.0, 5.0, size=(3, 2000))
+    x[:500] = 0.0
+    _assert_carlson_matches_scipy(x, y, z)
+
+
+def test_carlson_at_the_arguments_of_the_moments_and_time_map():
+    # Moments: (0, 1 + b, b) for 0 < b < 4, down to b = 1e-300, where
+    # R_F(0, 1, b) needs every duplication step.
+    b = np.geomspace(1e-300, 4.0, 400)
+    _assert_carlson_matches_scipy(np.zeros_like(b), 1.0 + b, b)
+    # Time map: (cos^2 p, 1, m (cos^2 p + b)) with m = 1 / (1 + b), for p in
+    # [0, pi/2] (p = pi/2 included) and b from 1e-300 to 1e25.
+    p = np.linspace(0.0, 0.5 * math.pi, 65)
+    for b in 10.0 ** np.arange(-300.0, 26.0, 5.0):
+        cc = np.cos(p) ** 2
+        _assert_carlson_matches_scipy(cc, np.ones_like(p), (cc + b) / (1.0 + b))
+
+
+def test_carlson_scalar_and_array_agree():
+    # Python floats in, Python floats out; an array holds the same values.
+    triples = [(0.0, 1.0, 2.0), (0.5, 2.0, 3e-7), (1e-12, 4.0, 1.0)]
+    arrays = carlson_rf_rd(*(np.array(col) for col in zip(*triples)))
+    scalars = [carlson_rf_rd(*triple) for triple in triples]
+    assert all(type(v) is float for pair in scalars for v in pair)
+    # ``** 0.5`` is libm's pow on a float and sqrt on an array.
+    assert_allclose(np.array(scalars).T, arrays, rtol=4 * np.finfo(float).eps)
+    assert carlson_rf_rd(1.0, 1.0, 1.0) == (1.0, 1.0)
 
 
 def test_lemniscate_value():
