@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from math import pi
+from math import isfinite, pi
 
 from .errors import ConvergenceError, DomainError
 from .model import mu_of_gamma
@@ -50,9 +50,11 @@ def critical_mu() -> float:
 
 
 def classify_kappa(kappa: float, touch_tol: float = 1e-9) -> IntersectionClass:
-    """Classify from an already-computed kappa; |kappa| <= touch_tol touches."""
+    """Classify from an already-computed finite kappa; |kappa| <= touch_tol touches."""
     if not 0.0 < touch_tol <= 1e-3:
         raise DomainError(f"touch_tol must lie in (0, 1e-3], got {touch_tol!r}")
+    if not isfinite(kappa):
+        raise DomainError(f"kappa must be finite, got {kappa!r}")
     if abs(kappa) <= touch_tol:
         return IntersectionClass.TOUCHES
     return IntersectionClass.INTERSECTS if kappa > 0.0 else IntersectionClass.DISJOINT

@@ -53,6 +53,12 @@ def test_classify_kappa_cases():
     assert classify_kappa(-2e-9) is IntersectionClass.DISJOINT
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_classify_kappa_rejects_non_finite(kappa):
+    with pytest.raises(DomainError, match="kappa must be finite"):
+        classify_kappa(kappa)
+
+
 def test_classify_kappa_touch_tol_validation():
     with pytest.raises(DomainError):
         classify_kappa(0.0, touch_tol=0.0)

@@ -23,9 +23,12 @@ from frozenplanet import orbit
 
 
 def test_reconstruct_rejects_bad_sample_counts(sol_mu2):
-    for n in (0, 8, 15, 17, 1001):
+    for n in (0, 8, 15, 17, 1001, 512.0, 64.5, "512", None):
         with pytest.raises(DomainError):
             reconstruct(sol_mu2, n)
+    # NumPy integers are integers.
+    traj = reconstruct(sol_mu2, np.int64(64))
+    assert np.array_equal(traj.q1, reconstruct(sol_mu2, 64).q1)
 
 
 def test_reconstruct_anchors(traj_mu2, sol_mu2):
@@ -160,16 +163,20 @@ def test_reconstruct_above_threshold_amplitude():
     assert traj.q1[0] > traj.q2_const
 
 
+@pytest.mark.parametrize("n", [16, 64, 4096])
 @pytest.mark.parametrize("mu", [1.02, 2.0, "mu*", 100.0, 1e6])
-def test_reconstruct_against_brentq(mu):
+def test_reconstruct_against_brentq(mu, n):
     # Reference: each first-half sample solved on its own by a bracketed
-    # root solve of G(u) = 2 G(1) t in u, with q1 = q1max (1 - u**2).
+    # root solve of G(u) = 2 G(1) t in u, with q1 = q1max (1 - u**2).  On
+    # the finest grid every 16th sample is checked, and each of the last 64
+    # before the collision, where the inversion is worst conditioned.
     sol = solve_orbit(critical_mu() if mu == "mu*" else mu)
-    n = 64
     a = sol.q1antimax / sol.q1max
     g_full = time_integral(a, 1.0)
+    half = n // 2
+    samples = np.unique(np.r_[1:half:max(1, n // 256), max(1, half - 64) : half])
     ref = []
-    for j in range(1, n // 2):
+    for j in samples:
         target = 2.0 * g_full * (j / n)
         u = brentq(
             lambda u: time_integral(a, u) - target,
@@ -179,7 +186,7 @@ def test_reconstruct_against_brentq(mu):
             rtol=4 * np.finfo(float).eps,
         )
         ref.append(sol.q1max * (1.0 - u) * (1.0 + u))
-    q1 = reconstruct(sol, n).q1[1 : n // 2]
+    q1 = reconstruct(sol, n).q1[samples]
     assert np.max(np.abs(q1 - ref)) <= 1e-14 * sol.q1max
 
 
@@ -199,3 +206,23 @@ def test_reconstruct_newton_cap_reports_context(sol_mu2, monkeypatch):
     monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)
     with pytest.raises(ConvergenceError, match=r"a=-.*n_samples=64, worst step"):
         reconstruct(sol_mu2, 64)
+
+
+def test_reconstruct_time_map_calls(monkeypatch):
+    # One grid evaluation seeds every sample and Newton stops on its
+    # predicted error: about three time-map calls per reconstruct(sol, 512).
+    time_map = orbit._time_map
+    calls = []
+
+    def counted(a, p):
+        calls.append(a)
+        return time_map(a, p)
+
+    monkeypatch.setattr(orbit, "_time_map", counted)
+    per_charge = []
+    for u in np.linspace(-12.0, 11.0, 47):
+        sol = solve_orbit(1.0 + 10.0**u)
+        calls.clear()
+        reconstruct(sol, 512)
+        per_charge.append(len(calls))
+    assert np.mean(per_charge) <= 4.0
