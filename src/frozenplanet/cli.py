@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=None,
-        help="trajectory samples per period, even, >= 16 (default 512)",
+        help="trajectory samples per period, even, 16 to 2**20 (default 512)",
     )
     p_solve.add_argument("--out", default="-", help="output path or - for stdout")
     p_solve.add_argument(

@@ -17,16 +17,27 @@ one array call, with
 
 which decreases on [0, pi/2], so H is concave and its inverse convex.
 One call on a uniform angle grid gives G(1) and, by linear interpolation
-of the inverse, a seed for every sample at or right of its root.  The
-tangent of a concave H lies above it, so the first Newton step lands left
-of the root and the following steps approach it monotonically; all
+of the inverse, a seed for every sample at or right of its root.  That
+call is the only evaluation of H: a sample whose target lies in the grid
+cell [p0, p0 + pi/n] solves
+
+    R(p) = int_{p0}^{p} H'(s) ds - (target - H(p0)) = 0,    R' = H',
+
+with the integral taken by 8-point Gauss-Legendre on [p0, p].  With
+b = -a, H' is analytic in the strip |Im s| < y = asinh(sqrt(b)): its
+nearest singularities sit at s = pi/2 +- i y, where cos(s)**2 = -b.  On
+physical orbits b runs from about 0.517 to 2.25e24, so y >= 0.66, while
+a cell is at most w = pi/16 wide.  The rule's relative error falls like
+(w / (4 y))**16, below 1e-18, far under rounding.
+The tangent of a concave H lies above it, so the first Newton step lands
+left of the root and the following steps approach it monotonically; all
 samples are inverted together.  A step d leaves an error of about
 K * d**2 with
 
     K = |H''| / (2 H') = sin(p) * (c**2 + 2 b) / (2 c * (c**2 + b)),
 
-where c = cos(p) and b = -a, so a sample stops once that predicted error
-falls below a unit of rounding of p.
+where c = cos(p), so a sample stops once that predicted error falls
+below a unit of rounding of p.
 """
 
 from __future__ import annotations
@@ -41,10 +52,40 @@ from .quadrature import _time_map
 from .solver import OrbitSolution
 
 _EPS = float(np.finfo(float).eps)
-# Newton steps allowed per sample.  From the interpolated seed the most any
-# sample took for mu in [1 + 1e-12, 1 + 1e11], with and without a = 0, was
-# 4 at 16 samples, 3 at 64 and 512, and 2 at 4096 and 16384.
+# Newton steps allowed per sample.  From the interpolated seed, Newton on
+# the in-cell equation took at most 4 steps at 16 samples, 3 at 64 and 512,
+# and 2 at 4096 and 16384 (mean 3.55, 3.0, 2.06, 2.0 and 2.0) over 47
+# charges mu = 1 + 10**u, u in [-12, 11], with and without a = 0.
 _NEWTON_CAP = 60
+# Largest n_samples accepted: the inversion holds 9 floats per sample.
+_MAX_SAMPLES = 2**20
+# 8-point Gauss-Legendre rule on [0, 1], exact for polynomials of degree
+# 15, followed by the end point 1 at which Newton also needs H'.
+_GL_NODES = np.array(
+    [
+        0.019855071751231884,
+        0.10166676129318664,
+        0.2372337950418355,
+        0.4082826787521751,
+        0.591717321247825,
+        0.7627662049581645,
+        0.8983332387068134,
+        0.9801449282487681,
+        1.0,
+    ]
+)
+_GL_WEIGHTS = np.array(
+    [
+        0.05061426814518813,
+        0.11119051722668724,
+        0.15685332293894363,
+        0.181341891689181,
+        0.181341891689181,
+        0.15685332293894363,
+        0.11119051722668724,
+        0.05061426814518813,
+    ]
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,21 +119,22 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     """Sample one period of the orbit at n_samples + 1 uniform scaled times.
 
     ``n_samples`` must be an even integer (the collision then falls exactly
-    on a grid point) and at least 16.  The first-half samples invert the
+    on a grid point) from 16 to 2**20.  The first-half samples invert the
     time map together by Newton's method in the angle p, seeded from one
-    evaluation on a uniform angle grid (see the module docstring); the
-    second half is mirrored, so the collision is crossed rather than
-    integrated through.  A sample stops once the error its last step
-    predicts falls below eps * p, or its step falls below 4 eps * p or
-    stops shrinking, which marks the rounding floor.
+    evaluation on a uniform angle grid and anchored in their grid cells,
+    where H' under an 8-point Gauss rule gives H (see the module
+    docstring); the second half is mirrored, so the collision is crossed
+    rather than integrated through.  A sample stops once the error its
+    last step predicts falls below eps * p, or its step falls below
+    4 eps * p or stops shrinking, which marks the rounding floor.
     """
     if (
         not isinstance(n_samples, (int, np.integer))
-        or n_samples < 16
+        or not 16 <= n_samples <= _MAX_SAMPLES
         or n_samples % 2 != 0
     ):
         raise DomainError(
-            f"n_samples must be an even integer >= 16, got {n_samples!r}"
+            f"n_samples must be an even integer in [16, {_MAX_SAMPLES}], got {n_samples!r}"
         )
     a = sol.q1antimax / sol.q1max
     if not -math.inf < a <= 0.0:
@@ -105,18 +147,29 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     g_full = float(h_grid[-1])
     target = 2.0 * g_full * (np.arange(1, half) / n_samples)
 
+    # Each sample inverts H only inside its grid cell [p0, p0 + pi/n]:
+    # H(p) = h_grid[j] + int_{p0}^{p} H'(s) ds, so Newton needs H' alone.
+    j = np.minimum(np.searchsorted(h_grid, target, "right") - 1, half - 1)
+    p0 = grid[j]
+    rest = target - h_grid[j]
     b = -a
     p = np.interp(target, h_grid, grid)
     last = np.full(p.size, math.inf)
     active = np.arange(p.size)
     for _ in range(_NEWTON_CAP):
         pa = p[active]
-        c = np.cos(pa)
+        pa0 = p0[active]
+        width = pa - pa0
+        # All columns but the last are the Gauss nodes on [p0, p]; the last is p.
+        c = np.cos(pa0[:, None] + width[:, None] * _GL_NODES)
         cc = c * c
-        step = (target[active] - _time_map(a, pa)) * np.sqrt(cc + b) / cc
+        dh = cc / np.sqrt(cc + b)
+        residual = width * (dh[:, :-1] @ _GL_WEIGHTS) - rest[active]
+        step = -residual / dh[:, -1]
         p[active] = pa + step
         size = np.abs(step)
         # The next error is about K * step**2 with K = |H''| / (2 H').
+        c, cc = c[:, -1], cc[:, -1]
         k = np.sin(pa) * (cc + 2.0 * b) / (2.0 * c * (cc + b))
         settled = (
             (k * size * size <= _EPS * pa)

@@ -86,6 +86,15 @@ def test_solve_rejects_odd_samples(capsys, tmp_path):
         assert err.startswith("error:") and "cannot write" in err
 
 
+def test_solve_rejects_huge_samples(capsys):
+    # Rejected before any array is allocated, so this costs no memory.
+    for samples in (str(2**20 + 2), "1000000000000"):
+        code, out, err = _run(capsys, ["solve", "--mu", "2", "--samples", samples])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "n_samples" in err
+
+
 def test_solve_csv_file_with_sidecar_manifest(capsys, tmp_path):
     out_path = tmp_path / "traj.csv"
     code, out, err = _run(

@@ -23,7 +23,7 @@ from frozenplanet import orbit
 
 
 def test_reconstruct_rejects_bad_sample_counts(sol_mu2):
-    for n in (0, 8, 15, 17, 1001, 512.0, 64.5, "512", None):
+    for n in (0, 8, 15, 17, 1001, 2**20 + 2, 10**12, 512.0, 64.5, "512", None):
         with pytest.raises(DomainError):
             reconstruct(sol_mu2, n)
     # NumPy integers are integers.
@@ -163,32 +163,49 @@ def test_reconstruct_above_threshold_amplitude():
     assert traj.q1[0] > traj.q2_const
 
 
-@pytest.mark.parametrize("mu", [1.02, 2.0, "mu*", 100.0, 1e6])
-def test_reconstruct_against_brentq(mu):
-    # Reference: each first-half sample solved on its own by a bracketed
-    # root solve of G(u) = 2 G(1) t in u, with q1 = q1max (1 - u**2).  At
-    # 16, 64 and 4096 samples; on the finest grid every 16th sample is
-    # checked, and each of the last 64 before the collision, where the
-    # inversion is worst conditioned.
-    sol = solve_orbit(critical_mu() if mu == "mu*" else mu)
+def _brentq_error(sol, n):
+    """Largest |q1 - reference| over checked first-half samples of reconstruct(sol, n).
+
+    Reference: each sample solved on its own by a bracketed root solve of
+    G(u) = 2 G(1) t in u, with q1 = q1max (1 - u**2).  Every first-half
+    sample is checked up to n = 256 and every (n/256)-th beyond, plus each
+    of the last 64 before the collision, where the inversion is worst
+    conditioned.
+    """
     a = sol.q1antimax / sol.q1max
     g_full = time_integral(a, 1.0)
+    half = n // 2
+    samples = np.unique(np.r_[1:half:max(1, n // 256), max(1, half - 64) : half])
+    ref = []
+    for j in samples:
+        target = 2.0 * g_full * (j / n)
+        u = brentq(
+            lambda u: time_integral(a, u) - target,
+            0.0,
+            1.0,
+            xtol=1e-15,
+            rtol=4 * np.finfo(float).eps,
+        )
+        ref.append(sol.q1max * (1.0 - u) * (1.0 + u))
+    q1 = reconstruct(sol, n).q1[samples]
+    return float(np.max(np.abs(q1 - ref)))
+
+
+@pytest.mark.parametrize("mu", [1.02, 2.0, "mu*", 100.0, 1e6])
+def test_reconstruct_against_brentq(mu):
+    sol = solve_orbit(critical_mu() if mu == "mu*" else mu)
     for n in (16, 64, 4096):
-        half = n // 2
-        samples = np.unique(np.r_[1:half:max(1, n // 256), max(1, half - 64) : half])
-        ref = []
-        for j in samples:
-            target = 2.0 * g_full * (j / n)
-            u = brentq(
-                lambda u: time_integral(a, u) - target,
-                0.0,
-                1.0,
-                xtol=1e-15,
-                rtol=4 * np.finfo(float).eps,
-            )
-            ref.append(sol.q1max * (1.0 - u) * (1.0 + u))
-        q1 = reconstruct(sol, n).q1[samples]
-        err = np.max(np.abs(q1 - ref))
+        err = _brentq_error(sol, n)
+        assert err <= 1e-14 * sol.q1max, f"n_samples={n}: error {err:.3e}"
+
+
+@pytest.mark.parametrize("b", [1e-12, 1e-3, 0.3])
+def test_reconstruct_against_brentq_nonphysical_b(sol_mu2, b):
+    # Physical orbits have b = -q1antimax/q1max >= 0.517; a smaller b brings
+    # the singularity of H' closer to the real axis near p = pi/2.
+    sol = dataclasses.replace(sol_mu2, q1antimax=-b * sol_mu2.q1max)
+    for n in (16, 64):
+        err = _brentq_error(sol, n)
         assert err <= 1e-14 * sol.q1max, f"n_samples={n}: error {err:.3e}"
 
 
@@ -211,8 +228,8 @@ def test_reconstruct_newton_cap_reports_context(sol_mu2, monkeypatch):
 
 
 def test_reconstruct_time_map_calls(monkeypatch):
-    # One grid evaluation seeds every sample and Newton stops on its
-    # predicted error: about three time-map calls per reconstruct(sol, 512).
+    # The grid evaluation is the only time-map call: Newton inverts H inside
+    # each sample's grid cell from H' alone.
     time_map = orbit._time_map
     calls = []
 
@@ -221,10 +238,17 @@ def test_reconstruct_time_map_calls(monkeypatch):
         return time_map(a, p)
 
     monkeypatch.setattr(orbit, "_time_map", counted)
-    per_charge = []
     for u in np.linspace(-12.0, 11.0, 47):
         sol = solve_orbit(1.0 + 10.0**u)
-        calls.clear()
-        reconstruct(sol, 512)
-        per_charge.append(len(calls))
-    assert np.mean(per_charge) <= 4.0
+        for n in (16, 512, 4096):
+            calls.clear()
+            reconstruct(sol, n)
+            assert len(calls) == 1, f"u={u:g}, n_samples={n}: {len(calls)} calls"
+
+
+def test_gauss_rule_exact_to_degree_15():
+    assert orbit._GL_NODES[-1] == 1.0
+    x = orbit._GL_NODES[:8]
+    w = orbit._GL_WEIGHTS
+    for k in range(16):
+        assert abs(w @ x**k - 1.0 / (k + 1)) <= 4 * np.finfo(float).eps / (k + 1), k
