@@ -45,8 +45,8 @@ class Settings:
 
 def _parse_config_file(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config file {path!r}: {exc}") from exc
     values: dict[str, str] = {}
     for raw in text.splitlines():

@@ -30,14 +30,14 @@ physical orbits b runs from about 0.517 to 2.25e24, so y >= 0.66, while
 a cell is at most w = pi/16 wide.  The rule's relative error falls like
 (w / (4 y))**16, below 1e-18, far under rounding.
 The tangent of a concave H lies above it, so the first Newton step lands
-left of the root and the following steps approach it monotonically; all
-samples are inverted together.  A step d leaves an error of about
-K * d**2 with
+left of the root and the following steps approach it monotonically.
+Each step runs on the whole array of samples.  A step d leaves an error
+of about K * d**2 with
 
     K = |H''| / (2 H') = sin(p) * (c**2 + 2 b) / (2 c * (c**2 + b)),
 
-where c = cos(p), so a sample stops once that predicted error falls
-below a unit of rounding of p.
+where c = cos(p), so a sample has settled once that predicted error falls
+below a unit of rounding of p, and the loop ends when every sample has.
 """
 
 from __future__ import annotations
@@ -52,10 +52,11 @@ from .quadrature import _time_map
 from .solver import OrbitSolution
 
 _EPS = float(np.finfo(float).eps)
-# Newton steps allowed per sample.  From the interpolated seed, Newton on
-# the in-cell equation took at most 4 steps at 16 samples, 3 at 64 and 512,
-# and 2 at 4096 and 16384 (mean 3.55, 3.0, 2.06, 2.0 and 2.0) over 47
-# charges mu = 1 + 10**u, u in [-12, 11], with and without a = 0.
+# Whole-array Newton steps allowed per rebuild.  From the interpolated
+# seed, Newton on the in-cell equation took at most 4 steps at 16 samples,
+# 3 at 64 and 512, and 2 at 4096 and 16384 (mean 3.55, 3.0, 2.06, 2.0 and
+# 2.0) over 47 charges mu = 1 + 10**u, u in [-12, 11], with and without
+# a = 0.
 _NEWTON_CAP = 60
 # Largest n_samples accepted: the inversion holds 9 floats per sample.
 _MAX_SAMPLES = 2**20
@@ -120,13 +121,14 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
 
     ``n_samples`` must be an even integer (the collision then falls exactly
     on a grid point) from 16 to 2**20.  The first-half samples invert the
-    time map together by Newton's method in the angle p, seeded from one
-    evaluation on a uniform angle grid and anchored in their grid cells,
-    where H' under an 8-point Gauss rule gives H (see the module
-    docstring); the second half is mirrored, so the collision is crossed
-    rather than integrated through.  A sample stops once the error its
-    last step predicts falls below eps * p, or its step falls below
-    4 eps * p or stops shrinking, which marks the rounding floor.
+    time map by Newton's method in the angle p, one whole-array step at a
+    time, seeded from one evaluation on a uniform angle grid and anchored
+    in their grid cells, where H' under an 8-point Gauss rule gives H (see
+    the module docstring); the second half is mirrored, so the collision
+    is crossed rather than integrated through.  A sample has settled once
+    the error its last step predicts falls below eps * p, or its step
+    falls below 4 eps * p or stops shrinking, which marks the rounding
+    floor; the loop stops when every sample has settled at the same step.
     """
     if (
         not isinstance(n_samples, (int, np.integer))
@@ -142,7 +144,8 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     half = n_samples // 2
     # One call on a uniform angle grid seeds every sample.  The grid ends
     # exactly at pi/2, so its last value is G(1).
-    grid = np.linspace(0.0, 0.5 * math.pi, half + 1)
+    grid = np.arange(half + 1) * (0.5 * math.pi / half)
+    grid[-1] = 0.5 * math.pi
     h_grid = _time_map(a, grid)
     g_full = float(h_grid[-1])
     target = 2.0 * g_full * (np.arange(1, half) / n_samples)
@@ -155,35 +158,36 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     b = -a
     p = np.interp(target, h_grid, grid)
     last = np.full(p.size, math.inf)
-    active = np.arange(p.size)
     for _ in range(_NEWTON_CAP):
-        pa = p[active]
-        pa0 = p0[active]
-        width = pa - pa0
+        width = p - p0
         # All columns but the last are the Gauss nodes on [p0, p]; the last is p.
-        c = np.cos(pa0[:, None] + width[:, None] * _GL_NODES)
+        c = np.cos(p0[:, None] + width[:, None] * _GL_NODES)
         cc = c * c
         dh = cc / np.sqrt(cc + b)
-        residual = width * (dh[:, :-1] @ _GL_WEIGHTS) - rest[active]
+        residual = width * (dh[:, :-1] @ _GL_WEIGHTS) - rest
         step = -residual / dh[:, -1]
-        p[active] = pa + step
         size = np.abs(step)
         # The next error is about K * step**2 with K = |H''| / (2 H').
         c, cc = c[:, -1], cc[:, -1]
-        k = np.sin(pa) * (cc + 2.0 * b) / (2.0 * c * (cc + b))
+        k = np.sin(p) * (cc + 2.0 * b) / (2.0 * c * (cc + b))
         settled = (
-            (k * size * size <= _EPS * pa)
-            | (size <= 4.0 * _EPS * pa)
-            | (size >= last[active])
+            (k * size * size <= _EPS * p)
+            | (size <= 4.0 * _EPS * p)
+            | (size >= last)
         )
-        last[active] = size
-        active = active[~settled]
-        if active.size == 0:
+        p += step
+        last = size
+        if settled.all():
             break
     else:
+        worst = float(np.max(last[~settled]))
         raise ConvergenceError(
             f"time-map inversion did not settle in {_NEWTON_CAP} Newton steps "
-            f"(a={a!r}, n_samples={n_samples}, worst step {float(np.max(last[active])):.3e})"
+            f"(a={a!r}, n_samples={n_samples}, worst step {worst:.3e})",
+            mu=sol.mu,
+            a=a,
+            iterations=_NEWTON_CAP,
+            last=worst,
         )
 
     q1 = np.empty(n_samples + 1)

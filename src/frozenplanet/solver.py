@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .model import gamma_of_mu, kappa_of, q1_extrema, qbar2_of
+from .model import gamma_of_mu, kappa_of, q1_extrema, qbar2_of, sigma_pair
 from .quadrature import big_f, period
 
 _X_LO = 1e-8
@@ -46,6 +46,14 @@ def fixpoint_residual(mu: float, x: float) -> float:
     return big_f(gamma_of_mu(mu), x) - 2.0
 
 
+def _failure(message: str, mu: float, gamma: float, x: float, evals: int) -> ConvergenceError:
+    """A solver failure at the last estimate x of the orbit mean, after evals F calls."""
+    pair = sigma_pair(gamma, x)
+    return ConvergenceError(
+        message, mu=mu, a=min(pair.minus / pair.plus, 0.0), iterations=evals, last=x
+    )
+
+
 def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     """Solve F(gamma(mu), x) = 2 for the orbit mean and assemble the orbit.
 
@@ -64,29 +72,35 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
 
     lo = _X_LO
     if f(lo) <= 0.0:
-        raise ConvergenceError(
-            f"no sign change available: F(gamma, {lo!r}) <= 2 for mu={mu!r}"
+        raise _failure(
+            f"no sign change available: F(gamma, {lo!r}) <= 2 for mu={mu!r}",
+            mu, gamma, lo, 1,
         )
     hi = 1.0
     f_hi = f(hi)
+    evals = 2
     while f_hi >= 0.0:
         lo = hi
         hi *= 2.0
         if hi > _X_HI_LIMIT:
-            raise ConvergenceError(
-                f"bracket for the orbit mean exceeded {_X_HI_LIMIT:g} for mu={mu!r}"
+            raise _failure(
+                f"bracket for the orbit mean exceeded {_X_HI_LIMIT:g} for mu={mu!r}",
+                mu, gamma, lo, evals,
             )
         f_hi = f(hi)
+        evals += 1
 
     while True:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
+        evals += 1
         if abs(f_mid) <= tol:
             break
         if hi - lo < _WIDTH_STOP * mid:
-            raise ConvergenceError(
+            raise _failure(
                 f"bisection interval collapsed before reaching tol={tol:g} "
-                f"(mu={mu!r}, residual={f_mid!r})"
+                f"(mu={mu!r}, residual={f_mid!r})",
+                mu, gamma, mid, evals,
             )
         if f_mid > 0.0:
             lo = mid

@@ -6,8 +6,10 @@ quarter-integer arguments used elsewhere is pinned by this module alone.
 Carlson's symmetric elliptic integrals R_F and R_D come from one
 duplication loop with a fixed step count; they give the moment integrals,
 the time map and the arc-length route to the lemniscatic constant in closed
-form.  The lemniscatic constant is computed two independent ways and the
-routes are cross-checked before a value is returned.
+form.  The time map takes R_D alone from the same loop, after the six
+steps its arguments need (see :func:`frozenplanet.quadrature._time_map`).
+The lemniscatic constant is computed two independent ways and the routes
+are cross-checked before a value is returned.
 """
 
 from __future__ import annotations
@@ -83,26 +85,14 @@ def carlson_rf_rd(x, y, z):
     floats or broadcastable NumPy arrays, and nothing iterates to a
     tolerance.
     """
-    # Offsets of x and y from the two means, A_F = (x + y + z)/3 and
-    # A_D = (x + y + 3z)/5; a duplication step divides each offset by 4.
+    # Offsets of x and y from the mean A_F = (x + y + z)/3; a duplication
+    # step divides each offset by 4.
     mean_f = (x + y + z) / 3.0
-    mean_d = (x + y + 3.0 * z) / 5.0
     xf, yf = mean_f - x, mean_f - y
-    xd, yd = mean_d - x, mean_d - y
-    tail = 0.0
-    scale = 1.0
-    for _ in range(_CARLSON_STEPS):
-        sx, sy, sz = x**0.5, y**0.5, z**0.5
-        lam = sx * sy + sz * (sx + sy)
-        tail = tail + scale / (sz * (z + lam))
-        scale *= 0.25
-        x = 0.25 * (x + lam)
-        y = 0.25 * (y + lam)
-        z = 0.25 * (z + lam)
-    # The means obey the same recurrence as the arguments, so A_n is
-    # the mean of the final arguments.
+    rd, x, y, z, scale = _carlson_rd(x, y, z, _CARLSON_STEPS)
+    # The mean obeys the same recurrence as the arguments, so A_n is the
+    # mean of the final arguments.
     mean_f = (x + y + z) / 3.0
-    mean_d = (x + y + 3.0 * z) / 5.0
 
     dx = xf * scale / mean_f
     dy = yf * scale / mean_f
@@ -112,6 +102,31 @@ def carlson_rf_rd(x, y, z):
     rf = (
         1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
     ) / mean_f**0.5
+    return rf, rd
+
+
+def _carlson_rd(x, y, z, steps):
+    """R_D(x, y, z) after ``steps`` duplication steps and the series.
+
+    Returns R_D together with the final arguments and the final scale
+    4**-steps, from which :func:`carlson_rf_rd` finishes R_F.  Twelve steps
+    serve every argument (``_CARLSON_STEPS``); a caller whose arguments
+    provably need fewer passes that count, as the time map does.
+    """
+    # Offsets of x and y from the mean A_D = (x + y + 3z)/5.
+    mean_d = (x + y + 3.0 * z) / 5.0
+    xd, yd = mean_d - x, mean_d - y
+    tail = 0.0
+    scale = 1.0
+    for _ in range(steps):
+        sx, sy, sz = x**0.5, y**0.5, z**0.5
+        lam = sx * sy + sz * (sx + sy)
+        tail = tail + scale / (sz * (z + lam))
+        scale *= 0.25
+        x = 0.25 * (x + lam)
+        y = 0.25 * (y + lam)
+        z = 0.25 * (z + lam)
+    mean_d = (x + y + 3.0 * z) / 5.0
 
     dx = xd * scale / mean_d
     dy = yd * scale / mean_d
@@ -132,7 +147,7 @@ def carlson_rf_rd(x, y, z):
         + 3.0 * e5 / 26.0
     )
     rd = scale * series / (mean_d * mean_d**0.5) + 3.0 * tail
-    return rf, rd
+    return rd, x, y, z, scale
 
 
 def _varpi_integral() -> float:

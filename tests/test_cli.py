@@ -246,6 +246,17 @@ def test_config_file_errors(capsys, tmp_path, monkeypatch):
     assert code == 2 and "cannot read" in err
 
 
+def test_config_file_not_utf8(capsys, tmp_path, monkeypatch):
+    # A file that is not UTF-8 is a bad input, not a crash.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    monkeypatch.setenv("FROZEN_PLANET_CONFIG", str(cfg))
+    code, out, err = _run(capsys, ["solve", "--mu", "2"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "cannot read config file" in err
+
+
 def test_nonconvergence_exit_code(capsys, monkeypatch):
     # One Newton step cannot invert the time map for every sample.
     monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)

@@ -199,6 +199,15 @@ def test_reconstruct_against_brentq(mu):
         assert err <= 1e-14 * sol.q1max, f"n_samples={n}: error {err:.3e}"
 
 
+@pytest.mark.parametrize("u", [-12, -9, -6, -3, 0, 3, 7, 11])
+def test_reconstruct_against_brentq_at_512(u):
+    # The benchmark's sample count, at charges mu = 1 + 10**u spread over
+    # the range the trajectory workload draws from.
+    sol = solve_orbit(1.0 + 10.0**u)
+    err = _brentq_error(sol, 512)
+    assert err <= 1e-14 * sol.q1max, f"error {err:.3e}"
+
+
 @pytest.mark.parametrize("b", [1e-12, 1e-3, 0.3])
 def test_reconstruct_against_brentq_nonphysical_b(sol_mu2, b):
     # Physical orbits have b = -q1antimax/q1max >= 0.517; a smaller b brings
@@ -221,10 +230,17 @@ def test_reconstruct_closed_form_at_zero_a(sol_mu2):
 
 
 def test_reconstruct_newton_cap_reports_context(sol_mu2, monkeypatch):
-    # Two Newton steps are too few; the error names the orbit and the step.
+    # One Newton step is too few; the error names the orbit and the step,
+    # in its message and in its fields.
     monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)
-    with pytest.raises(ConvergenceError, match=r"a=-.*n_samples=64, worst step"):
+    with pytest.raises(ConvergenceError, match=r"a=-.*n_samples=64, worst step") as info:
         reconstruct(sol_mu2, 64)
+    exc = info.value
+    assert exc.mu == sol_mu2.mu
+    assert exc.a == sol_mu2.q1antimax / sol_mu2.q1max
+    assert exc.iterations == 1
+    assert 0.0 < exc.last < math.pi / 64
+    assert f"worst step {exc.last:.3e}" in str(exc)
 
 
 def test_reconstruct_time_map_calls(monkeypatch):

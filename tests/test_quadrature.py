@@ -31,6 +31,7 @@ from frozenplanet import (
     time_integral,
 )
 from frozenplanet.quadrature import _time_map
+from frozenplanet.specialfn import carlson_rf_rd
 
 # Frozen regression values (current double-precision build; independently
 # cross-checked against 30-digit arbitrary-precision evaluations).
@@ -108,6 +109,29 @@ def test_time_map_against_mpmath():
         assert h[0] == 0.0
         for h_i, p_i in zip(h[1:], p[1:]):
             assert _rel_mp(h_i, _mp_time_map(b, p_i)) <= 32 * EPS, (b, p_i)
+
+
+def test_time_map_matches_twelve_step_kernel():
+    # The time map runs six duplication steps (the bound is in its
+    # docstring); the general twelve-step kernel agrees to rounding over
+    # b from 1e-300 to 1e300, p = pi/2 included.
+    p = np.linspace(0.0, 0.5 * math.pi, 257)
+    b = np.geomspace(1e-300, 1e300, 1201)[:, None]
+    s, c = np.sin(p), np.cos(p)
+    cc = c * c
+    m = 1.0 / (1.0 + b)
+    rd = carlson_rf_rd(cc, 1.0, m * (cc + b))[1]
+    ref = s * c / np.sqrt(cc + b) + (b * m * np.sqrt(m) / 3.0) * s**3 * rd
+    h = np.array([_time_map(-b_i, p) for b_i in b[:, 0]])
+    assert_allclose(h, ref, rtol=4 * EPS, atol=0.0)
+
+
+def test_time_map_huge_b():
+    # G(1) = H(pi/2) tends to (pi/4) / sqrt(b) with a relative correction
+    # of order 1/b; b m**(3/2) would underflow from about b = 1e205 on.
+    for b in (1e210, 1e250, 1e300):
+        g_full = _time_map(-b, np.array([0.5 * math.pi]))[0]
+        assert_allclose(g_full * math.sqrt(b), 0.25 * math.pi, rtol=4 * EPS, atol=0.0)
 
 
 def test_time_map_against_gauss_legendre():

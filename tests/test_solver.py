@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from frozenplanet import (
+    ConvergenceError,
     DomainError,
     big_f,
     critical_gamma,
@@ -19,6 +20,7 @@ from frozenplanet import (
     qbar2_of,
     solve_orbit,
 )
+from frozenplanet import solver
 
 # Frozen regression values from the current build (defect |F - 2| <= 1e-10;
 # the induced parameter uncertainty is well below the 1e-9 tolerances used).
@@ -83,6 +85,37 @@ def test_solve_orbit_large_mu():
     sol = solve_orbit(1000.0)
     assert abs(sol.fixpoint_residual) <= 1e-10
     assert sol.kappa > 0.0
+
+
+def test_solve_orbit_failures_carry_context(monkeypatch):
+    # The bracket doubles from x = 1 until it passes 1e12, so the last
+    # estimate is 2**39 after F at 1e-8, 1, 2, ..., 2**39.
+    with pytest.raises(ConvergenceError, match="bracket for the orbit mean exceeded") as info:
+        solve_orbit(1e12)
+    exc = info.value
+    assert (exc.mu, exc.last, exc.iterations) == (1e12, 2.0**39, 41)
+    assert -1.0 < exc.a <= 0.0
+
+    monkeypatch.setattr(solver, "_X_LO", 100.0)  # right of the root at mu = 2
+    with pytest.raises(ConvergenceError, match="no sign change") as info:
+        solve_orbit(2.0)
+    exc = info.value
+    assert (exc.mu, exc.last, exc.iterations) == (2.0, 100.0, 1)
+    assert exc.a < 0.0
+    monkeypatch.undo()
+
+    monkeypatch.setattr(solver, "_WIDTH_STOP", 1e-3)
+    with pytest.raises(ConvergenceError, match="bisection interval collapsed") as info:
+        solve_orbit(2.0, tol=1e-14)
+    exc = info.value
+    assert exc.mu == 2.0
+    assert abs(exc.last - QBAR1_MU2) <= 1e-2
+    assert exc.iterations > 2
+    assert exc.a < 0.0
+
+    # Raise sites that know none of the numbers leave them unset.
+    plain = ConvergenceError("plain")
+    assert (plain.mu, plain.a, plain.iterations, plain.last) == (None, None, None, None)
 
 
 def test_solve_orbit_rejects_unbound_charge():
