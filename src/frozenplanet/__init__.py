@@ -11,7 +11,6 @@ the lemniscatic-constant threshold charge.
 from .errors import ConvergenceError, DomainError
 from .intersect import IntersectionClass, classify, classify_kappa, critical_gamma, critical_mu
 from .model import (
-    SigmaPair,
     gamma_of_mu,
     kappa_of,
     mu_of_gamma,
@@ -21,26 +20,22 @@ from .model import (
     sigma_pair,
 )
 from .orbit import Trajectory, energy_residual, mean_q1, mean_residual, reconstruct
-from .quadrature import RatioIntegrals, big_f, period, ratio_integrals, time_integral
+from .quadrature import big_f, period, ratio_integrals, time_integral
 from .solver import OrbitSolution, fixpoint_residual, solve_orbit
-from .specialfn import Constants, beta_fn, constants, gamma_fn, lemniscate_constant
+from .specialfn import beta_fn, gamma_fn, lemniscate_constant
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
-    "Constants",
     "DomainError",
     "IntersectionClass",
     "OrbitSolution",
-    "RatioIntegrals",
-    "SigmaPair",
     "Trajectory",
     "beta_fn",
     "big_f",
     "classify",
     "classify_kappa",
-    "constants",
     "critical_gamma",
     "critical_mu",
     "energy_residual",

@@ -10,7 +10,6 @@ gamma = (qbar2 - qbar1) / qbar1; the elliptic-integral pieces live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -64,30 +63,17 @@ def kappa_of(gamma: float, qbar1: float) -> float:
     return 2.0 / (gamma * gamma * qbar1) - 1.0
 
 
-@dataclass(frozen=True)
-class SigmaPair:
-    """Scaled turning points of the inner-electron potential.
+def sigma_pair(gamma: float, x: float) -> tuple[float, float]:
+    """(plus, minus): the scaled turning points of the inner-electron potential.
 
-    ``plus``/``minus`` are the two roots of
+    They are the two roots of
         sigma**2 - 2 * (2 - gamma**2 * x) * sigma - 4 * (gamma + 1)**2 = 0
-    evaluated at the point (gamma, x); they satisfy
-    plus * minus = -4 * (gamma + 1)**2 exactly, and x * sigma / 2 recovers
-    the physical turning points when x is the orbit mean qbar1.
-    """
-
-    plus: float
-    minus: float
-    gamma: float
-    x: float
-
-
-def sigma_pair(gamma: float, x: float) -> SigmaPair:
-    """Both roots sigma(gamma, x), computed without subtractive cancellation.
-
-    The root whose sign matches s = 2 - gamma**2 * x is taken from the
-    quadratic formula directly; the other comes from the product identity
-    plus * minus = -4 * (gamma + 1)**2.  Defined for all real gamma, x
-    (``plus`` only degenerates to 0 at gamma = -1, x >= 2).
+    at the point (gamma, x), and x * sigma / 2 recovers the physical turning
+    points when x is the orbit mean qbar1.  The root whose sign matches
+    s = 2 - gamma**2 * x is taken from the quadratic formula directly; the
+    other comes from the product identity plus * minus = -4 * (gamma + 1)**2,
+    so neither suffers subtractive cancellation.  Defined for all real
+    gamma, x (``plus`` only degenerates to 0 at gamma = -1, x >= 2).
     """
     s = 2.0 - gamma * gamma * x
     gp1 = gamma + 1.0
@@ -98,7 +84,7 @@ def sigma_pair(gamma: float, x: float) -> SigmaPair:
     else:
         minus = s - w
         plus = -4.0 * gp1 * gp1 / minus
-    return SigmaPair(plus=plus, minus=minus, gamma=gamma, x=x)
+    return plus, minus
 
 
 def q1_extrema(gamma: float, qbar1: float) -> tuple[float, float]:
@@ -110,8 +96,8 @@ def q1_extrema(gamma: float, qbar1: float) -> tuple[float, float]:
     """
     if qbar1 <= 0.0:
         raise DomainError(f"q1_extrema requires qbar1 > 0, got {qbar1!r}")
-    pair = sigma_pair(gamma, qbar1)
-    return 0.5 * pair.plus * qbar1, 0.5 * pair.minus * qbar1
+    plus, minus = sigma_pair(gamma, qbar1)
+    return 0.5 * plus * qbar1, 0.5 * minus * qbar1
 
 
 def q1max_of_kappa(kappa: float, gamma: float, qbar1: float) -> float:

@@ -218,13 +218,16 @@ def mean_q1(traj: Trajectory) -> float:
 
         m = m_h + (m_h - m_2h) / (2**(5/3) - 1),
 
-    cancels that term and leaves O(h**(7/3)).
+    cancels that term and leaves O(h**(7/3)).  The sums run on q1 scaled
+    by a power of two near 1 / qbar1, which is exact and keeps them finite
+    up to the largest charges.
     """
-    q = traj.q1
+    scale = math.ldexp(1.0, -math.frexp(traj.qbar1)[1])
+    q = traj.q1 * scale
     m_h = float(np.trapezoid(q, dx=1.0))
     m_2h = float(np.trapezoid(q[::2], dx=2.0))
     n = q.shape[0] - 1
-    return (m_h + (m_h - m_2h) / (2.0 ** (5.0 / 3.0) - 1.0)) / n
+    return (m_h + (m_h - m_2h) / (2.0 ** (5.0 / 3.0) - 1.0)) / n / scale
 
 
 def mean_residual(traj: Trajectory) -> float:

@@ -26,7 +26,6 @@ same duplication loop, cut to the six steps its arguments need.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,16 +66,8 @@ _SERIES = tuple(
 )
 
 
-class RatioIntegrals(NamedTuple):
-    """The two moment integrals at a common parameter a <= 0."""
-
-    i_half: float
-    i_three_half: float
-    a: float
-
-
-def ratio_integrals(a: float) -> RatioIntegrals:
-    """Evaluate I_{1/2}(a) and I_{3/2}(a) in closed form (see the module docstring).
+def ratio_integrals(a: float) -> tuple[float, float]:
+    """(I_{1/2}(a), I_{3/2}(a)) in closed form (see the module docstring).
 
     Requires a finite a <= 0 (for a > 0 the integrand changes character).
     """
@@ -98,7 +89,7 @@ def ratio_integrals(a: float) -> RatioIntegrals:
         scale = 1.0 / math.sqrt(b)
         i_half *= scale
         i_three_half *= scale
-    return RatioIntegrals(i_half=i_half, i_three_half=i_three_half, a=a)
+    return i_half, i_three_half
 
 
 def big_f(gamma: float, x: float) -> float:
@@ -111,16 +102,16 @@ def big_f(gamma: float, x: float) -> float:
     positive value where it vanishes analytically (gamma = -1, x < 2); such
     values are clamped to 0.
     """
-    pair = sigma_pair(gamma, x)
-    if pair.plus <= 0.0:
+    plus, minus = sigma_pair(gamma, x)
+    if plus <= 0.0:
         raise DomainError(
             f"shape functional undefined where sigma_plus <= 0 (gamma={gamma!r}, x={x!r})"
         )
-    a = pair.minus / pair.plus
+    a = minus / plus
     if a > 0.0:
         a = 0.0
-    ints = ratio_integrals(a)
-    return pair.plus * ints.i_three_half / ints.i_half
+    i_half, i_three_half = ratio_integrals(a)
+    return plus * i_three_half / i_half
 
 
 def period(gamma: float, qbar1: float) -> float:
@@ -133,13 +124,13 @@ def period(gamma: float, qbar1: float) -> float:
     """
     if qbar1 <= 0.0:
         raise DomainError(f"period requires qbar1 > 0, got {qbar1!r}")
-    pair = sigma_pair(gamma, qbar1)
-    if pair.plus <= 0.0:
+    plus, minus = sigma_pair(gamma, qbar1)
+    if plus <= 0.0:
         raise DomainError(f"period undefined where sigma_plus <= 0 (gamma={gamma!r})")
-    q1max = 0.5 * pair.plus * qbar1
-    a = min(pair.minus / pair.plus, 0.0)
-    ints = ratio_integrals(a)
-    return math.sqrt(2.0) * gamma * qbar1 * math.sqrt(q1max) * ints.i_half
+    q1max = 0.5 * plus * qbar1
+    a = min(minus / plus, 0.0)
+    i_half = ratio_integrals(a)[0]
+    return math.sqrt(2.0) * gamma * qbar1 * math.sqrt(q1max) * i_half
 
 
 # Duplication steps of the time map's R_D; the bound in _time_map's

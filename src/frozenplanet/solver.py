@@ -3,11 +3,15 @@
 For every mu > 1 the orbit's mean inner position qbar1 is the unique root
 of F(gamma(mu), x) = 2, with F strictly decreasing in x.  Bisection on a
 bracket grown by doubling is therefore globally safe; no derivative of F
-is needed.
+is needed.  The doubling has no cap: qbar1 grows like 1.33 mu, so the
+bracket covers every charge whose orbit mean lies below 2**1023, up to mu
+of about 6.7e307.  Its trial points are the same powers of two for every
+charge, which keeps the solved qbar1 non-decreasing in mu.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
@@ -15,7 +19,6 @@ from .model import gamma_of_mu, kappa_of, q1_extrema, qbar2_of, sigma_pair
 from .quadrature import big_f, period
 
 _X_LO = 1e-8
-_X_HI_LIMIT = 1e12
 _WIDTH_STOP = 1e-14
 
 
@@ -48,9 +51,9 @@ def fixpoint_residual(mu: float, x: float) -> float:
 
 def _failure(message: str, mu: float, gamma: float, x: float, evals: int) -> ConvergenceError:
     """A solver failure at the last estimate x of the orbit mean, after evals F calls."""
-    pair = sigma_pair(gamma, x)
+    plus, minus = sigma_pair(gamma, x)
     return ConvergenceError(
-        message, mu=mu, a=min(pair.minus / pair.plus, 0.0), iterations=evals, last=x
+        message, mu=mu, a=min(minus / plus, 0.0), iterations=evals, last=x
     )
 
 
@@ -60,8 +63,10 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     ``tol`` bounds the accepted |F - 2| and must lie in [1e-14, 1e-6].
     The bracket starts at [1e-8, 1] and the upper end doubles until the
     residual turns negative; bisection then runs until the residual meets
-    ``tol`` (a relative interval width below 1e-14 without that happening
-    raises :class:`ConvergenceError`).
+    ``tol``.  :class:`ConvergenceError` is raised when the upper end
+    overflows to infinity (the orbit mean exceeds 2**1023, from mu of
+    about 6.7e307) or when the relative interval width falls below 1e-14
+    before the residual meets ``tol``.
     """
     if not 1e-14 <= tol <= 1e-6:
         raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
@@ -82,9 +87,9 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     while f_hi >= 0.0:
         lo = hi
         hi *= 2.0
-        if hi > _X_HI_LIMIT:
+        if math.isinf(hi):
             raise _failure(
-                f"bracket for the orbit mean exceeded {_X_HI_LIMIT:g} for mu={mu!r}",
+                f"bracket for the orbit mean overflowed past {lo!r} for mu={mu!r}",
                 mu, gamma, lo, evals,
             )
         f_hi = f(hi)

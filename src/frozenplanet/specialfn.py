@@ -15,7 +15,6 @@ are cross-checked before a value is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError
@@ -166,33 +165,19 @@ def _varpi_gamma() -> float:
 
 
 @lru_cache(maxsize=None)
-def lemniscate_constant(check_tol: float = 1e-10) -> float:
+def lemniscate_constant() -> float:
     """The lemniscatic constant (~2.6220575542921198).
 
     Evaluates both the defining arc-length integral and the closed Gamma
-    form, verifies they agree to ``check_tol`` relative, and returns the
+    form, verifies they agree to 1e-10 relative, and returns the
     closed-form value (the tighter of the two).  A disagreement raises
     :class:`ConvergenceError`.
     """
     by_gamma = _varpi_gamma()
     by_integral = _varpi_integral()
-    if abs(by_gamma - by_integral) > check_tol * abs(by_gamma):
+    if abs(by_gamma - by_integral) > 1e-10 * abs(by_gamma):
         raise ConvergenceError(
             "lemniscatic constant routes disagree: "
             f"gamma={by_gamma!r} integral={by_integral!r}"
         )
     return by_gamma
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Bundle of the two scalar constants the threshold formulas need."""
-
-    pi: float
-    varpi: float
-
-
-@lru_cache(maxsize=None)
-def constants() -> Constants:
-    """Return the cached :class:`Constants` bundle."""
-    return Constants(pi=math.pi, varpi=lemniscate_constant())

@@ -7,7 +7,6 @@ from frozenplanet import specialfn
 
 _CACHED_CONSTANTS = (
     fp.lemniscate_constant,
-    fp.constants,
     fp.critical_gamma,
     fp.critical_mu,
 )

@@ -129,9 +129,9 @@ def test_acceptance_7_trajectory_self_consistency(verdict):
 
 def test_acceptance_8_special_function_identities(verdict):
     dup = abs(gamma_fn(0.75) * gamma_fn(1.25) - math.pi / (2.0 * math.sqrt(2.0)))
-    r = ratio_integrals(-1.0)
-    d_half = abs(r.i_half - 0.5 * beta_fn(0.75, 0.5))
-    d_three = abs(r.i_three_half - 0.5 * beta_fn(1.25, 0.5))
+    i_half, i_three_half = ratio_integrals(-1.0)
+    d_half = abs(i_half - 0.5 * beta_fn(0.75, 0.5))
+    d_three = abs(i_three_half - 0.5 * beta_fn(1.25, 0.5))
     ok = dup <= 1e-12 and d_half <= 1e-10 and d_three <= 1e-10
     verdict(
         8,

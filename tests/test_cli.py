@@ -258,6 +258,12 @@ def test_config_file_not_utf8(capsys, tmp_path, monkeypatch):
 
 
 def test_nonconvergence_exit_code(capsys, monkeypatch):
+    # The orbit mean at mu = 1e308 exceeds 2**1023, so its bracket overflows.
+    code, out, err = _run(capsys, ["solve", "--mu", "1e308", "--samples", "16"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "overflowed" in err
+
     # One Newton step cannot invert the time map for every sample.
     monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)
     code, out, err = _run(capsys, ["solve", "--mu", "2"])

@@ -88,16 +88,19 @@ def test_sigma_pair_product_identity():
         gamma = rng.uniform(-2.0, 5.0)
         x = rng.uniform(0.0, 10.0)
         pair = sigma_pair(gamma, x)
+        assert type(pair) is tuple and len(pair) == 2
+        assert all(type(v) is float for v in pair)
+        plus, minus = pair
         target = -4.0 * (gamma + 1.0) ** 2
-        assert_allclose(pair.plus * pair.minus, target, rtol=1e-13)
-        assert pair.plus >= 0.0 >= pair.minus
+        assert_allclose(plus * minus, target, rtol=1e-13)
+        assert plus >= 0.0 >= minus
 
 
 def test_sigma_pair_at_anchor():
     # gamma = -1: discriminant collapses, sigma = 2 - gamma^2 x +- |2 - gamma^2 x|.
-    pair = sigma_pair(-1.0, 0.0)
-    assert pair.plus == pytest.approx(4.0, abs=1e-15)
-    assert pair.minus == pytest.approx(0.0, abs=1e-15)
+    plus, minus = sigma_pair(-1.0, 0.0)
+    assert plus == pytest.approx(4.0, abs=1e-15)
+    assert minus == pytest.approx(0.0, abs=1e-15)
 
 
 def test_q1_extrema_factorization():

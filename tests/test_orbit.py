@@ -114,6 +114,16 @@ def test_energy_residual_at_threshold():
     assert abs(energy_residual(reconstruct(sol, 1024))) <= 1e-6
 
 
+def test_residuals_at_largest_charges():
+    # q1 reaches about 2.7 mu, so an unscaled sum over the samples would
+    # overflow from mu of about 1e305 on.
+    for mu in (1e300, 1e307, 6e307):
+        sol = solve_orbit(mu)
+        traj = reconstruct(sol, 512)
+        assert abs(mean_residual(traj)) <= 1e-6 * sol.qbar1
+        assert abs(energy_residual(traj)) <= 1e-6
+
+
 def test_motion_law_second_order(sol_mu2):
     # Centered second difference of q1 against the equation of motion
     # q1'' = -eta^2 (mu / q1^2 + 1 / (gamma^2 qbar1^2)), interior window.

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import frozenplanet
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_DIR = ROOT / "src" / "frozenplanet"
 TESTS_DIR = ROOT / "tests"
@@ -56,3 +58,12 @@ def test_test_imports_are_declared():
 def test_build_requires_only_setuptools():
     requires = _pyproject()["build-system"]["requires"]
     assert _requirement_names(requires) == {"setuptools"}
+
+
+def test_readme_lists_every_public_name():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [
+        name for name in frozenplanet.__all__
+        if not re.search(rf"`{re.escape(name)}\b", readme)
+    ]
+    assert missing == []

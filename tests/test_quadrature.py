@@ -93,12 +93,11 @@ def _rel_mp(value, ref):
 
 
 def test_ratio_integrals_against_mpmath():
-    r = ratio_integrals(0.0)
-    assert (r.i_half, r.i_three_half) == (2.0, 4.0 / 3.0)
+    assert ratio_integrals(0.0) == (2.0, 4.0 / 3.0)
     for b in B_VALUES:
-        r = ratio_integrals(-b)
-        assert _rel_mp(r.i_half, _mp_moment(b, 0.5)) <= 8 * EPS, b
-        assert _rel_mp(r.i_three_half, _mp_moment(b, 1.5)) <= 8 * EPS, b
+        i_half, i_three_half = ratio_integrals(-b)
+        assert _rel_mp(i_half, _mp_moment(b, 0.5)) <= 8 * EPS, b
+        assert _rel_mp(i_three_half, _mp_moment(b, 1.5)) <= 8 * EPS, b
 
 
 def test_time_map_against_mpmath():
@@ -148,27 +147,31 @@ def test_time_map_against_gauss_legendre():
 
 def test_ratio_integrals_at_zero():
     # a = 0 collapses to int r^(k-1/2) / sqrt(1-r): exactly 2 and 4/3.
-    r = ratio_integrals(0.0)
-    assert_allclose(r.i_half, 2.0, rtol=1e-12)
-    assert_allclose(r.i_three_half, 4.0 / 3.0, rtol=1e-12)
-    assert r.a == 0.0
+    # The result is a plain pair of Python floats, not NumPy scalars.
+    for a in (0.0, -1e-3, -1.0, -6.48):
+        pair = ratio_integrals(a)
+        assert type(pair) is tuple and len(pair) == 2
+        assert all(type(v) is float for v in pair)
+    i_half, i_three_half = ratio_integrals(0.0)
+    assert_allclose(i_half, 2.0, rtol=1e-12)
+    assert_allclose(i_three_half, 4.0 / 3.0, rtol=1e-12)
 
 
 def test_ratio_integrals_beta_closed_forms():
     # a = -1: I_k(-1) = (1/2) B(k/2 + 1/4, 1/2) via r -> r^2.
-    r = ratio_integrals(-1.0)
+    i_half, i_three_half = ratio_integrals(-1.0)
     b34 = math.gamma(0.75) * math.gamma(0.5) / math.gamma(1.25)
     b54 = math.gamma(1.25) * math.gamma(0.5) / math.gamma(1.75)
-    assert abs(r.i_half - 0.5 * b34) <= 1e-10
-    assert abs(r.i_three_half - 0.5 * b54) <= 1e-10
-    assert_allclose(r.i_half, I_HALF_AT_MINUS_ONE, rtol=1e-12)
-    assert_allclose(r.i_three_half, I_THREE_HALF_AT_MINUS_ONE, rtol=1e-12)
+    assert abs(i_half - 0.5 * b34) <= 1e-10
+    assert abs(i_three_half - 0.5 * b54) <= 1e-10
+    assert_allclose(i_half, I_HALF_AT_MINUS_ONE, rtol=1e-12)
+    assert_allclose(i_three_half, I_THREE_HALF_AT_MINUS_ONE, rtol=1e-12)
 
 
 def test_ratio_integrals_deep_well_limit():
     # a -> -inf: ratio -> (4/3) / 2 = 3/4 like 3/4 + O(1/|a|).
-    r = ratio_integrals(-1e6)
-    ratio = r.i_three_half / r.i_half
+    i_half, i_three_half = ratio_integrals(-1e6)
+    ratio = i_three_half / i_half
     assert_allclose(ratio, RATIO_AT_MINUS_1E6, rtol=1e-11)
     assert abs(ratio - 0.75) < 1e-6
 
@@ -182,8 +185,8 @@ def test_ratio_integrals_rejects_positive_a():
 def test_ratio_monotone_in_k():
     # r^(3/2) < r^(1/2) on (0, 1), so the two integrals are ordered.
     for a in (0.0, -1e-3, -1.0, -20.0, -1e4):
-        r = ratio_integrals(a)
-        assert 0.0 < r.i_three_half < r.i_half
+        i_half, i_three_half = ratio_integrals(a)
+        assert 0.0 < i_three_half < i_half
 
 
 def test_ratio_integrals_against_jacobi_oracle():
@@ -191,9 +194,9 @@ def test_ratio_integrals_against_jacobi_oracle():
     rng = np.random.default_rng(1849)
     a_values = -(10.0 ** rng.uniform(-3.0, 3.0, size=20))
     for a in a_values:
-        r = ratio_integrals(float(a))
-        assert_allclose(r.i_half, _jacobi_oracle(a, 0.5), rtol=1e-11)
-        assert_allclose(r.i_three_half, _jacobi_oracle(a, 1.5), rtol=1e-11)
+        i_half, i_three_half = ratio_integrals(float(a))
+        assert_allclose(i_half, _jacobi_oracle(a, 0.5), rtol=1e-11)
+        assert_allclose(i_three_half, _jacobi_oracle(a, 1.5), rtol=1e-11)
 
 
 def test_ratio_integrals_against_midpoint_oracle():
@@ -209,9 +212,9 @@ def test_ratio_integrals_against_midpoint_oracle():
         f = 1.0 / np.sqrt(s2 - a)
         i_half_ref = 2.0 * h * float(s2 @ f)
         i_three_half_ref = 2.0 * h * float((s2 * s2) @ f)
-        r = ratio_integrals(float(a))
-        assert abs(r.i_half - i_half_ref) <= 1e-8 * abs(i_half_ref)
-        assert abs(r.i_three_half - i_three_half_ref) <= 1e-8 * abs(i_three_half_ref)
+        i_half, i_three_half = ratio_integrals(float(a))
+        assert abs(i_half - i_half_ref) <= 1e-8 * abs(i_half_ref)
+        assert abs(i_three_half - i_three_half_ref) <= 1e-8 * abs(i_three_half_ref)
 
 
 def test_ratio_integrals_deterministic():
@@ -274,7 +277,7 @@ def test_time_integral_endpoints():
     # G(1) is the half period of the normalized motion: I_{1/2}(a) / 2.
     for a in (0.0, -1e-3, -1.0, -250.0):
         g1 = time_integral(a, 1.0)
-        assert_allclose(g1, 0.5 * ratio_integrals(a).i_half, rtol=1e-11)
+        assert_allclose(g1, 0.5 * ratio_integrals(a)[0], rtol=1e-11)
 
 
 def test_time_integral_monotone_in_upper():

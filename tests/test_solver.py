@@ -82,18 +82,23 @@ def test_solve_orbit_near_ionization_threshold():
 
 
 def test_solve_orbit_large_mu():
-    sol = solve_orbit(1000.0)
-    assert abs(sol.fixpoint_residual) <= 1e-10
-    assert sol.kappa > 0.0
+    # The orbit mean grows like 1.33 mu; the doubling bracket has no cap and
+    # follows it as far as the float range reaches.
+    sols = [solve_orbit(mu) for mu in (1000.0, 1e12, 1e15, 1e20, 1e100, 1e300)]
+    for sol in sols:
+        assert abs(sol.fixpoint_residual) <= 1e-10
+        assert sol.kappa > 0.0
+    assert all(a.qbar1 < b.qbar1 for a, b in zip(sols, sols[1:]))
 
 
 def test_solve_orbit_failures_carry_context(monkeypatch):
-    # The bracket doubles from x = 1 until it passes 1e12, so the last
-    # estimate is 2**39 after F at 1e-8, 1, 2, ..., 2**39.
-    with pytest.raises(ConvergenceError, match="bracket for the orbit mean exceeded") as info:
-        solve_orbit(1e12)
+    # At mu = 1e308 the orbit mean (about 1.33 mu) exceeds 2**1023: the
+    # bracket doubles from x = 1 until 2**1024 overflows, so the last
+    # estimate is 2**1023 after F at 1e-8, 1, 2, ..., 2**1023.
+    with pytest.raises(ConvergenceError, match="bracket for the orbit mean overflowed") as info:
+        solve_orbit(1e308)
     exc = info.value
-    assert (exc.mu, exc.last, exc.iterations) == (1e12, 2.0**39, 41)
+    assert (exc.mu, exc.last, exc.iterations) == (1e308, 2.0**1023, 1025)
     assert -1.0 < exc.a <= 0.0
 
     monkeypatch.setattr(solver, "_X_LO", 100.0)  # right of the root at mu = 2

@@ -18,7 +18,6 @@ from frozenplanet import (
     ConvergenceError,
     DomainError,
     beta_fn,
-    constants,
     gamma_fn,
     lemniscate_constant,
 )
@@ -164,10 +163,3 @@ def test_varpi_squared_over_three_pi_in_unit_interval():
     assert 0.0 < ratio < 1.0
     assert_allclose(ratio, 0.7294798717421598, rtol=1e-12)
 
-
-def test_constants_bundle():
-    c = constants()
-    assert c.pi == math.pi
-    assert c.varpi == lemniscate_constant()
-    with pytest.raises(AttributeError):
-        c.varpi = 1.0  # frozen
