@@ -20,7 +20,10 @@ At b = 0 the moments are exactly 2 and 4/3.  For b >= 4 the expansion of
 summed in Horner form.  Every branch stays within a few units of rounding
 of a 40-digit evaluation, from b = 1e-300 to b = 1e25.  The time map, the
 incomplete form of I_{1/2}, is one array-valued evaluation of R_D from the
-same duplication loop, cut to the six steps its arguments need.
+same duplication loop, cut to the six steps its arguments need.  It serves
+time_integral and, through it, the tests' independent reference for the
+trajectory rebuild, which builds its own angle grid from a Gauss rule and
+takes G(1) = I_{1/2} / 2 from the moment (:mod:`frozenplanet.orbit`).
 """
 
 from __future__ import annotations

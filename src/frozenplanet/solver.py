@@ -6,7 +6,9 @@ bracket grown by doubling is therefore globally safe; no derivative of F
 is needed.  The doubling has no cap: qbar1 grows like 1.33 mu, so the
 bracket covers every charge whose orbit mean lies below 2**1023, up to mu
 of about 6.7e307.  Its trial points are the same powers of two for every
-charge, which keeps the solved qbar1 non-decreasing in mu.
+charge, which keeps the solved qbar1 non-decreasing in mu.  The period
+eta grows like 3.63 mu and passes the largest double first, from mu of
+about 4.95e307, so a solve succeeds up to there.
 """
 
 from __future__ import annotations
@@ -65,8 +67,10 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     residual turns negative; bisection then runs until the residual meets
     ``tol``.  :class:`ConvergenceError` is raised when the upper end
     overflows to infinity (the orbit mean exceeds 2**1023, from mu of
-    about 6.7e307) or when the relative interval width falls below 1e-14
-    before the residual meets ``tol``.
+    about 6.7e307), when the relative interval width falls below 1e-14
+    before the residual meets ``tol``, or when the period of the solved
+    orbit is not finite (it exceeds the largest double from mu of about
+    4.95e307).
     """
     if not 1e-14 <= tol <= 1e-6:
         raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
@@ -113,6 +117,12 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
             hi = mid
 
     qbar1 = mid
+    eta = period(gamma, qbar1)
+    if not math.isfinite(eta):
+        raise _failure(
+            f"period of the orbit overflowed for mu={mu!r} (orbit mean {qbar1!r})",
+            mu, gamma, qbar1, evals,
+        )
     q1max, q1antimax = q1_extrema(gamma, qbar1)
     return OrbitSolution(
         mu=mu,
@@ -122,6 +132,6 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
         kappa=kappa_of(gamma, qbar1),
         q1max=q1max,
         q1antimax=q1antimax,
-        eta=period(gamma, qbar1),
+        eta=eta,
         fixpoint_residual=abs(f_mid),
     )

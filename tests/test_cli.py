@@ -272,6 +272,18 @@ def test_nonconvergence_exit_code(capsys, monkeypatch):
     assert err.startswith("error:") and "did not settle" in err
 
 
+def test_period_overflow_exit_code(capsys, tmp_path):
+    # From mu of about 4.95e307 the period is not a finite double; the solve
+    # fails with exit 3 instead of writing "eta": Infinity, which is not JSON.
+    target = tmp_path / "orbit.json"
+    for out in ("-", str(target)):
+        code, stdout, err = _run(capsys, ["solve", "--mu", "5e307", "--out", out])
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith("error:") and "period of the orbit overflowed" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

@@ -19,7 +19,8 @@ from frozenplanet import (
     solve_orbit,
     time_integral,
 )
-from frozenplanet import orbit
+from frozenplanet import orbit, quadrature
+from frozenplanet.quadrature import _time_map, ratio_integrals
 
 
 def test_reconstruct_rejects_bad_sample_counts(sol_mu2):
@@ -116,8 +117,9 @@ def test_energy_residual_at_threshold():
 
 def test_residuals_at_largest_charges():
     # q1 reaches about 2.7 mu, so an unscaled sum over the samples would
-    # overflow from mu of about 1e305 on.
-    for mu in (1e300, 1e307, 6e307):
+    # overflow from mu of about 1e305 on.  The period overflows from mu of
+    # about 4.95e307, so 4.9e307 is close to the largest charge that solves.
+    for mu in (1e300, 1e307, 4.9e307):
         sol = solve_orbit(mu)
         traj = reconstruct(sol, 512)
         assert abs(mean_residual(traj)) <= 1e-6 * sol.qbar1
@@ -204,7 +206,8 @@ def _brentq_error(sol, n):
 @pytest.mark.parametrize("mu", [1.02, 2.0, "mu*", 100.0, 1e6])
 def test_reconstruct_against_brentq(mu):
     sol = solve_orbit(critical_mu() if mu == "mu*" else mu)
-    for n in (16, 64, 4096):
+    # The grid's summation error grows with n; mu = 1.02 also runs n = 16384.
+    for n in (16, 64, 4096) + ((16384,) if mu == 1.02 else ()):
         err = _brentq_error(sol, n)
         assert err <= 1e-14 * sol.q1max, f"n_samples={n}: error {err:.3e}"
 
@@ -253,23 +256,34 @@ def test_reconstruct_newton_cap_reports_context(sol_mu2, monkeypatch):
     assert f"worst step {exc.last:.3e}" in str(exc)
 
 
-def test_reconstruct_time_map_calls(monkeypatch):
-    # The grid evaluation is the only time-map call: Newton inverts H inside
-    # each sample's grid cell from H' alone.
-    time_map = orbit._time_map
-    calls = []
+def test_reconstruct_makes_no_time_map_call(monkeypatch):
+    # The grid comes from the Gauss rule on H' and G(1) from the moments,
+    # so the closed-form time map is never evaluated on the way.
+    def refuse(a, p):
+        raise AssertionError("reconstruct evaluated the time map")
 
-    def counted(a, p):
-        calls.append(a)
-        return time_map(a, p)
-
-    monkeypatch.setattr(orbit, "_time_map", counted)
+    monkeypatch.setattr(quadrature, "_time_map", refuse)
+    # Also refused under its own name in orbit, should orbit import it again.
+    monkeypatch.setattr(orbit, "_time_map", refuse, raising=False)
     for u in np.linspace(-12.0, 11.0, 47):
         sol = solve_orbit(1.0 + 10.0**u)
         for n in (16, 512, 4096):
-            calls.clear()
             reconstruct(sol, n)
-            assert len(calls) == 1, f"u={u:g}, n_samples={n}: {len(calls)} calls"
+
+
+@pytest.mark.parametrize("n", [16, 512, 4096, 2**16])
+def test_time_grid_against_time_map(n):
+    # Physical orbits have b from about 0.5175 (mu -> 1) to 2.25e24.  The
+    # compensated sum of the cells' Gauss rules matches the closed-form
+    # time map at every grid angle, and its end matches G(1) = I_{1/2} / 2.
+    eps = np.finfo(float).eps
+    for b in np.geomspace(0.5175, 2.25e24, 25):
+        grid, h_grid = orbit._time_grid(-b, n // 2)
+        ref = _time_map(-b, grid)
+        g_full = 0.5 * ratio_integrals(-b)[0]
+        assert grid[-1] == 0.5 * math.pi
+        assert np.max(np.abs(h_grid - ref)) <= 8 * eps * g_full, b
+        assert abs(h_grid[-1] - g_full) <= 4 * eps * g_full, b
 
 
 def test_gauss_rule_exact_to_degree_15():

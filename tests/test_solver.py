@@ -123,6 +123,20 @@ def test_solve_orbit_failures_carry_context(monkeypatch):
     assert (plain.mu, plain.a, plain.iterations, plain.last) == (None, None, None, None)
 
 
+def test_solve_orbit_period_overflow():
+    # The period grows like 3.63 mu and passes the largest double from mu
+    # of about 4.95e307, before the bracket overflows at about 6.7e307.
+    sol = solve_orbit(4.9e307)
+    assert math.isfinite(sol.eta) and sol.eta > sol.mu
+    with pytest.raises(ConvergenceError, match="period of the orbit overflowed") as info:
+        solve_orbit(5e307)
+    exc = info.value
+    assert exc.mu == 5e307
+    assert math.isfinite(exc.last) and exc.last > 5e307
+    assert exc.iterations > 1000
+    assert -1.0 < exc.a < 0.0
+
+
 def test_solve_orbit_rejects_unbound_charge():
     with pytest.raises(DomainError, match="ioniz"):
         solve_orbit(1.0)
