@@ -27,9 +27,8 @@ error of each addition, and the running sum of those errors is added
 back, which leaves every grid value within a few units of rounding of
 G(1).  The last value is set to G(1) = I_{1/2}(a) / 2 (substitute
 r = 1 - u**2 in the moment), which keeps the targets exact where the
-last cell's rule is poor, at tiny non-physical b.  Linear interpolation
-of the inverse on the grid seeds every sample at or right of its root,
-and a sample whose target lies in the grid cell [p0, p0 + pi/n] solves
+last cell's rule is poor, at tiny non-physical b.  A sample whose target
+lies in the grid cell [p0, p0 + pi/n] solves
 
     R(p) = int_{p0}^{p} H'(s) ds - (target - H(p0)) = 0,    R' = H',
 
@@ -40,21 +39,54 @@ orbits b runs from about 0.517 to 2.25e24, so y >= 0.66, while a cell is
 at most w = pi/16 wide.  The rule's relative error falls like
 (w / (4 y))**16, below 1e-18, far under rounding, on the grid cells and
 on Newton's intervals alike.
-The tangent of a concave H lies above it, so the first Newton step lands
-left of the root and the following steps approach it monotonically.
-Each step runs on the whole array of samples.  A step d leaves an error
-of about K * d**2 with
 
-    K = |H''| / (2 H') = sin(p) * (c**2 + 2 b) / (2 c * (c**2 + b)),
+The seed is the cubic Hermite interpolant of the inverse p(H) on the
+sample's cell: it matches p at both cell ends and the slopes 1 / H'
+there.  H'(pi/2) = 0, so the last cell's slope would be infinite, but no
+target reaches that cell.  The concave H lies above its chord from
+(0, 0) to (pi/2, G(1)), and at the last inner grid angle pi/2 - pi/n the
+chord is G(1) * (1 - 2/n), the largest target.  Over b in [1e-12,
+2.25e24] and n up to 2**20, H there exceeds that target by at least
+0.85 * 2 G(1) / n, far above rounding.
 
-where c = cos(p), so a sample has settled once that predicted error falls
-below a unit of rounding of p, and the loop ends when every sample has.
+Each Newton step runs on the whole array of samples.  From p, with
+d = -R / H' the Newton step, the root lies at p + delta, where
+
+    -d + delta - K delta**2 + (H''' / (6 H')) delta**3 + ... = 0,
+    K = |H''| / (2 H')   (H'' <= 0 on [0, pi/2]).
+
+Solving for delta by repeated substitution gives
+
+    delta = d + K d**2 + (2 K**2 - H''' / (6 H')) d**3 + O(d**4),
+
+so the step p += d + K d**2 leaves an error of about
+|H''' / (6 H') - 2 K**2| * |d|**3, and a sample has settled once that
+falls below eps * p, or once d falls below 4 eps * p or stops shrinking,
+which marks the rounding floor.  With c = cos(p), s = sin(p) and
+q = b / (c**2 + b),
+
+    K = tan(p) * (1 + q) / 2,
+    H''' / H' = tan(p)**2 * q * (3 q - 1) - (1 + q),
+
+that is -(c**2 + 2 b) / (c**2 + b) + s**2 b (2 b - c**2) / (c**2 (c**2 + b)**2),
+in ratios that stay finite for every b.  The loop ends when every sample
+has settled.  From the Hermite seed one step settles every sample at
+n >= 512; at n = 16 and 64, where the cells are wider, it takes two
+(figures at _NEWTON_CAP).
+
+The arrays that depend on n alone (the grid angles, cos**2 at the grid's
+Gauss nodes and at the grid angles, the target fractions k/n and the
+times) are built once per sample count and kept, read-only, for the
+last few counts up to 2**14 samples; a larger count builds them afresh
+and drops them when it returns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,14 +95,18 @@ from .quadrature import ratio_integrals
 from .solver import OrbitSolution
 
 _EPS = float(np.finfo(float).eps)
-# Whole-array Newton steps allowed per rebuild.  From the interpolated
-# seed, Newton on the in-cell equation took at most 4 steps at 16 samples,
-# 3 at 64 and 512, and 2 at 4096 and 16384 (mean 3.55, 3.0, 2.06, 2.0 and
-# 2.0) over 47 charges mu = 1 + 10**u, u in [-12, 11], with and without
-# a = 0.
+# Whole-array Newton steps allowed per rebuild.  From the Hermite seed,
+# the corrected step on the in-cell equation took 2 steps at 16 and 64
+# samples and 1 at 512, 4096, 16384 and 2**20, at each of 47 charges
+# mu = 1 + 10**u, u in [-12, 11]; with a = 0 it took 2 at 16 and 1 from 64
+# on.
 _NEWTON_CAP = 60
-# Largest n_samples accepted: the inversion holds 9 floats per sample.
+# Largest n_samples accepted: a rebuild peaks at about 22 floats per sample
+# (180 MB at 2**20), of which its layout holds 6.5 (52 bytes per sample).
 _MAX_SAMPLES = 2**20
+# Layouts are cached for up to this many samples, four at a time: at most
+# 4 * 52 * 2**14 bytes, about 3.4 MB.
+_CACHED_SAMPLES = 2**14
 # 8-point Gauss-Legendre rule on [0, 1], exact for polynomials of degree
 # 15, followed by the end point 1 at which Newton also needs H'.
 _GL_NODES = np.array(
@@ -100,8 +136,46 @@ _GL_WEIGHTS = np.array(
 )
 
 
-def _time_grid(a: float, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform angles k * pi / (2 half), k = 0..half, and H at each of them.
+class _Layout(NamedTuple):
+    """Read-only arrays of a rebuild that depend on the sample count alone."""
+
+    grid: np.ndarray  # the half + 1 cell ends k pi / n; the last is pi / 2
+    cc_nodes: np.ndarray  # cos**2 at each cell's 8 Gauss nodes, (half, 8)
+    cc_grid: np.ndarray  # cos**2 at the cell ends
+    frac: np.ndarray  # target fractions k / n, k = 1 .. half - 1
+    t: np.ndarray  # scaled times j / n, j = 0 .. n
+
+
+def _build_layout(n_samples: int) -> _Layout:
+    half = n_samples // 2
+    w = 0.5 * math.pi / half
+    grid = np.arange(half + 1) * w
+    grid[-1] = 0.5 * math.pi
+    c = np.cos(grid[:-1, None] + w * _GL_NODES[:-1])
+    layout = _Layout(
+        grid=grid,
+        cc_nodes=c * c,
+        cc_grid=np.cos(grid) ** 2,
+        frac=np.arange(1, half) / n_samples,
+        t=np.arange(n_samples + 1) / n_samples,
+    )
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
+_cached_layout = functools.lru_cache(maxsize=4)(_build_layout)
+
+
+def _layout(n_samples: int) -> _Layout:
+    """The layout of n_samples, cached up to _CACHED_SAMPLES samples."""
+    if n_samples <= _CACHED_SAMPLES:
+        return _cached_layout(n_samples)
+    return _build_layout(n_samples)
+
+
+def _grid_values(a: float, cc_nodes: np.ndarray) -> np.ndarray:
+    """H at the cell ends from cos**2 at the cells' Gauss nodes.
 
     Each cell's increment of H is its 8-point Gauss rule on H' (see the
     module docstring), and the increments are added up with the rounding
@@ -109,12 +183,9 @@ def _time_grid(a: float, half: int) -> tuple[np.ndarray, np.ndarray]:
     alone gathers an error that grows with half.  The last value is the
     sum over every cell, an approximation of G(1).
     """
+    half = cc_nodes.shape[0]
     w = 0.5 * math.pi / half
-    grid = np.arange(half + 1) * w
-    grid[-1] = 0.5 * math.pi
-    c = np.cos(grid[:-1, None] + w * _GL_NODES[:-1])
-    cc = c * c
-    cells = w * ((cc / np.sqrt(cc - a)) @ _GL_WEIGHTS)
+    cells = w * ((cc_nodes / np.sqrt(cc_nodes - a)) @ _GL_WEIGHTS)
     # TwoSum: err is the exact rounding error of run[k] = prev[k] + cells[k].
     run = np.cumsum(cells)
     prev = np.concatenate(([0.0], run[:-1]))
@@ -122,7 +193,17 @@ def _time_grid(a: float, half: int) -> tuple[np.ndarray, np.ndarray]:
     err = (prev - (run - back)) + (cells - back)
     h_grid = np.zeros(half + 1)
     h_grid[1:] = run + np.cumsum(err)
-    return grid, h_grid
+    return h_grid
+
+
+def _time_grid(a: float, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform angles k * pi / (2 half), k = 0..half, and H at each of them.
+
+    The grid a rebuild with 2 half samples builds, for checks against the
+    closed-form time map.
+    """
+    layout = _layout(2 * half)
+    return layout.grid, _grid_values(a, layout.cc_nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,16 +239,18 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     ``n_samples`` must be an even integer (the collision then falls exactly
     on a grid point) from 16 to 2**20.  The first-half samples invert the
     time map by Newton's method in the angle p, one whole-array step at a
-    time, seeded from a uniform angle grid and anchored in its cells.
-    The grid values are compensated running sums of each cell's 8-point
-    Gauss rule on H', and Newton takes H inside a cell by the same rule
-    (see the module docstring); the last grid value is
-    G(1) = I_{1/2}(a) / 2 from the moment.  The second half is mirrored,
-    so the collision is crossed rather than integrated through.  A sample
-    has settled once the error its last step predicts falls below
-    eps * p, or its step falls below 4 eps * p or stops shrinking, which
-    marks the rounding floor; the loop stops when every sample has
-    settled at the same step.
+    time, anchored in the cells of a uniform angle grid and seeded by
+    cubic Hermite interpolation of the inverse on each cell.  The grid
+    values are compensated running sums of each cell's 8-point Gauss rule
+    on H', and Newton takes H inside a cell by the same rule (see the
+    module docstring); the last grid value is G(1) = I_{1/2}(a) / 2 from
+    the moment.  Each Newton step d is corrected by its second-order term
+    K d**2.  The second half is mirrored, so the collision is crossed
+    rather than integrated through.  A sample has settled once the
+    third-order error its last step predicts falls below eps * p, or its
+    step falls below 4 eps * p or stops shrinking, which marks the
+    rounding floor; the loop stops when every sample has settled at the
+    same step.
     """
     if (
         not isinstance(n_samples, (int, np.integer))
@@ -181,38 +264,54 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     if not -math.inf < a <= 0.0:
         raise DomainError(f"invalid orbit: q1antimax/q1max = {a!r} is not finite and <= 0")
     half = n_samples // 2
-    grid, h_grid = _time_grid(a, half)
+    grid, cc_nodes, cc_grid, frac, t = _layout(n_samples)
+    h_grid = _grid_values(a, cc_nodes)
+    # Frees an uncached layout's node table (4 floats per sample) before Newton.
+    del cc_nodes
     # G(1) = I_{1/2}(a) / 2 (substitute r = 1 - u**2) keeps the targets
     # exact where the last cell's Gauss rule is poor, at tiny b.
     h_grid[-1] = 0.5 * ratio_integrals(a)[0]
-    target = 2.0 * h_grid[-1] * (np.arange(1, half) / n_samples)
+    target = 2.0 * h_grid[-1] * frac
 
     # Each sample inverts H only inside its grid cell [p0, p0 + pi/n]:
     # H(p) = h_grid[j] + int_{p0}^{p} H'(s) ds, so Newton needs H' alone.
-    j = np.minimum(np.searchsorted(h_grid, target, "right") - 1, half - 1)
+    # No target reaches the last cell (module docstring), so j + 1 < half.
+    j = np.searchsorted(h_grid, target, "right") - 1
     p0 = grid[j]
     rest = target - h_grid[j]
     b = -a
-    p = np.interp(target, h_grid, grid)
+    # Cubic Hermite seed of the inverse on the cell, with slopes 1 / H'.
+    w = 0.5 * math.pi / half
+    cell = h_grid[j + 1] - h_grid[j]
+    slope = np.sqrt(cc_grid + b) / cc_grid
+    tau = rest / cell
+    p = p0 + tau * (
+        w
+        + (1.0 - tau)
+        * ((cell * slope[j] - w) * (1.0 - tau) - (cell * slope[j + 1] - w) * tau)
+    )
     last = np.full(p.size, math.inf)
     for _ in range(_NEWTON_CAP):
         width = p - p0
         # All columns but the last are the Gauss nodes on [p0, p]; the last is p.
-        c = np.cos(p0[:, None] + width[:, None] * _GL_NODES)
-        cc = c * c
+        cc = np.cos(p0[:, None] + width[:, None] * _GL_NODES) ** 2
         dh = cc / np.sqrt(cc + b)
         residual = width * (dh[:, :-1] @ _GL_WEIGHTS) - rest
         step = -residual / dh[:, -1]
         size = np.abs(step)
-        # The next error is about K * step**2 with K = |H''| / (2 H').
-        c, cc = c[:, -1], cc[:, -1]
-        k = np.sin(p) * (cc + 2.0 * b) / (2.0 * c * (cc + b))
+        # With q = b / (cos(p)**2 + b): K = |H''| / (2 H') and h3 = H''' / H'.
+        # The step p += step + K * step**2 leaves an error of about
+        # |h3 / 6 - 2 K**2| * |step|**3.
+        q = b / (cc[:, -1] + b)
+        tan = np.tan(p)
+        k = 0.5 * tan * (1.0 + q)
+        h3 = tan * tan * q * (3.0 * q - 1.0) - (1.0 + q)
         settled = (
-            (k * size * size <= _EPS * p)
+            (np.abs(h3 / 6.0 - 2.0 * k * k) * size**3 <= _EPS * p)
             | (size <= 4.0 * _EPS * p)
             | (size >= last)
         )
-        p += step
+        p += step + k * step * step
         last = size
         if settled.all():
             break
@@ -238,11 +337,10 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
             "time-map inversion produced a non-monotone first half period"
         )
 
-    t = np.arange(n_samples + 1) / n_samples
-    t.setflags(write=False)
     q1.setflags(write=False)
+    # A view of the cached times: its write flag cannot be set again.
     return Trajectory(
-        t=t, q1=q1, q2_const=sol.qbar2, eta=sol.eta, mu=sol.mu, gamma=sol.gamma
+        t=t.view(), q1=q1, q2_const=sol.qbar2, eta=sol.eta, mu=sol.mu, gamma=sol.gamma
     )
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,43 @@ def test_reconstruct_newton_cap_reports_context(sol_mu2, monkeypatch):
     assert exc.iterations == 1
     assert 0.0 < exc.last < math.pi / 64
     assert f"worst step {exc.last:.3e}" in str(exc)
+
+
+def test_reconstruct_one_newton_step_at_512(monkeypatch):
+    # From the Hermite seed one corrected Newton step settles every sample
+    # at the benchmark's sample count, over the whole charge range.
+    monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)
+    sols = [solve_orbit(1.0 + 10.0**u) for u in np.linspace(-12.0, 11.0, 47)]
+    for sol in sols:
+        reconstruct(sol, 512)
+    for sol in (sols[0], sols[23], sols[-1]):
+        err = _brentq_error(sol, 512)
+        assert err <= 1e-14 * sol.q1max, f"mu={sol.mu!r}: error {err:.3e}"
+
+
+def test_reconstruct_layout_cache(sol_mu2):
+    # Rebuilds with the arrays that depend on n alone taken from the cache
+    # equal rebuilds that build them afresh, whatever n came before.
+    for n in (16, 512, 4096, 16):
+        traj = reconstruct(sol_mu2, n)
+        for arr in orbit._layout(n):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            traj.t.setflags(write=True)
+        orbit._cached_layout.cache_clear()
+        fresh = reconstruct(sol_mu2, n)
+        assert np.array_equal(traj.q1, fresh.q1)
+        assert np.array_equal(traj.t, fresh.t)
+
+    # The layout of the largest sample count (about 52 MB) is not kept.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reconstruct(sol_mu2, orbit._MAX_SAMPLES)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20, f"{held} bytes held after the rebuild returned"
 
 
 def test_reconstruct_makes_no_time_map_call(monkeypatch):
