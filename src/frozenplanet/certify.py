@@ -67,11 +67,11 @@ def check_lemniscate_routes() -> CheckResult:
     by_gamma = _varpi_gamma()
     by_integral = _varpi_integral()
     route_err = _rel(by_integral, by_gamma)
-    ok = route_err <= 1e-10 and abs(by_gamma - 2.62) <= 0.01
+    ok = route_err <= 1e-10 and abs(by_integral - 2.62) <= 0.01
     return CheckResult(
         "lemniscate_routes",
         ok,
-        f"varpi={by_gamma!r}, route agreement={route_err:.2e}",
+        f"varpi={by_integral!r}, route agreement={route_err:.2e}",
     )
 
 

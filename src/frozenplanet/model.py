@@ -33,19 +33,19 @@ def gamma_of_mu(mu: float) -> float:
 def mu_of_gamma(gamma: float) -> float:
     """Inverse of :func:`gamma_of_mu`: mu = ((gamma + 1) / gamma)**2.
 
-    Defined for gamma > 0, where it is the exact inverse (the map is
-    singular at gamma = 0 and loses its meaning for negative gamma).
+    Defined for finite gamma > 0, where it is the exact inverse (the map
+    is singular at gamma = 0 and loses its meaning for negative gamma).
     """
-    if gamma <= 0.0:
-        raise DomainError(f"mu_of_gamma requires gamma > 0, got {gamma!r}")
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"mu_of_gamma requires a finite gamma > 0, got {gamma!r}")
     r = (gamma + 1.0) / gamma
     return r * r
 
 
 def qbar2_of(gamma: float, qbar1: float) -> float:
     """Outer-electron rest position qbar2 = (gamma + 1) * qbar1."""
-    if qbar1 <= 0.0:
-        raise DomainError(f"qbar2_of requires qbar1 > 0, got {qbar1!r}")
+    if not 0.0 < qbar1 < math.inf:
+        raise DomainError(f"qbar2_of requires a finite qbar1 > 0, got {qbar1!r}")
     return (gamma + 1.0) * qbar1
 
 
@@ -56,10 +56,10 @@ def kappa_of(gamma: float, qbar1: float) -> float:
     outer electron (kappa > 0), exactly touches it (kappa = 0), or stays
     short (kappa < 0).
     """
-    if gamma == 0.0:
-        raise DomainError("kappa_of requires gamma != 0")
-    if qbar1 <= 0.0:
-        raise DomainError(f"kappa_of requires qbar1 > 0, got {qbar1!r}")
+    if not (math.isfinite(gamma) and gamma != 0.0):
+        raise DomainError(f"kappa_of requires a finite gamma != 0, got {gamma!r}")
+    if not 0.0 < qbar1 < math.inf:
+        raise DomainError(f"kappa_of requires a finite qbar1 > 0, got {qbar1!r}")
     return 2.0 / (gamma * gamma * qbar1) - 1.0
 
 
@@ -94,8 +94,8 @@ def q1_extrema(gamma: float, qbar1: float) -> tuple[float, float]:
     q1antimax = sigma_minus * qbar1 / 2 < 0 is the spurious second root of
     the same energy relation.  Their ratio parametrizes every moment integral.
     """
-    if qbar1 <= 0.0:
-        raise DomainError(f"q1_extrema requires qbar1 > 0, got {qbar1!r}")
+    if not 0.0 < qbar1 < math.inf:
+        raise DomainError(f"q1_extrema requires a finite qbar1 > 0, got {qbar1!r}")
     plus, minus = sigma_pair(gamma, qbar1)
     return 0.5 * plus * qbar1, 0.5 * minus * qbar1
 
@@ -106,8 +106,8 @@ def q1max_of_kappa(kappa: float, gamma: float, qbar1: float) -> float:
     Same amplitude as ``q1_extrema(...)[0]`` but parametrized by kappa;
     uses mu * gamma**2 = (gamma + 1)**2 so mu never has to be formed.
     """
-    if qbar1 <= 0.0:
-        raise DomainError(f"q1max_of_kappa requires qbar1 > 0, got {qbar1!r}")
+    if not 0.0 < qbar1 < math.inf:
+        raise DomainError(f"q1max_of_kappa requires a finite qbar1 > 0, got {qbar1!r}")
     b = gamma * gamma * kappa * qbar1 * qbar1
     gp1q = (gamma + 1.0) * qbar1
     w = math.hypot(b, 2.0 * gp1q)

@@ -196,16 +196,6 @@ def _grid_values(a: float, cc_nodes: np.ndarray) -> np.ndarray:
     return h_grid
 
 
-def _time_grid(a: float, half: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform angles k * pi / (2 half), k = 0..half, and H at each of them.
-
-    The grid a rebuild with 2 half samples builds, for checks against the
-    closed-form time map.
-    """
-    layout = _layout(2 * half)
-    return layout.grid, _grid_values(a, layout.cc_nodes)
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled period of the regularized orbit on a uniform scaled-time grid.

@@ -19,11 +19,11 @@ At b = 0 the moments are exactly 2 and 4/3.  For b >= 4 the expansion of
 
 summed in Horner form.  Every branch stays within a few units of rounding
 of a 40-digit evaluation, from b = 1e-300 to b = 1e25.  The time map, the
-incomplete form of I_{1/2}, is one array-valued evaluation of R_D from the
-same duplication loop, cut to the six steps its arguments need.  It serves
-time_integral and, through it, the tests' independent reference for the
-trajectory rebuild, which builds its own angle grid from a Gauss rule and
-takes G(1) = I_{1/2} / 2 from the moment (:mod:`frozenplanet.orbit`).
+incomplete form of I_{1/2}, is R_D from the same kernel, written once for
+floats and arrays alike.  It serves time_integral and, through it, the
+tests' independent reference for the trajectory rebuild, which builds its
+own angle grid from a Gauss rule and takes G(1) = I_{1/2} / 2 from the
+moment (:mod:`frozenplanet.orbit`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import sigma_pair
-from .specialfn import _carlson_rd, carlson_rf_rd
+from .specialfn import carlson_rf_rd
 
 # Below this b the moments equal their b = 0 values to far below rounding
 # (they differ by O(b log(1/b))), while R_D(0, 1 + b, b) ~ 3/b would
@@ -136,66 +136,38 @@ def period(gamma: float, qbar1: float) -> float:
     return math.sqrt(2.0) * gamma * qbar1 * math.sqrt(q1max) * i_half
 
 
-# Duplication steps of the time map's R_D; the bound in _time_map's
-# docstring shows that six suffice for its arguments.
-_TIME_MAP_STEPS = 6
+def _h(b, s, cc):
+    """Time map H(p) = int_0^p cos(t)**2 / sqrt(cos(t)**2 + b) dt.
+
+    Takes s = sin p and cc = cos(p)**2 as Python floats or NumPy arrays,
+    touched only by arithmetic and ``** 0.5``, and b = -a, a finite float
+    >= 0.  With m = 1 / (1 + b) and Delta**2 = m (cc + b),
+    H = (E(p|m) - (1 - m) F(p|m)) / sqrt(m) in Legendre's incomplete
+    integrals; DLMF 19.25.10 writes this difference as a sum of two
+    positive terms,
+
+        H = s sqrt(cc) / sqrt(cc + b) + (b m**(3/2) / 3) s**3 R_D(cc, 1, Delta**2),
+
+    so no cancellation occurs as b -> 0, where F and E - F each grow like
+    log(1/b) near p = pi/2.  Below _B_NEGLIGIBLE, as for the moments, H
+    equals its b = 0 value sin p to far below rounding, while R_D ~ 1/b
+    would overflow at p = pi/2.  The weight is formed as (b m) sqrt(m),
+    since m**(3/2) underflows once b exceeds about 1e205.
+    """
+    if b < _B_NEGLIGIBLE:
+        return s
+    m = 1.0 / (1.0 + b)
+    rd = carlson_rf_rd(cc, 1.0, m * (cc + b))[1]
+    return s * cc**0.5 / (cc + b) ** 0.5 + (b * m * m**0.5 / 3.0) * s**3 * rd
 
 
 def _time_map(a: float, p: np.ndarray) -> np.ndarray:
-    """H(p) = G(sin p) = int_0^p cos(s)**2 / sqrt(cos(s)**2 - a) ds, elementwise.
+    """H(p) = G(sin p) elementwise, for angles ``p`` in [0, pi/2] (see ``_h``).
 
-    ``p`` holds angles in [0, pi/2] and ``a`` is finite and <= 0; callers
-    check both.  With b = -a, m = 1 / (1 + b) and Delta**2 = m (cos(p)**2 + b),
-    H = (E(p|m) - (1 - m) F(p|m)) / sqrt(m) in Legendre's incomplete
-    integrals; DLMF 19.25.10 writes this difference as a sum of two positive
-    terms,
-
-        H = sin p cos p / sqrt(cos(p)**2 + b)
-            + (b m**(3/2) / 3) sin(p)**3 R_D(cos(p)**2, 1, Delta**2),
-
-    so no cancellation occurs as b -> 0, where F and E - F each grow like
-    log(1/b) near p = pi/2.  At b = 0, H = sin p.  The weight is formed as
-    (b m) sqrt(m), since m**(3/2) underflows once b exceeds about 1e205.
-
-    Six duplication steps bound the truncation error of R_D's series below
-    a third of a unit of rounding of H, for every p and every b > 0.  With
-    c = cos p and s = sin p the arguments x0 = c**2, y0 = 1, z0 = Delta**2
-    satisfy x0 <= z0 <= y0, z0 in (0, 1], and a step keeps that order.
-    After n steps:
-
-    * y_n - x_n = 4**-n s**2 <= 4**-n.  x_n rises and y_n falls to the
-      common limit L = R_F(x0, y0, z0)**-2 (a step leaves R_F unchanged),
-      and R_F(x0, y0, z0) <= R_F(0, 1, z0) <= 1 + asinh(z0**(-1/2)), from
-      splitting its integral at t = 1.  So x_n >= l - 4**-n with
-      l = (1 + asinh(z0**(-1/2)))**-2, and from the first two steps
-      x_n >= z0**(1/4) / 16 once n >= 2; let x_lo be the larger bound.
-    * The series stands in for 4**-n R_D(x_n, y_n, z_n).  Its offsets are
-      at most e = 4**-n / x_lo, and by Carlson's expansion (DLMF 19.19)
-      the terms of degree 6 and up sum to at most
-      (3/2)_6 / 6! * e**6 (1 - e)**-7.5 * x_lo**(-3/2), with
-      (3/2)_6 / 6! = 2.93, when e < 1.  Offsets never exceed 4, so the
-      series is at most sum_{N <= 5} (3/2)_N / N! 4**N = 3579 times
-      A_n**(-3/2), and with R_D(x_n, y_n, z_n) <= x_n**(-3/2) the error
-      is at most (1 + 3579) x_lo**(-3/2) in any case.
-    * The first term of H is >= 0, so H >= (b m**(3/2) / 3) s**3 R_D, and
-      R_D(x0, y0, z0) >= max(1, 3 / (4 z0)): every argument is at most 1,
-      and the first duplication term alone is 3 / (sqrt(z0) (z0 + lam))
-      with lam <= 3 sqrt(z0).
-
-    The relative error of H is therefore at most 4**-n times the smaller
-    series bound over max(1, 3 / (4 z0)), a function of z0 alone.  For
-    n = 6 its largest value over z0 in (0, 1] is 3.1e-17, near z0 = 6e-6;
-    for n = 5 it is 3.5e-12.
+    ``a`` is finite and <= 0; callers check both.
     """
-    if a == 0.0:
-        return np.sin(p)
-    b = -a
-    m = 1.0 / (1.0 + b)
-    s = np.sin(p)
     c = np.cos(p)
-    cc = c * c
-    rd = _carlson_rd(cc, 1.0, m * (cc + b), _TIME_MAP_STEPS)[0]
-    return s * c / np.sqrt(cc + b) + (b * m * m**0.5 / 3.0) * s**3 * rd
+    return _h(-a, np.sin(p), c * c)
 
 
 def time_integral(a: float, upper: float) -> float:
@@ -203,10 +175,10 @@ def time_integral(a: float, upper: float) -> float:
 
     Monotone increasing in ``upper`` on [0, 1]; G(U)/(2*G(1)) is the scaled
     time at which the inner electron passes q1 = q1max * (1 - U**2).
-    Evaluated by ``_time_map`` at the single angle p = asin(upper).
+    Evaluated by ``_h`` at sin p = upper and cos(p)**2 = (1 - upper)(1 + upper).
     """
     if not -math.inf < a <= 0.0:
         raise DomainError(f"time integral requires a finite a <= 0, got a={a!r}")
     if not 0.0 <= upper <= 1.0:
         raise DomainError(f"time integral requires 0 <= upper <= 1, got {upper!r}")
-    return float(_time_map(a, np.array([math.asin(upper)]))[0])
+    return float(_h(-a, upper, (1.0 - upper) * (1.0 + upper)))

@@ -50,6 +50,12 @@ def test_mu_of_gamma_rejects_nonpositive():
         mu_of_gamma(-1.0)
 
 
+def test_mu_of_gamma_rejects_nonfinite():
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            mu_of_gamma(gamma)
+
+
 def test_mu_gamma_roundtrip_on_log_grid():
     mus = np.geomspace(1.001, 1e3, 200)
     for mu in mus:
@@ -71,6 +77,12 @@ def test_qbar2_of():
         qbar2_of(1.0, 0.0)
 
 
+def test_qbar2_of_rejects_nonfinite_qbar1():
+    for qbar1 in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            qbar2_of(1.0, qbar1)
+
+
 def test_kappa_of_examples():
     # kappa = 2 / (gamma^2 qbar1) - 1; at gamma = 1, qbar1 = 2 it vanishes.
     assert kappa_of(1.0, 2.0) == pytest.approx(0.0, abs=1e-15)
@@ -79,6 +91,12 @@ def test_kappa_of_examples():
         kappa_of(0.0, 1.0)
     with pytest.raises(DomainError):
         kappa_of(1.0, -1.0)
+
+
+def test_kappa_of_rejects_nonfinite():
+    for gamma, qbar1 in ((1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(DomainError):
+            kappa_of(gamma, qbar1)
 
 
 def test_sigma_pair_product_identity():
@@ -160,3 +178,15 @@ def test_q1max_sign_of_kappa_vs_qbar2():
 def test_q1max_of_kappa_zero_touches_qbar2():
     g, qb = 0.7, 1.3
     assert_allclose(q1max_of_kappa(0.0, g, qb), qbar2_of(g, qb), rtol=1e-14)
+
+
+def test_q1_extrema_rejects_nonfinite_qbar1():
+    for qbar1 in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            q1_extrema(1.0, qbar1)
+
+
+def test_q1max_of_kappa_rejects_nonfinite_qbar1():
+    for qbar1 in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            q1max_of_kappa(0.5, 1.0, qbar1)

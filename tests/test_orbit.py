@@ -296,13 +296,14 @@ def test_reconstruct_layout_cache(sol_mu2):
 
 def test_reconstruct_makes_no_time_map_call(monkeypatch):
     # The grid comes from the Gauss rule on H' and G(1) from the moments,
-    # so the closed-form time map is never evaluated on the way.
-    def refuse(a, p):
+    # so the closed-form time map is never evaluated on the way.  Its one
+    # formula, shared by _time_map and time_integral, is refused.
+    def refuse(b, s, cc):
         raise AssertionError("reconstruct evaluated the time map")
 
-    monkeypatch.setattr(quadrature, "_time_map", refuse)
+    monkeypatch.setattr(quadrature, "_h", refuse)
     # Also refused under its own name in orbit, should orbit import it again.
-    monkeypatch.setattr(orbit, "_time_map", refuse, raising=False)
+    monkeypatch.setattr(orbit, "_h", refuse, raising=False)
     for u in np.linspace(-12.0, 11.0, 47):
         sol = solve_orbit(1.0 + 10.0**u)
         for n in (16, 512, 4096):
@@ -316,7 +317,9 @@ def test_time_grid_against_time_map(n):
     # time map at every grid angle, and its end matches G(1) = I_{1/2} / 2.
     eps = np.finfo(float).eps
     for b in np.geomspace(0.5175, 2.25e24, 25):
-        grid, h_grid = orbit._time_grid(-b, n // 2)
+        layout = orbit._layout(n)
+        grid = layout.grid
+        h_grid = orbit._grid_values(-b, layout.cc_nodes)
         ref = _time_map(-b, grid)
         g_full = 0.5 * ratio_integrals(-b)[0]
         assert grid[-1] == 0.5 * math.pi

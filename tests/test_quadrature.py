@@ -5,7 +5,7 @@ a power series for large |a|).  Oracles used here, in decreasing order of
 independence:
 
 * closed Beta-function forms at a = -1 and elementary values at a = 0,
-  evaluated with ``math.gamma`` (the package ships its own gamma);
+  evaluated with ``math.gamma``;
 * 40-digit ``mpmath`` quadrature of the angle forms of the integrals;
 * Gauss-Jacobi quadrature with the (1-r)^(-1/2) endpoint weight built in,
   applied to the raw integrand r^k / sqrt(r - a) with no substitution at all;
@@ -31,7 +31,6 @@ from frozenplanet import (
     time_integral,
 )
 from frozenplanet.quadrature import _time_map
-from frozenplanet.specialfn import carlson_rf_rd
 
 # Frozen regression values (current double-precision build; independently
 # cross-checked against 30-digit arbitrary-precision evaluations).
@@ -76,15 +75,25 @@ def _mp_moment(b, k):
 
 
 def _mp_time_map(b, p):
-    """int_0^p cos^2 / sqrt(cos^2 + b) at 40 digits."""
+    """int_0^p cos^2 / sqrt(cos^2 + b) at 40 digits.
+
+    The integrand is scaled by sqrt(1 + b) so that it stays of order one,
+    since mpmath's quadrature judges its error in absolute terms."""
     with mpmath.workdps(40):
         b = mpmath.mpf(b)
+        scale = mpmath.sqrt(1 + b)
 
         def integrand(s):
             cc = mpmath.cos(s) ** 2
-            return cc / mpmath.sqrt(cc + b)
+            return cc * scale / mpmath.sqrt(cc + b)
 
-        return mpmath.quad(integrand, [0, p])
+        return mpmath.quad(integrand, [0, p]) / scale
+
+
+def _mp_time_integral(b, u):
+    """G(u) at 40 digits: the time map at p = asin(u)."""
+    with mpmath.workdps(40):
+        return _mp_time_map(b, mpmath.asin(mpmath.mpf(u)))
 
 
 def _rel_mp(value, ref):
@@ -108,21 +117,6 @@ def test_time_map_against_mpmath():
         assert h[0] == 0.0
         for h_i, p_i in zip(h[1:], p[1:]):
             assert _rel_mp(h_i, _mp_time_map(b, p_i)) <= 32 * EPS, (b, p_i)
-
-
-def test_time_map_matches_twelve_step_kernel():
-    # The time map runs six duplication steps (the bound is in its
-    # docstring); the general twelve-step kernel agrees to rounding over
-    # b from 1e-300 to 1e300, p = pi/2 included.
-    p = np.linspace(0.0, 0.5 * math.pi, 257)
-    b = np.geomspace(1e-300, 1e300, 1201)[:, None]
-    s, c = np.sin(p), np.cos(p)
-    cc = c * c
-    m = 1.0 / (1.0 + b)
-    rd = carlson_rf_rd(cc, 1.0, m * (cc + b))[1]
-    ref = s * c / np.sqrt(cc + b) + (b * m * np.sqrt(m) / 3.0) * s**3 * rd
-    h = np.array([_time_map(-b_i, p) for b_i in b[:, 0]])
-    assert_allclose(h, ref, rtol=4 * EPS, atol=0.0)
 
 
 def test_time_map_huge_b():
@@ -270,6 +264,23 @@ def test_period_rejects_bad_qbar1():
         period(1.0, 0.0)
     with pytest.raises(DomainError):
         period(1.0, -1.0)
+
+
+def test_time_integral_against_time_map_and_mpmath():
+    # time_integral runs the float form of the time map (sin p = u,
+    # cos(p)**2 = (1 - u)(1 + u)) and returns a Python float.  It agrees
+    # with the array form at p = asin(u) and with 40-digit mpmath, from the
+    # subnormal range to b = 1e300.
+    for b in B_VALUES + (1e300,):
+        for u in (0.0, 1e-8, 0.5, 0.99999, 1.0):
+            g = time_integral(-b, u)
+            assert type(g) is float
+            h = float(_time_map(-b, np.array([math.asin(u)]))[0])
+            assert abs(g - h) <= 4 * EPS * h, (b, u)
+            if u == 0.0:
+                assert g == 0.0
+            else:
+                assert _rel_mp(g, _mp_time_integral(b, u)) <= 32 * EPS, (b, u)
 
 
 def test_time_integral_endpoints():

@@ -1,13 +1,14 @@
 """Tests for the special functions (gamma, beta, Carlson R_F/R_D, lemniscate constant).
 
-Expected values come from closed forms evaluated with ``math.gamma`` (which
-the package deliberately does not use internally), from SciPy's
-``elliprf``/``elliprd`` and from a 30-digit arbitrary-precision evaluation
-of the defining integrals, frozen below.
+``gamma_fn`` is ``math.gamma`` behind a domain check, so Gamma is checked
+against 40-digit ``mpmath``.  Other expected values come from closed forms,
+from SciPy's ``elliprf``/``elliprd`` and from a 30-digit arbitrary-precision
+evaluation of the defining integrals, frozen below.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -25,6 +26,7 @@ from frozenplanet.specialfn import _varpi_gamma, _varpi_integral, carlson_rf_rd
 
 # 2.62205755429211981046... frozen from mpmath.
 VARPI_REF = 2.6220575542921198
+EPS = float(np.finfo(float).eps)
 
 
 def test_gamma_half_is_sqrt_pi():
@@ -39,11 +41,23 @@ def test_gamma_recurrence_at_7_4():
     assert_allclose(gamma_fn(7 / 4), 0.75 * gamma_fn(0.75), rtol=1e-14)
 
 
-def test_gamma_matches_stdlib_on_unit_window():
-    xs = np.linspace(0.25, 2.0, 801)
-    ours = np.array([gamma_fn(x) for x in xs])
-    ref = np.array([math.gamma(x) for x in xs])
-    assert_allclose(ours, ref, rtol=1e-13)
+def _gamma_error(x):
+    """|gamma_fn(x) / Gamma(x) - 1| in units of eps, Gamma at 40 digits."""
+    with mpmath.workdps(40):
+        ref = mpmath.gamma(mpmath.mpf(x))
+        return float(abs(mpmath.mpf(gamma_fn(x)) - ref) / ref) / EPS
+
+
+def test_gamma_against_mpmath():
+    # Quarter-integers up to 4, where the lemniscatic constant and the Beta
+    # reductions of the moments take Gamma; then x from 1e-300 up to 171,
+    # where Gamma(171) = 7.257e306 is still below the largest double.
+    for x in np.arange(1, 17) / 4.0:
+        assert _gamma_error(float(x)) <= 4.0, x
+    xs = np.concatenate((np.geomspace(1e-300, 1.0, 60), np.linspace(0.01, 171.0, 300)))
+    for x in xs:
+        assert _gamma_error(float(x)) <= 8.0, x
+    assert type(gamma_fn(171.0)) is float
 
 
 def test_gamma_recurrence_random():
@@ -60,6 +74,14 @@ def test_gamma_duplication_identity():
 
 def test_gamma_rejects_nonpositive():
     for x in (0.0, -1.0, -0.5):
+        with pytest.raises(DomainError):
+            gamma_fn(x)
+
+
+def test_gamma_rejects_nonfinite_and_overflow():
+    # NaN and inf are outside the domain; Gamma overflows a double above
+    # x = 171.62 and below x = 5.6e-309.
+    for x in (math.nan, math.inf, 171.7, 1e10, 5e-309, 5e-324):
         with pytest.raises(DomainError):
             gamma_fn(x)
 
@@ -85,6 +107,13 @@ def test_beta_rejects_nonpositive():
         beta_fn(0.0, 1.0)
     with pytest.raises(DomainError):
         beta_fn(1.0, -2.0)
+
+
+def test_beta_rejects_nonfinite_and_overflow():
+    # Gamma(a + b) overflows at a + b = 200.5 even though B(200, 1/2) is finite.
+    for a, b in ((math.inf, 1.0), (1.0, math.nan), (math.nan, math.nan), (200.0, 0.5)):
+        with pytest.raises(DomainError):
+            beta_fn(a, b)
 
 
 def _assert_carlson_matches_scipy(x, y, z):
@@ -128,6 +157,16 @@ def test_carlson_scalar_and_array_agree():
 
 def test_lemniscate_value():
     assert_allclose(lemniscate_constant(), VARPI_REF, rtol=1e-12)
+
+
+def test_lemniscate_returns_the_closer_route():
+    # VARPI_REF is the correctly rounded double.  The arc-length route lands
+    # one double above it (0.57 units of rounding from the true value), the
+    # Gamma route two doubles above it.
+    v = lemniscate_constant()
+    assert v == _varpi_integral()
+    assert abs(v - VARPI_REF) <= math.ulp(VARPI_REF)
+    assert abs(v - VARPI_REF) <= abs(_varpi_gamma() - VARPI_REF)
 
 
 def test_lemniscate_routes_agree():
