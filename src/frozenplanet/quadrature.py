@@ -106,7 +106,11 @@ def big_f(gamma: float, x: float) -> float:
     values are clamped to 0.
     """
     plus, minus = sigma_pair(gamma, x)
-    if plus <= 0.0:
+    if not plus > 0.0:
+        if not (math.isfinite(gamma) and math.isfinite(x)):
+            raise DomainError(
+                f"shape functional requires a finite gamma and x, got gamma={gamma!r}, x={x!r}"
+            )
         raise DomainError(
             f"shape functional undefined where sigma_plus <= 0 (gamma={gamma!r}, x={x!r})"
         )
@@ -125,8 +129,10 @@ def period(gamma: float, qbar1: float) -> float:
     (gamma, qbar1) is built into the sigma roots, so only those two
     arguments are needed.
     """
-    if qbar1 <= 0.0:
-        raise DomainError(f"period requires qbar1 > 0, got {qbar1!r}")
+    if not math.isfinite(gamma):
+        raise DomainError(f"period requires a finite gamma, got gamma={gamma!r}")
+    if not 0.0 < qbar1 < math.inf:
+        raise DomainError(f"period requires a finite qbar1 > 0, got qbar1={qbar1!r}")
     plus, minus = sigma_pair(gamma, qbar1)
     if plus <= 0.0:
         raise DomainError(f"period undefined where sigma_plus <= 0 (gamma={gamma!r})")

@@ -3,12 +3,30 @@
 For every mu > 1 the orbit's mean inner position qbar1 is the unique root
 of F(gamma(mu), x) = 2, with F strictly decreasing in x.  Bisection on a
 bracket grown by doubling is therefore globally safe; no derivative of F
-is needed.  The doubling has no cap: qbar1 grows like 1.33 mu, so the
-bracket covers every charge whose orbit mean lies below 2**1023, up to mu
-of about 6.7e307.  Its trial points are the same powers of two for every
-charge, which keeps the solved qbar1 non-decreasing in mu.  The period
-eta grows like 3.63 mu and passes the largest double first, from mu of
-about 4.95e307, so a solve succeeds up to there.
+is needed.
+
+The doubling starts at a closed-form lower bound of the root.  F is
+sigma_plus * R with R = I_{3/2} / I_{1/2} in [2/3, 3/4], and sigma_plus
+falls with x through 3 at x_lo = (3 + 4 (gamma + 1)**2) / (6 gamma**2).
+Left of x_lo, sigma_plus > 3 and R >= 2/3, so F > 2 and the root lies
+right of x_lo.  The bracket therefore starts at the largest power of two
+not above x_lo, or at [1e-8, 1] when x_lo < 1, and doubles from there.
+Every power of two it skips lies left of the root, so a doubling from 1
+steps past each of them: the final bracket [2**(k-1), 2**k] and every
+bisection midpoint are the ones a start at 1 reaches.  The trial points
+are thus the same powers of two for every charge, which keeps the solved
+qbar1 non-decreasing in mu.
+
+Likewise sigma_plus = 8/3 at x_hi = (2/3 + 3 (gamma + 1)**2 / 4) / gamma**2,
+where F < 2, and x_hi / x_lo <= 17/14 puts the root below 4 lo: at most
+three F calls precede the bisection at any charge, and a solve makes
+about 34 in all (never more than 36 over 28,000 charges from
+mu = 1 + 1e-12 to 4.9e307).
+
+The doubling has no cap: qbar1 grows like 1.33 mu, so the bracket covers
+every charge whose orbit mean lies below 2**1023, up to mu of about
+6.7e307.  The period eta grows like 3.63 mu and passes the largest double
+first, from mu of about 4.95e307, so a solve succeeds up to there.
 """
 
 from __future__ import annotations
@@ -21,6 +39,7 @@ from .model import gamma_of_mu, kappa_of, q1_extrema, qbar2_of, sigma_pair
 from .quadrature import big_f, period
 
 _X_LO = 1e-8
+_X_TOP = 2.0**1023
 _WIDTH_STOP = 1e-14
 
 
@@ -46,8 +65,8 @@ class OrbitSolution:
 
 def fixpoint_residual(mu: float, x: float) -> float:
     """Signed defect F(gamma(mu), x) - 2; positive left of the root."""
-    if x <= 0.0:
-        raise DomainError(f"fixpoint_residual requires x > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"fixpoint_residual requires a finite x > 0, got x={x!r}")
     return big_f(gamma_of_mu(mu), x) - 2.0
 
 
@@ -59,18 +78,36 @@ def _failure(message: str, mu: float, gamma: float, x: float, evals: int) -> Con
     )
 
 
+def _bracket_start(gamma: float) -> tuple[float, float]:
+    """Initial bracket (lo, hi) of the doubling, with lo left of the root.
+
+    lo is the largest power of two not above x_lo (see the module
+    docstring), capped at 2**1023, and hi = 2 lo; below x_lo = 1 the
+    bracket is [1e-8, 1].
+    """
+    gp1 = gamma + 1.0
+    x_lo = (3.0 + 4.0 * gp1 * gp1) / (6.0 * gamma * gamma)
+    if x_lo < 1.0:
+        return _X_LO, 1.0
+    lo = math.ldexp(0.5, math.frexp(min(x_lo, _X_TOP))[1])
+    return lo, 2.0 * lo
+
+
 def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     """Solve F(gamma(mu), x) = 2 for the orbit mean and assemble the orbit.
 
     ``tol`` bounds the accepted |F - 2| and must lie in [1e-14, 1e-6].
-    The bracket starts at [1e-8, 1] and the upper end doubles until the
-    residual turns negative; bisection then runs until the residual meets
-    ``tol``.  :class:`ConvergenceError` is raised when the upper end
-    overflows to infinity (the orbit mean exceeds 2**1023, from mu of
-    about 6.7e307), when the relative interval width falls below 1e-14
-    before the residual meets ``tol``, or when the period of the solved
-    orbit is not finite (it exceeds the largest double from mu of about
-    4.95e307).
+    The bracket starts at the largest power of two not above the
+    closed-form lower bound x_lo of the root, or at [1e-8, 1] when
+    x_lo < 1, and the upper end doubles until the residual turns negative;
+    bisection then runs until the residual meets ``tol``.  At most three
+    F calls precede the bisection, and a solve takes about 34 at the
+    default ``tol`` whatever the charge.  :class:`ConvergenceError` is
+    raised when the upper end overflows to infinity (the orbit mean
+    exceeds 2**1023, from mu of about 6.7e307), when the relative interval
+    width falls below 1e-14 before the residual meets ``tol``, or when the
+    period of the solved orbit is not finite (it exceeds the largest
+    double from mu of about 4.95e307).
     """
     if not 1e-14 <= tol <= 1e-6:
         raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
@@ -79,18 +116,14 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     def f(x: float) -> float:
         return big_f(gamma, x) - 2.0
 
-    lo = _X_LO
+    lo, hi = _bracket_start(gamma)
     if f(lo) <= 0.0:
         raise _failure(
             f"no sign change available: F(gamma, {lo!r}) <= 2 for mu={mu!r}",
             mu, gamma, lo, 1,
         )
-    hi = 1.0
-    f_hi = f(hi)
-    evals = 2
-    while f_hi >= 0.0:
-        lo = hi
-        hi *= 2.0
+    evals = 1
+    while True:
         if math.isinf(hi):
             raise _failure(
                 f"bracket for the orbit mean overflowed past {lo!r} for mu={mu!r}",
@@ -98,6 +131,10 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
             )
         f_hi = f(hi)
         evals += 1
+        if f_hi < 0.0:
+            break
+        lo = hi
+        hi *= 2.0
 
     while True:
         mid = 0.5 * (lo + hi)

@@ -35,12 +35,19 @@ def gamma_fn(x: float) -> float:
 def beta_fn(a: float, b: float) -> float:
     """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for finite a, b > 0.
 
-    Raises :class:`DomainError` wherever one of the three Gamma values
-    overflows, as for a + b above about 171.62.
+    The larger of Gamma(a) and Gamma(b) is divided by Gamma(a + b) before
+    the product is formed, so a finite B does not overflow on the way:
+    beta_fn(1e-300, 171.0) is about 1e300.  Raises :class:`DomainError`
+    wherever one of the three Gamma values overflows, as for a + b above
+    about 171.62, and where B itself overflows.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError(f"beta_fn requires finite a, b > 0, got a={a!r}, b={b!r}")
-    return gamma_fn(a) * gamma_fn(b) / gamma_fn(a + b)
+    small, large = sorted((gamma_fn(a), gamma_fn(b)))
+    result = large / gamma_fn(a + b) * small
+    if math.isinf(result):
+        raise DomainError(f"beta_fn({a!r}, {b!r}) overflows a double")
+    return result
 
 
 # Duplication steps of carlson_rf_rd, the one step count for every caller.

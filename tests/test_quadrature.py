@@ -245,6 +245,14 @@ def test_big_f_degenerate_amplitude_raises():
         big_f(-1.0, 3.0)
 
 
+def test_big_f_rejects_nonfinite_arguments():
+    # The error names the non-finite argument given, not the moment
+    # argument a = nan that a NaN would otherwise reach.
+    for gamma, x in ((1.0, math.nan), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(DomainError, match=f"finite gamma and x, got gamma={gamma!r}, x={x!r}"):
+            big_f(gamma, x)
+
+
 def test_big_f_decreasing_in_x():
     xs = np.linspace(0.1, 20.0, 20)
     vals = [big_f(1.0, float(x)) for x in xs]
@@ -260,10 +268,16 @@ def test_period_positive_and_scales():
 
 
 def test_period_rejects_bad_qbar1():
-    with pytest.raises(DomainError):
-        period(1.0, 0.0)
-    with pytest.raises(DomainError):
-        period(1.0, -1.0)
+    # The error names the qbar1 the caller passed, NaN included.
+    for qbar1 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"finite qbar1 > 0, got qbar1={qbar1!r}"):
+            period(1.0, qbar1)
+
+
+def test_period_rejects_nonfinite_gamma():
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"finite gamma, got gamma={gamma!r}"):
+            period(gamma, 1.0)
 
 
 def test_time_integral_against_time_map_and_mpmath():

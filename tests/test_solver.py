@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from frozenplanet import (
@@ -21,6 +23,7 @@ from frozenplanet import (
     solve_orbit,
 )
 from frozenplanet import solver
+from frozenplanet.solver import OrbitSolution
 
 # Frozen regression values from the current build (defect |F - 2| <= 1e-10;
 # the induced parameter uncertainty is well below the 1e-9 tolerances used).
@@ -92,16 +95,18 @@ def test_solve_orbit_large_mu():
 
 
 def test_solve_orbit_failures_carry_context(monkeypatch):
-    # At mu = 1e308 the orbit mean (about 1.33 mu) exceeds 2**1023: the
-    # bracket doubles from x = 1 until 2**1024 overflows, so the last
-    # estimate is 2**1023 after F at 1e-8, 1, 2, ..., 2**1023.
+    # At mu = 1e308 the orbit mean (about 1.33 mu) exceeds 2**1023, and so
+    # does its closed-form lower bound (about 1.17 mu): the bracket starts
+    # at 2**1023, whose double overflows, so the last estimate is 2**1023
+    # after the one F call there.
     with pytest.raises(ConvergenceError, match="bracket for the orbit mean overflowed") as info:
         solve_orbit(1e308)
     exc = info.value
-    assert (exc.mu, exc.last, exc.iterations) == (1e308, 2.0**1023, 1025)
+    assert (exc.mu, exc.last, exc.iterations) == (1e308, 2.0**1023, 1)
     assert -1.0 < exc.a <= 0.0
 
-    monkeypatch.setattr(solver, "_X_LO", 100.0)  # right of the root at mu = 2
+    # A bracket that starts right of the root at mu = 2.
+    monkeypatch.setattr(solver, "_bracket_start", lambda gamma: (100.0, 200.0))
     with pytest.raises(ConvergenceError, match="no sign change") as info:
         solve_orbit(2.0)
     exc = info.value
@@ -133,7 +138,7 @@ def test_solve_orbit_period_overflow():
     exc = info.value
     assert exc.mu == 5e307
     assert math.isfinite(exc.last) and exc.last > 5e307
-    assert exc.iterations > 1000
+    assert exc.iterations == 33
     assert -1.0 < exc.a < 0.0
 
 
@@ -171,10 +176,10 @@ def test_fixpoint_residual_strictly_decreasing():
 
 
 def test_fixpoint_residual_rejects_nonpositive_x():
-    with pytest.raises(DomainError):
-        fixpoint_residual(2.0, 0.0)
-    with pytest.raises(DomainError):
-        fixpoint_residual(2.0, -1.0)
+    # The error names the x the caller passed, NaN included.
+    for x in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"finite x > 0, got x={x!r}"):
+            fixpoint_residual(2.0, x)
 
 
 def test_unique_root_on_dense_grid():
@@ -184,3 +189,95 @@ def test_unique_root_on_dense_grid():
     signs = np.array([fixpoint_residual(4.0, float(x)) > 0.0 for x in xs])
     flips = int(np.sum(signs[:-1] != signs[1:]))
     assert flips == 1
+
+
+def _x_lo(gamma):
+    """Mean at which sigma_plus = 3: F > 2 left of it, so the root lies right."""
+    return (3.0 + 4.0 * (gamma + 1.0) ** 2) / (6.0 * gamma**2)
+
+
+def _x_hi(gamma):
+    """Mean at which sigma_plus = 8/3: F <= 2 right of it."""
+    return (2.0 / 3.0 + 0.75 * (gamma + 1.0) ** 2) / gamma**2
+
+
+def _solve_doubling_from_one(mu, tol=1e-10):
+    """solve_orbit's bisection on a bracket that starts at [1e-8, 1] and doubles from x = 1."""
+    gamma = gamma_of_mu(mu)
+
+    def f(x):
+        return big_f(gamma, x) - 2.0
+
+    lo, hi = 1e-8, 1.0
+    assert f(lo) > 0.0
+    while f(hi) >= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if abs(f_mid) <= tol:
+            break
+        assert hi - lo >= 1e-14 * mid
+        if f_mid > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    q1max, q1antimax = q1_extrema(gamma, mid)
+    return OrbitSolution(
+        mu=mu,
+        gamma=gamma,
+        qbar1=mid,
+        qbar2=qbar2_of(gamma, mid),
+        kappa=kappa_of(gamma, mid),
+        q1max=q1max,
+        q1antimax=q1antimax,
+        eta=period(gamma, mid),
+        fixpoint_residual=abs(f_mid),
+    )
+
+
+def test_closed_form_start_keeps_every_orbit():
+    # The bracket skips only powers of two left of the root, so the final
+    # bracket and every bisection midpoint are those of a doubling from 1:
+    # every field is bit-identical, over the whole solvable range and on
+    # consecutive doubles next to the ionization threshold.
+    charges = [1.0 + d for d in np.geomspace(1e-12, 4.9e307, 80)]
+    mu = 1.0 + 1e-12
+    for _ in range(200):
+        mu = math.nextafter(mu, 2.0)
+        charges.append(mu)
+    for mu in charges:
+        assert solve_orbit(mu) == _solve_doubling_from_one(mu), mu
+
+
+def test_solve_orbit_f_calls(monkeypatch):
+    # The closed-form start leaves at most three F calls before the
+    # bisection, so the count does not grow with the charge (a doubling
+    # from x = 1 makes 71 at mu = 1e11 and 1,030 at 1e300).
+    calls = []
+
+    def counted(gamma, x):
+        calls.append(x)
+        return big_f(gamma, x)
+
+    monkeypatch.setattr(solver, "big_f", counted)
+    for mu, expected in ((2.0, 33), (1e11, 34), (1e300, 33)):
+        calls.clear()
+        solve_orbit(mu)
+        assert len(calls) == expected, mu
+    for u in np.linspace(-12.0, 11.0, 24):
+        calls.clear()
+        solve_orbit(1.0 + 10.0**u)
+        assert len(calls) <= 36, u
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.floats(min_value=-12.0, max_value=300.0))
+def test_orbit_mean_enclosed_by_closed_forms(u):
+    # x_lo < root < x_hi holds exactly.  The solver accepts |F - 2| <= 1e-10,
+    # and where the root nears x_hi (mu -> 1, R -> 3/4) F falls like 1/x, so
+    # the accepted mean may lie up to about 5e-11 of itself past x_hi.
+    mu = 1.0 + 10.0**u
+    gamma = gamma_of_mu(mu)
+    qbar1 = solve_orbit(mu).qbar1
+    assert _x_lo(gamma) <= qbar1 <= _x_hi(gamma) * (1.0 + 1e-10)

@@ -114,6 +114,18 @@ def test_beta_rejects_nonfinite_and_overflow():
     for a, b in ((math.inf, 1.0), (1.0, math.nan), (math.nan, math.nan), (200.0, 0.5)):
         with pytest.raises(DomainError):
             beta_fn(a, b)
+    # B(1e-308, 1e-308) is about 2e308, past the largest double.
+    with pytest.raises(DomainError, match="overflows"):
+        beta_fn(1e-308, 1e-308)
+
+
+def test_beta_finite_where_gamma_product_overflows():
+    # Gamma(1e-300) * Gamma(171) is about 7e606, but B(1e-300, 171) is
+    # about 1e300: dividing before the product keeps it finite.
+    with mpmath.workdps(30):
+        expected = float(mpmath.beta(mpmath.mpf(1e-300), 171))
+    for a, b in ((1e-300, 171.0), (171.0, 1e-300)):
+        assert_allclose(beta_fn(a, b), expected, rtol=1e-14)
 
 
 def _assert_carlson_matches_scipy(x, y, z):
