@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +34,8 @@ _CONFIG_ENV = "FROZEN_PLANET_CONFIG"
 _CONFIG_KEYS = ("tol", "samples")
 
 _SCAN_HEADER = "mu,gamma,qbar1,qbar2,kappa,q1max,q1antimax,eta,class"
+# Trajectory rows formatted per block of CSV text.
+_CSV_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -97,18 +100,46 @@ def _manifest(command: str, parameters: dict, wall_time: float) -> dict:
     }
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_file(path: str, parts: Iterable[str]) -> None:
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            fh.writelines(parts)
     except OSError as exc:
         raise DomainError(f"cannot write output file {path!r}: {exc}") from exc
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(parts: Iterable[str], out_path: str | None) -> None:
+    """Write the text pieces ``parts``, in order, to stdout or ``out_path``."""
     if out_path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
-        _write_file(out_path, text)
+        _write_file(out_path, parts)
+
+
+def _splice_arrays(text: str, arrays: dict[str, np.ndarray]) -> list[str]:
+    """Pieces of the JSON ``text`` with each placeholder string replaced.
+
+    ``arrays`` maps placeholders, in the order they appear in ``text``, to
+    the arrays that stand there.  An indented ``json.dumps`` runs Python's
+    pure-Python encoder; each array is instead encoded on one line by the
+    C encoder, which writes the same float reprs.
+    """
+    parts = []
+    for slot, arr in arrays.items():
+        head, _, text = text.partition(json.dumps(slot))
+        parts += [head, json.dumps(arr.tolist())]
+    parts.append(text)
+    return parts
+
+
+def _trajectory_csv(t: np.ndarray, q1: np.ndarray, q2: float) -> Iterator[str]:
+    """The CSV rows t,q1,q2 under their header, in blocks of _CSV_BLOCK rows."""
+    yield "t,q1,q2\n"
+    q2_text = repr(q2)
+    for start in range(0, t.size, _CSV_BLOCK):
+        stop = start + _CSV_BLOCK
+        rows = zip(t[start:stop].tolist(), q1[start:stop].tolist())
+        yield "".join([f"{t_j!r},{q_j!r},{q2_text}\n" for t_j, q_j in rows])
 
 
 def _emit_sidecar_manifest(manifest: dict, out_path: str | None) -> None:
@@ -117,7 +148,7 @@ def _emit_sidecar_manifest(manifest: dict, out_path: str | None) -> None:
     if out_path in (None, "-"):
         sys.stderr.write(text)
     else:
-        _write_file(str(out_path) + ".manifest.json", text)
+        _write_file(str(out_path) + ".manifest.json", [text])
 
 
 def _cmd_solve(args: argparse.Namespace, settings: Settings) -> int:
@@ -154,18 +185,12 @@ def _cmd_solve(args: argparse.Namespace, settings: Settings) -> int:
                     "energy": residual_energy,
                 },
             },
-            "trajectory": {
-                "q2": traj.q2_const,
-                "t": traj.t.tolist(),
-                "q1": traj.q1.tolist(),
-            },
+            "trajectory": {"q2": traj.q2_const, "t": "@t@", "q1": "@q1@"},
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        text = json.dumps(payload, indent=2) + "\n"
+        _emit(_splice_arrays(text, {"@t@": traj.t, "@q1@": traj.q1}), args.out)
     else:
-        lines = ["t,q1,q2"]
-        for t_j, q_j in zip(traj.t, traj.q1):
-            lines.append(f"{float(t_j)!r},{float(q_j)!r},{traj.q2_const!r}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(_trajectory_csv(traj.t, traj.q1, traj.q2_const), args.out)
         _emit_sidecar_manifest(manifest, args.out)
     return 0
 
@@ -197,7 +222,7 @@ def _cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
         },
         time.perf_counter() - start,
     )
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     _emit_sidecar_manifest(manifest, args.out)
     return 0
 
@@ -217,7 +242,7 @@ def _cmd_threshold(args: argparse.Namespace, settings: Settings) -> int:
     }
     manifest = _manifest("threshold", {}, time.perf_counter() - start)
     payload = {"manifest": manifest, **payload_body}
-    _emit(json.dumps(payload, indent=2) + "\n", getattr(args, "out", None))
+    _emit([json.dumps(payload, indent=2) + "\n"], getattr(args, "out", None))
     return 0
 
 

@@ -17,15 +17,15 @@ incomplete elliptic integral, with
 which decreases on [0, pi/2], so H is concave and its inverse convex.
 The rebuild never evaluates the closed form of H (the quadrature
 module's time map, which serves time_integral).  On a uniform grid of
-n/2 + 1 angles, spaced pi/n, each cell's increment of H is the 8-point
-Gauss-Legendre rule on H', all cells in one array pass, and the grid
-values are the running sum of the increments.  A plain running sum of
-n/2 terms gathers rounding that grows with n: against bracketed root
-solves it moved samples by up to 3.7e-14 q1max at n = 4096 and 9.5e-14
-at n = 16384.  So the sum is compensated: TwoSum gives the exact rounding
-error of each addition, and the running sum of those errors is added
-back, which leaves every grid value within a few units of rounding of
-G(1).  The last value is set to G(1) = I_{1/2}(a) / 2 (substitute
+n/2 + 1 angles, spaced pi/n, each cell's increment of H is an m-point
+Gauss-Legendre rule on H', with m sized to the cell (below), all cells
+in one array pass, and the grid values are the running sum of the
+increments.  A plain running sum of n/2 terms gathers rounding that
+grows with n: against bracketed root solves it moved samples by up to
+3.7e-14 q1max at n = 4096 and 9.5e-14 at n = 16384.  So the sum is
+compensated: TwoSum gives the exact rounding error of each addition, and
+the running sum of those errors is added back, which leaves every grid
+value within a few units of rounding of G(1).  The last value is set to G(1) = I_{1/2}(a) / 2 (substitute
 r = 1 - u**2 in the moment), which keeps the targets exact where the
 last cell's rule is poor, at tiny non-physical b.  A sample whose target
 lies in the grid cell [p0, p0 + pi/n] solves
@@ -35,10 +35,15 @@ lies in the grid cell [p0, p0 + pi/n] solves
 with the integral taken by the same rule on [p0, p].  With b = -a, H' is
 analytic in the strip |Im s| < y = asinh(sqrt(b)): its nearest
 singularities sit at s = pi/2 +- i y, where cos(s)**2 = -b.  On physical
-orbits b runs from about 0.517 to 2.25e24, so y >= 0.66, while a cell is
-at most w = pi/16 wide.  The rule's relative error falls like
-(w / (4 y))**16, below 1e-18, far under rounding, on the grid cells and
-on Newton's intervals alike.
+orbits b runs from about 0.5175 to 2.25e24, so y >= 0.668.  On an
+interval of width w the m-point rule's relative error falls like
+(w / (4 y))**(2 m), the Bernstein-ellipse bound (Trefethen, "Is Gauss
+quadrature better than Clenshaw-Curtis?", SIAM Review 50, 2008).  With
+y = 0.665 the rebuild takes the rule with the fewest nodes, of 4 and 8,
+for which that bound stays below 1e-18, far under rounding, on cells of
+width w = pi/n, and so on Newton's shorter intervals too: 8 nodes below
+n = 212 (7.8e-19 at n = 16), 4 from n = 212 on (9.3e-19 there, 8.0e-22
+at n = 512).
 
 The seed is the cubic Hermite interpolant of the inverse p(H) on the
 sample's cell: it matches p at both cell ends and the slopes 1 / H'
@@ -63,22 +68,28 @@ so the step p += d + K d**2 leaves an error of about
 |H''' / (6 H') - 2 K**2| * |d|**3, and a sample has settled once that
 falls below eps * p, or once d falls below 4 eps * p or stops shrinking,
 which marks the rounding floor.  With c = cos(p), s = sin(p) and
-q = b / (c**2 + b),
+q = b / (c**2 + b) in [0, 1],
 
     K = tan(p) * (1 + q) / 2,
     H''' / H' = tan(p)**2 * q * (3 q - 1) - (1 + q),
 
 that is -(c**2 + 2 b) / (c**2 + b) + s**2 b (2 b - c**2) / (c**2 (c**2 + b)**2),
-in ratios that stay finite for every b.  The loop ends when every sample
-has settled.  From the Hermite seed one step settles every sample at
-n >= 512; at n = 16 and 64, where the cells are wider, it takes two
-(figures at _NEWTON_CAP).
+in ratios that stay finite for every b.  The error's coefficient then
+simplifies to
 
-The arrays that depend on n alone (the grid angles, cos**2 at the grid's
-Gauss nodes and at the grid angles, the target fractions k/n and the
-times) are built once per sample count and kept, read-only, for the
-last few counts up to 2**14 samples; a larger count builds them afresh
-and drops them when it returns.
+    |H''' / (6 H') - 2 K**2| = (tan(p)**2 * (7 q + 3) + 1 + q) / 6,
+
+where tan(p)**2 = (1 - c**2) / c**2 and q come from c**2, which the
+Newton block holds at p beside the Gauss nodes.  The loop ends when
+every sample has settled.  From the Hermite seed one step settles every
+sample at n >= 512; at n = 16 and 64, where the cells are wider, it
+takes two (figures at _NEWTON_CAP).
+
+The arrays that depend on n alone (the grid angles, the Gauss rule,
+cos**2 at the grid's Gauss nodes and at the grid angles, the target
+fractions k/n and the times) are built once per sample count and kept,
+read-only, for the last few counts up to 2**14 samples; a larger count
+builds them afresh and drops them when it returns.
 """
 
 from __future__ import annotations
@@ -101,46 +112,82 @@ _EPS = float(np.finfo(float).eps)
 # mu = 1 + 10**u, u in [-12, 11]; with a = 0 it took 2 at 16 and 1 from 64
 # on.
 _NEWTON_CAP = 60
-# Largest n_samples accepted: a rebuild peaks at about 22 floats per sample
-# (180 MB at 2**20), of which its layout holds 6.5 (52 bytes per sample).
+# Largest n_samples accepted: a rebuild peaks at about 15 floats per sample
+# (123 MB at 2**20), of which its layout holds 4.5 (36 bytes per sample).
 _MAX_SAMPLES = 2**20
 # Layouts are cached for up to this many samples, four at a time: at most
-# 4 * 52 * 2**14 bytes, about 3.4 MB.
+# 4 * 36 * 2**14 bytes, about 2.4 MB.
 _CACHED_SAMPLES = 2**14
-# 8-point Gauss-Legendre rule on [0, 1], exact for polynomials of degree
-# 15, followed by the end point 1 at which Newton also needs H'.
-_GL_NODES = np.array(
-    [
-        0.019855071751231884,
-        0.10166676129318664,
-        0.2372337950418355,
-        0.4082826787521751,
-        0.591717321247825,
-        0.7627662049581645,
-        0.8983332387068134,
-        0.9801449282487681,
-        1.0,
-    ]
+# Lower bound on the half-width asinh(sqrt(b)) of the strip in which H' is
+# analytic, over physical orbits (b >= 0.5175 gives 0.668).
+_STRIP = 0.665
+# Relative error allowed by the strip bound of a cell's Gauss rule.
+_RULE_ERROR = 1e-18
+
+
+def _gauss_table(nodes: list[float], weights: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes on [0, 1], followed by 1, and weights."""
+    table = (np.array(nodes + [1.0]), np.array(weights))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+# Gauss-Legendre rules on [0, 1], fewest nodes first.  The m-point rule is
+# exact for polynomials of degree 2m - 1; its node table ends with the end
+# point 1, at which Newton also needs H'.
+_GL_RULES = (
+    _gauss_table(
+        [0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970263],
+        [0.17392742256872692, 0.32607257743127305, 0.32607257743127305, 0.17392742256872692],
+    ),
+    _gauss_table(
+        [
+            0.019855071751231884,
+            0.10166676129318664,
+            0.2372337950418355,
+            0.4082826787521751,
+            0.591717321247825,
+            0.7627662049581645,
+            0.8983332387068134,
+            0.9801449282487681,
+        ],
+        [
+            0.05061426814518813,
+            0.11119051722668724,
+            0.15685332293894363,
+            0.181341891689181,
+            0.181341891689181,
+            0.15685332293894363,
+            0.11119051722668724,
+            0.05061426814518813,
+        ],
+    ),
 )
-_GL_WEIGHTS = np.array(
-    [
-        0.05061426814518813,
-        0.11119051722668724,
-        0.15685332293894363,
-        0.181341891689181,
-        0.181341891689181,
-        0.15685332293894363,
-        0.11119051722668724,
-        0.05061426814518813,
-    ]
-)
+
+
+def _gauss_rule(n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule with the fewest nodes whose strip bound holds on cells pi/n wide.
+
+    An m-point rule on a cell of width w errs by about (w / (4 y))**(2 m)
+    relative, for H' analytic in the strip |Im s| < y (module docstring).
+    From n = 16 on the 8-point rule meets _RULE_ERROR, and from n = 212 on
+    the 4-point rule does.
+    """
+    ratio = math.pi / n_samples / (4.0 * _STRIP)
+    for nodes, weights in _GL_RULES[:-1]:
+        if ratio ** (2 * weights.size) <= _RULE_ERROR:
+            return nodes, weights
+    return _GL_RULES[-1]
 
 
 class _Layout(NamedTuple):
     """Read-only arrays of a rebuild that depend on the sample count alone."""
 
     grid: np.ndarray  # the half + 1 cell ends k pi / n; the last is pi / 2
-    cc_nodes: np.ndarray  # cos**2 at each cell's 8 Gauss nodes, (half, 8)
+    nodes: np.ndarray  # the m Gauss nodes of the rule on [0, 1], then 1
+    weights: np.ndarray  # the rule's m weights
+    cc_nodes: np.ndarray  # cos**2 at each cell's Gauss nodes, (half, m)
     cc_grid: np.ndarray  # cos**2 at the cell ends
     frac: np.ndarray  # target fractions k / n, k = 1 .. half - 1
     t: np.ndarray  # scaled times j / n, j = 0 .. n
@@ -149,13 +196,20 @@ class _Layout(NamedTuple):
 def _build_layout(n_samples: int) -> _Layout:
     half = n_samples // 2
     w = 0.5 * math.pi / half
+    nodes, weights = _gauss_rule(n_samples)
     grid = np.arange(half + 1) * w
     grid[-1] = 0.5 * math.pi
-    c = np.cos(grid[:-1, None] + w * _GL_NODES[:-1])
+    cc_nodes = grid[:-1, None] + w * nodes[:-1]
+    np.cos(cc_nodes, out=cc_nodes)
+    cc_nodes *= cc_nodes
+    cc_grid = np.cos(grid)
+    cc_grid *= cc_grid
     layout = _Layout(
         grid=grid,
-        cc_nodes=c * c,
-        cc_grid=np.cos(grid) ** 2,
+        nodes=nodes,
+        weights=weights,
+        cc_nodes=cc_nodes,
+        cc_grid=cc_grid,
         frac=np.arange(1, half) / n_samples,
         t=np.arange(n_samples + 1) / n_samples,
     )
@@ -174,26 +228,77 @@ def _layout(n_samples: int) -> _Layout:
     return _build_layout(n_samples)
 
 
-def _grid_values(a: float, cc_nodes: np.ndarray) -> np.ndarray:
+def _grid_values(a: float, cc_nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """H at the cell ends from cos**2 at the cells' Gauss nodes.
 
-    Each cell's increment of H is its 8-point Gauss rule on H' (see the
-    module docstring), and the increments are added up with the rounding
-    error of every addition carried along: a running sum over half cells
-    alone gathers an error that grows with half.  The last value is the
-    sum over every cell, an approximation of G(1).
+    Each cell's increment of H is its Gauss rule on H' (see the module
+    docstring), and the increments are added up with the rounding error of
+    every addition carried along: a running sum over half cells alone
+    gathers an error that grows with half.  The last value is the sum over
+    every cell, an approximation of G(1).
     """
     half = cc_nodes.shape[0]
-    w = 0.5 * math.pi / half
-    cells = w * ((cc_nodes / np.sqrt(cc_nodes - a)) @ _GL_WEIGHTS)
-    # TwoSum: err is the exact rounding error of run[k] = prev[k] + cells[k].
-    run = np.cumsum(cells)
-    prev = np.concatenate(([0.0], run[:-1]))
-    back = run - prev
-    err = (prev - (run - back)) + (cells - back)
+    dh = cc_nodes - a
+    np.sqrt(dh, out=dh)
+    np.divide(cc_nodes, dh, out=dh)
+    cells = dh @ weights
+    cells *= 0.5 * math.pi / half
     h_grid = np.zeros(half + 1)
-    h_grid[1:] = run + np.cumsum(err)
+    run, prev = h_grid[1:], h_grid[:-1]
+    np.cumsum(cells, out=run)
+    # TwoSum: err is the exact rounding error of run[k] = prev[k] + cells[k].
+    back = run - prev
+    err = run - back
+    np.subtract(prev, err, out=err)
+    cells -= back
+    err += cells
+    run += np.cumsum(err, out=err)
     return h_grid
+
+
+def _hermite_seed(
+    b: float, grid: np.ndarray, cc_grid: np.ndarray, h_grid: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p0, rest, p): each target's cell start, target - H(p0), and Newton's seed.
+
+    Each sample inverts H only inside its grid cell [p0, p0 + pi/n]:
+    H(p) = H(p0) + int_{p0}^{p} H'(s) ds, so Newton needs H' alone.  No
+    target reaches the last cell (module docstring), so j + 1 < half.  The
+    seed is the cubic Hermite interpolant of the inverse on the cell, with
+    slopes 1 / H' at its ends:
+
+        p = p0 + tau (w + (1 - tau) (d0 (1 - tau) - d1 tau)),
+
+    where tau = rest / cell, cell is the cell's increment of H, and
+    d = cell / H' - w at either end.
+    """
+    w = float(grid[1])  # the cell width: grid[k] = k w
+    j1 = np.searchsorted(h_grid, target, "right")
+    j = j1 - 1
+    h0 = h_grid[j]
+    rest = target - h0
+    cell = h_grid[j1]
+    cell -= h0
+    slope = cc_grid + b
+    np.sqrt(slope, out=slope)
+    slope /= cc_grid
+    tau = rest / cell
+    d0 = slope[j]
+    d0 *= cell
+    d0 -= w
+    d1 = slope[j1]
+    d1 *= cell
+    d1 -= w
+    d1 *= tau
+    tau_c = 1.0 - tau
+    d0 *= tau_c
+    d0 -= d1
+    d0 *= tau_c
+    d0 += w
+    d0 *= tau
+    p0 = grid[j]
+    d0 += p0
+    return p0, rest, d0
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,11 +336,11 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     time map by Newton's method in the angle p, one whole-array step at a
     time, anchored in the cells of a uniform angle grid and seeded by
     cubic Hermite interpolation of the inverse on each cell.  The grid
-    values are compensated running sums of each cell's 8-point Gauss rule
-    on H', and Newton takes H inside a cell by the same rule (see the
-    module docstring); the last grid value is G(1) = I_{1/2}(a) / 2 from
-    the moment.  Each Newton step d is corrected by its second-order term
-    K d**2.  The second half is mirrored, so the collision is crossed
+    values are compensated running sums of each cell's Gauss rule on H',
+    with 8 nodes below n_samples = 212 and 4 from there on, and Newton
+    takes H inside a cell by the same rule (see the module docstring);
+    the last grid value is G(1) = I_{1/2}(a) / 2 from the moment.  Each
+    Newton step d is corrected by its second-order term K d**2.  The second half is mirrored, so the collision is crossed
     rather than integrated through.  A sample has settled once the
     third-order error its last step predicts falls below eps * p, or its
     step falls below 4 eps * p or stops shrinking, which marks the
@@ -254,54 +359,61 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     if not -math.inf < a <= 0.0:
         raise DomainError(f"invalid orbit: q1antimax/q1max = {a!r} is not finite and <= 0")
     half = n_samples // 2
-    grid, cc_nodes, cc_grid, frac, t = _layout(n_samples)
-    h_grid = _grid_values(a, cc_nodes)
-    # Frees an uncached layout's node table (4 floats per sample) before Newton.
+    grid, nodes, weights, cc_nodes, cc_grid, frac, t = _layout(n_samples)
+    h_grid = _grid_values(a, cc_nodes, weights)
+    # Frees an uncached layout's node table (m / 2 floats per sample) before Newton.
     del cc_nodes
     # G(1) = I_{1/2}(a) / 2 (substitute r = 1 - u**2) keeps the targets
     # exact where the last cell's Gauss rule is poor, at tiny b.
-    h_grid[-1] = 0.5 * ratio_integrals(a)[0]
-    target = 2.0 * h_grid[-1] * frac
-
-    # Each sample inverts H only inside its grid cell [p0, p0 + pi/n]:
-    # H(p) = h_grid[j] + int_{p0}^{p} H'(s) ds, so Newton needs H' alone.
-    # No target reaches the last cell (module docstring), so j + 1 < half.
-    j = np.searchsorted(h_grid, target, "right") - 1
-    p0 = grid[j]
-    rest = target - h_grid[j]
+    g_full = 0.5 * ratio_integrals(a)[0]
+    h_grid[-1] = g_full
+    target = frac * (2.0 * g_full)
     b = -a
-    # Cubic Hermite seed of the inverse on the cell, with slopes 1 / H'.
-    w = 0.5 * math.pi / half
-    cell = h_grid[j + 1] - h_grid[j]
-    slope = np.sqrt(cc_grid + b) / cc_grid
-    tau = rest / cell
-    p = p0 + tau * (
-        w
-        + (1.0 - tau)
-        * ((cell * slope[j] - w) * (1.0 - tau) - (cell * slope[j + 1] - w) * tau)
-    )
-    last = np.full(p.size, math.inf)
+    p0, rest, p = _hermite_seed(b, grid, cc_grid, h_grid, target)
+
+    # The Newton block: all columns but the last hold the Gauss nodes on
+    # [p0, p], the last holds p.  It takes cos**2, then H'.
+    blk = np.empty((p.size, nodes.size))
+    den = np.empty_like(blk)
+    last = None
     for _ in range(_NEWTON_CAP):
         width = p - p0
-        # All columns but the last are the Gauss nodes on [p0, p]; the last is p.
-        cc = np.cos(p0[:, None] + width[:, None] * _GL_NODES) ** 2
-        dh = cc / np.sqrt(cc + b)
-        residual = width * (dh[:, :-1] @ _GL_WEIGHTS) - rest
-        step = -residual / dh[:, -1]
+        np.multiply(width[:, None], nodes, out=blk)
+        blk += p0[:, None]
+        np.cos(blk, out=blk)
+        blk *= blk
+        tan2 = 1.0 - blk[:, -1]
+        tan2 /= blk[:, -1]
+        np.add(blk, b, out=den)
+        q = b / den[:, -1]
+        np.sqrt(den, out=den)
+        blk /= den
+        step = blk[:, :-1] @ weights
+        step *= width
+        np.subtract(rest, step, out=step)
+        step /= blk[:, -1]
         size = np.abs(step)
-        # With q = b / (cos(p)**2 + b): K = |H''| / (2 H') and h3 = H''' / H'.
-        # The step p += step + K * step**2 leaves an error of about
-        # |h3 / 6 - 2 K**2| * |step|**3.
-        q = b / (cc[:, -1] + b)
-        tan = np.tan(p)
-        k = 0.5 * tan * (1.0 + q)
-        h3 = tan * tan * q * (3.0 * q - 1.0) - (1.0 + q)
-        settled = (
-            (np.abs(h3 / 6.0 - 2.0 * k * k) * size**3 <= _EPS * p)
-            | (size <= 4.0 * _EPS * p)
-            | (size >= last)
-        )
-        p += step + k * step * step
+        # Six times the error the corrected step leaves (module docstring).
+        one_q = q + 1.0
+        err6 = q * 7.0
+        err6 += 3.0
+        err6 *= tan2
+        err6 += one_q
+        err6 *= size
+        err6 *= size
+        err6 *= size
+        settled = err6 <= (6.0 * _EPS) * p
+        settled |= size <= (4.0 * _EPS) * p
+        if last is not None:
+            settled |= size >= last
+        # p += step (1 + K step), with K = tan(p) (1 + q) / 2.
+        k_step = np.sqrt(tan2, out=tan2)
+        k_step *= one_q
+        k_step *= 0.5
+        k_step *= step
+        k_step += 1.0
+        k_step *= step
+        p += k_step
         last = size
         if settled.all():
             break
@@ -318,11 +430,14 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
 
     q1 = np.empty(n_samples + 1)
     q1[0] = sol.q1max
-    q1[1:half] = sol.q1max * np.cos(p) ** 2
+    inner = q1[1:half]
+    np.cos(p, out=inner)
+    inner *= inner
+    inner *= sol.q1max
     q1[half] = 0.0
     q1[half + 1 :] = q1[half - 1 :: -1]
 
-    if not np.all(np.diff(q1[: half + 1]) < 0.0):
+    if not (q1[1 : half + 1] < q1[:half]).all():
         raise ConvergenceError(
             "time-map inversion produced a non-monotone first half period"
         )

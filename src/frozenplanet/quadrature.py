@@ -103,20 +103,26 @@ def big_f(gamma: float, x: float) -> float:
     >= 8/3 at x = 0 towards 0, and the mean position of the periodic orbit
     is the unique x solving F(gamma, x) = 2.  Rounding can push a to a tiny
     positive value where it vanishes analytically (gamma = -1, x < 2); such
-    values are clamped to 0.
+    values are clamped to 0.  Requires a finite x >= 0.
     """
     plus, minus = sigma_pair(gamma, x)
-    if not plus > 0.0:
+    if not plus > 0.0 or x < 0.0:
         if not (math.isfinite(gamma) and math.isfinite(x)):
             raise DomainError(
                 f"shape functional requires a finite gamma and x, got gamma={gamma!r}, x={x!r}"
             )
+        if x < 0.0:
+            raise DomainError(f"shape functional requires x >= 0, got x={x!r}")
         raise DomainError(
             f"shape functional undefined where sigma_plus <= 0 (gamma={gamma!r}, x={x!r})"
         )
     a = minus / plus
     if a > 0.0:
         a = 0.0
+    elif a == -math.inf:
+        # sigma_minus / sigma_plus overflowed, so b exceeds every double and
+        # the series gives I_{3/2} / I_{1/2} = 3/4 to far below rounding.
+        return 0.75 * plus
     i_half, i_three_half = ratio_integrals(a)
     return plus * i_three_half / i_half
 
@@ -138,7 +144,13 @@ def period(gamma: float, qbar1: float) -> float:
         raise DomainError(f"period undefined where sigma_plus <= 0 (gamma={gamma!r})")
     q1max = 0.5 * plus * qbar1
     a = min(minus / plus, 0.0)
-    i_half = ratio_integrals(a)[0]
+    if a == -math.inf:
+        # b = -a overflowed; the series' leading term (pi / 2) / sqrt(b) is
+        # I_{1/2} to far below rounding, and plus * minus = -4 (gamma + 1)**2
+        # gives sqrt(b) = |minus| / (2 |gamma + 1|) without the overflow.
+        i_half = math.pi * abs(gamma + 1.0) / abs(minus)
+    else:
+        i_half = ratio_integrals(a)[0]
     return math.sqrt(2.0) * gamma * qbar1 * math.sqrt(q1max) * i_half
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import frozenplanet as fp
-from frozenplanet import orbit
+from frozenplanet import cli, orbit
 from frozenplanet.cli import main
 
 WALL_TIME = re.compile(r'"wall_time": [^,}\n]+')
@@ -46,6 +46,30 @@ def test_solve_json_payload(capsys):
     assert "quadrature" not in manifest
     # JSON floats are reprs and therefore round-trip bitwise.
     assert sol["qbar1"] == fp.solve_orbit(2.0).qbar1
+
+
+def test_solve_json_arrays_one_line_each(capsys):
+    # The indented payload carries t and q1 each on one line, encoded by the
+    # C encoder, and they parse bitwise to the rebuild's arrays.
+    code, out, _ = _run(capsys, ["solve", "--mu", "2", "--samples", "32"])
+    assert code == 0
+    traj = fp.reconstruct(fp.solve_orbit(2.0), 32)
+    lines = [line.rstrip(",") for line in out.splitlines()]
+    for key in ("t", "q1"):
+        values = getattr(traj, key).tolist()
+        assert f'    "{key}": {json.dumps(values)}' in lines
+        assert json.loads(out)["trajectory"][key] == values
+    assert lines[-1] == "}" and out.endswith("}\n")
+
+
+def test_solve_csv_blocks_join_to_the_rows(capsys, monkeypatch):
+    # Rows written in blocks of 5 equal the rows formatted one by one.
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 5)
+    code, out, _ = _run(capsys, ["solve", "--mu", "2", "--samples", "16", "--format", "csv"])
+    assert code == 0
+    traj = fp.reconstruct(fp.solve_orbit(2.0), 16)
+    rows = [f"{t!r},{q!r},{traj.q2_const!r}" for t, q in zip(traj.t.tolist(), traj.q1.tolist())]
+    assert out == "\n".join(["t,q1,q2", *rows]) + "\n"
 
 
 def test_solve_deterministic_modulo_wall_time(capsys):

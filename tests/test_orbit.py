@@ -2,7 +2,11 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,12 +226,13 @@ def test_reconstruct_against_brentq_at_512(u):
     assert err <= 1e-14 * sol.q1max, f"error {err:.3e}"
 
 
-@pytest.mark.parametrize("b", [1e-12, 1e-3, 0.3])
+@pytest.mark.parametrize("b", [1e-12, 1e-6, 1e-3, 0.3])
 def test_reconstruct_against_brentq_nonphysical_b(sol_mu2, b):
     # Physical orbits have b = -q1antimax/q1max >= 0.517; a smaller b brings
-    # the singularity of H' closer to the real axis near p = pi/2.
+    # the singularity of H' closer to the real axis near p = pi/2.  From
+    # n = 512 on the rebuild runs the 4-point rule.
     sol = dataclasses.replace(sol_mu2, q1antimax=-b * sol_mu2.q1max)
-    for n in (16, 64):
+    for n in (16, 64, 512, 4096):
         err = _brentq_error(sol, n)
         assert err <= 1e-14 * sol.q1max, f"n_samples={n}: error {err:.3e}"
 
@@ -283,7 +288,7 @@ def test_reconstruct_layout_cache(sol_mu2):
         assert np.array_equal(traj.q1, fresh.q1)
         assert np.array_equal(traj.t, fresh.t)
 
-    # The layout of the largest sample count (about 52 MB) is not kept.
+    # The layout of the largest sample count (about 38 MB) is not kept.
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -292,6 +297,20 @@ def test_reconstruct_layout_cache(sol_mu2):
     finally:
         tracemalloc.stop()
     assert held < 2**20, f"{held} bytes held after the rebuild returned"
+
+
+def test_reconstruct_imports_no_numpy_polynomial():
+    # The Gauss tables are hard-coded: numpy.polynomial would cost a rebuild
+    # about 2 MB of memory on import alone.
+    code = (
+        "import sys; import frozenplanet as fp; "
+        "fp.reconstruct(fp.solve_orbit(2.0), 512); "
+        "sys.exit('numpy.polynomial' in sys.modules)"
+    )
+    paths = (str(Path(orbit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "numpy.polynomial was imported"
 
 
 def test_reconstruct_makes_no_time_map_call(monkeypatch):
@@ -319,7 +338,7 @@ def test_time_grid_against_time_map(n):
     for b in np.geomspace(0.5175, 2.25e24, 25):
         layout = orbit._layout(n)
         grid = layout.grid
-        h_grid = orbit._grid_values(-b, layout.cc_nodes)
+        h_grid = orbit._grid_values(-b, layout.cc_nodes, layout.weights)
         ref = _time_map(-b, grid)
         g_full = 0.5 * ratio_integrals(-b)[0]
         assert grid[-1] == 0.5 * math.pi
@@ -327,9 +346,30 @@ def test_time_grid_against_time_map(n):
         assert abs(h_grid[-1] - g_full) <= 4 * eps * g_full, b
 
 
-def test_gauss_rule_exact_to_degree_15():
-    assert orbit._GL_NODES[-1] == 1.0
-    x = orbit._GL_NODES[:8]
-    w = orbit._GL_WEIGHTS
-    for k in range(16):
-        assert abs(w @ x**k - 1.0 / (k + 1)) <= 4 * np.finfo(float).eps / (k + 1), k
+def test_gauss_tables_exact_to_their_degree():
+    # The m-point table integrates the monomials up to degree 2m - 1 on
+    # [0, 1]; its node list ends with the end point 1, where Newton needs H'.
+    eps = np.finfo(float).eps
+    assert [w.size for _, w in orbit._GL_RULES] == [4, 8]
+    for nodes, w in orbit._GL_RULES:
+        m = w.size
+        assert nodes.size == m + 1 and nodes[-1] == 1.0
+        assert not nodes.flags.writeable and not w.flags.writeable
+        for k in range(2 * m):
+            assert abs(w @ nodes[:m] ** k - 1.0 / (k + 1)) <= 4 * eps / (k + 1), (m, k)
+
+
+def test_gauss_rule_meets_strip_bound():
+    # On cells pi/n wide the picked rule's strip bound (w / (4 y))**(2m),
+    # with y = 0.665 below asinh(sqrt(b)) on physical orbits, is at most
+    # 1e-18 for every sample count reconstruct accepts; 4 nodes serve
+    # from n = 212 on.
+    assert math.asinh(math.sqrt(0.5175)) > 0.665
+    for n in range(16, orbit._MAX_SAMPLES + 1, 2):
+        m = orbit._gauss_rule(n)[1].size
+        assert (math.pi / n / (4 * 0.665)) ** (2 * m) <= 1e-18, n
+        assert m == (8 if n < 212 else 4), n
+    for n in (16, 210, 212, 512, 2**20):
+        layout = orbit._layout(n)
+        assert layout.cc_nodes.shape == (n // 2, layout.weights.size)
+        assert layout.nodes is orbit._gauss_rule(n)[0]

@@ -28,6 +28,7 @@ from frozenplanet import (
     lemniscate_constant,
     period,
     ratio_integrals,
+    sigma_pair,
     time_integral,
 )
 from frozenplanet.quadrature import _time_map
@@ -251,6 +252,28 @@ def test_big_f_rejects_nonfinite_arguments():
     for gamma, x in ((1.0, math.nan), (math.nan, 1.0), (1.0, math.inf)):
         with pytest.raises(DomainError, match=f"finite gamma and x, got gamma={gamma!r}, x={x!r}"):
             big_f(gamma, x)
+
+
+def test_big_f_rejects_negative_x():
+    # The error names the x the caller passed.
+    for x in (-1.0, -1e-300, -math.inf):
+        with pytest.raises(DomainError, match=f"x={x!r}"):
+            big_f(1.0, x)
+    # x = 0 is in the domain: the certificates evaluate F there.
+    assert big_f(1.0, 0.0) >= 8.0 / 3.0
+
+
+def test_big_f_and_period_where_the_moment_argument_overflows():
+    # At x = 1e300, b = -sigma_minus / sigma_plus overflows although F and
+    # the period are finite.  There the series' leading terms are exact:
+    # F = 3/4 sigma_plus, and with gamma = 1 the period tends to
+    # 2 sqrt(2) pi.  Both meet their values at x = 1e150, where b = 2.5e299
+    # is still a double and the moments run their series branch.
+    for x in (1e150, 1e300):
+        plus = sigma_pair(1.0, x)[0]
+        assert abs(big_f(1.0, x) / (0.75 * plus) - 1.0) <= 2 * EPS, x
+        assert abs(period(1.0, x) / (2.0 * math.sqrt(2.0) * math.pi) - 1.0) <= 8 * EPS, x
+    assert big_f(1.0, 1e300) == 0.75 * sigma_pair(1.0, 1e300)[0]
 
 
 def test_big_f_decreasing_in_x():
