@@ -143,9 +143,14 @@ def _trajectory_csv(t: np.ndarray, q1: np.ndarray, q2: float) -> Iterator[str]:
 
 
 def _emit_sidecar_manifest(manifest: dict, out_path: str | None) -> None:
-    """CSV cannot embed the manifest, so it accompanies the payload."""
+    """CSV cannot embed the manifest, so it accompanies the payload.
+
+    It goes next to a regular output file and to stderr otherwise: for
+    stdout, and for an output path such as /dev/null that names a device
+    or pipe, beside which no file belongs.
+    """
     text = json.dumps(manifest, indent=2) + "\n"
-    if out_path in (None, "-"):
+    if out_path in (None, "-") or not os.path.isfile(out_path):
         sys.stderr.write(text)
     else:
         _write_file(str(out_path) + ".manifest.json", [text])

@@ -17,6 +17,9 @@ from .model import mu_of_gamma
 from .solver import solve_orbit
 from .specialfn import lemniscate_constant
 
+# Half-width of the band of kappa around 0 classified as touching.
+_TOUCH_TOL = 1e-9
+
 
 class IntersectionClass(Enum):
     """Relation between the swing interval [0, q1max] and the point qbar2."""
@@ -49,30 +52,26 @@ def critical_mu() -> float:
     return mu_of_gamma(critical_gamma())
 
 
-def classify_kappa(kappa: float, touch_tol: float = 1e-9) -> IntersectionClass:
-    """Classify from an already-computed finite kappa; |kappa| <= touch_tol touches."""
-    if not 0.0 < touch_tol <= 1e-3:
-        raise DomainError(f"touch_tol must lie in (0, 1e-3], got {touch_tol!r}")
+def classify_kappa(kappa: float) -> IntersectionClass:
+    """Classify from an already-computed finite kappa; |kappa| <= 1e-9 touches."""
     if not isfinite(kappa):
         raise DomainError(f"kappa must be finite, got {kappa!r}")
-    if abs(kappa) <= touch_tol:
+    if abs(kappa) <= _TOUCH_TOL:
         return IntersectionClass.TOUCHES
     return IntersectionClass.INTERSECTS if kappa > 0.0 else IntersectionClass.DISJOINT
 
 
-def classify(mu: float, touch_tol: float = 1e-9) -> IntersectionClass:
+def classify(mu: float) -> IntersectionClass:
     """Solve the orbit for ``mu`` and classify the intersection.
 
-    The orbit is solved tightly enough that kappa is resolved well below
-    ``touch_tol``; the verdict is then cross-checked against the closed-form
-    critical charge, and a disagreement (which would indicate a regression
-    in the moment integrals or the solver) raises :class:`ConvergenceError`.
+    The orbit is solved to the solver's default |F - 2| <= 1e-10, which
+    resolves kappa well below the touching band |kappa| <= 1e-9; the
+    verdict is then cross-checked against the closed-form critical charge,
+    and a disagreement (which would indicate a regression in the moment
+    integrals or the solver) raises :class:`ConvergenceError`.
     """
-    if not 0.0 < touch_tol <= 1e-3:
-        raise DomainError(f"touch_tol must lie in (0, 1e-3], got {touch_tol!r}")
-    tol = min(1e-10, max(touch_tol / 10.0, 1e-14))
-    sol = solve_orbit(mu, tol=tol)
-    verdict = classify_kappa(sol.kappa, touch_tol)
+    sol = solve_orbit(mu)
+    verdict = classify_kappa(sol.kappa)
 
     mu_star = critical_mu()
     if verdict is IntersectionClass.INTERSECTS and mu < mu_star * (1.0 - 1e-6):

@@ -17,18 +17,19 @@ incomplete elliptic integral, with
 which decreases on [0, pi/2], so H is concave and its inverse convex.
 The rebuild never evaluates the closed form of H (the quadrature
 module's time map, which serves time_integral).  On a uniform grid of
-n/2 + 1 angles, spaced pi/n, each cell's increment of H is an m-point
-Gauss-Legendre rule on H', with m sized to the cell (below), all cells
-in one array pass, and the grid values are the running sum of the
-increments.  A plain running sum of n/2 terms gathers rounding that
-grows with n: against bracketed root solves it moved samples by up to
+N + 1 angles, N = max(n/2, 256) cells of width pi/(2N) <= pi/n, each
+cell's increment of H is the 4-point Gauss-Legendre rule on H', all
+cells in one array pass, and the grid values are the running sum of the
+increments.  A plain running sum of N terms gathers rounding that grows
+with N: against bracketed root solves it moved samples by up to
 3.7e-14 q1max at n = 4096 and 9.5e-14 at n = 16384.  So the sum is
 compensated: TwoSum gives the exact rounding error of each addition, and
 the running sum of those errors is added back, which leaves every grid
-value within a few units of rounding of G(1).  The last value is set to G(1) = I_{1/2}(a) / 2 (substitute
-r = 1 - u**2 in the moment), which keeps the targets exact where the
-last cell's rule is poor, at tiny non-physical b.  A sample whose target
-lies in the grid cell [p0, p0 + pi/n] solves
+value within a few units of rounding of G(1).  The last value is set to
+G(1) = I_{1/2}(a) / 2 (substitute r = 1 - u**2 in the moment), which
+keeps the targets exact where the last cell's rule is poor, at tiny
+non-physical b.  A sample whose target lies in the grid cell
+[p0, p0 + pi/(2N)] solves
 
     R(p) = int_{p0}^{p} H'(s) ds - (target - H(p0)) = 0,    R' = H',
 
@@ -39,20 +40,20 @@ orbits b runs from about 0.5175 to 2.25e24, so y >= 0.668.  On an
 interval of width w the m-point rule's relative error falls like
 (w / (4 y))**(2 m), the Bernstein-ellipse bound (Trefethen, "Is Gauss
 quadrature better than Clenshaw-Curtis?", SIAM Review 50, 2008).  With
-y = 0.665 the rebuild takes the rule with the fewest nodes, of 4 and 8,
-for which that bound stays below 1e-18, far under rounding, on cells of
-width w = pi/n, and so on Newton's shorter intervals too: 8 nodes below
-n = 212 (7.8e-19 at n = 16), 4 from n = 212 on (9.3e-19 there, 8.0e-22
-at n = 512).
+y = 0.665, m = 4 and cells at most pi/512 wide, the floor of 256 cells,
+that bound is 8.0e-22, far under rounding, and smaller still on
+Newton's shorter intervals.
 
 The seed is the cubic Hermite interpolant of the inverse p(H) on the
 sample's cell: it matches p at both cell ends and the slopes 1 / H'
 there.  H'(pi/2) = 0, so the last cell's slope would be infinite, but no
 target reaches that cell.  The concave H lies above its chord from
-(0, 0) to (pi/2, G(1)), and at the last inner grid angle pi/2 - pi/n the
-chord is G(1) * (1 - 2/n), the largest target.  Over b in [1e-12,
-2.25e24] and n up to 2**20, H there exceeds that target by at least
-0.85 * 2 G(1) / n, far above rounding.
+(0, 0) to (pi/2, G(1)), and at the last inner grid angle pi/2 - pi/(2N)
+the chord is G(1) * (1 - 1/N), at least the largest target
+G(1) * (1 - 2/n).  Over b in [1e-12, 2.25e24] and n up to 2**20, H at
+pi/2 - pi/n exceeds the largest target by at least 0.85 * 2 G(1) / n,
+far above rounding, and H at the last inner grid angle, no further
+left, exceeds it by more.
 
 Each Newton step runs on the whole array of samples.  From p, with
 d = -R / H' the Newton step, the root lies at p + delta, where
@@ -82,11 +83,10 @@ simplifies to
 where tan(p)**2 = (1 - c**2) / c**2 and q come from c**2, which the
 Newton block holds at p beside the Gauss nodes.  The loop ends when
 every sample has settled.  From the Hermite seed one step settles every
-sample at n >= 512; at n = 16 and 64, where the cells are wider, it
-takes two (figures at _NEWTON_CAP).
+sample at every n (figures at _NEWTON_CAP).
 
-The arrays that depend on n alone (the grid angles, the Gauss rule,
-cos**2 at the grid's Gauss nodes and at the grid angles, the target
+The arrays that depend on n alone (the grid angles, cos**2 at the
+grid's Gauss nodes and at the grid angles, the target
 fractions k/n and the times) are built once per sample count and kept,
 read-only, for the last few counts up to 2**14 samples; a larger count
 builds them afresh and drops them when it returns.
@@ -107,10 +107,9 @@ from .solver import OrbitSolution
 
 _EPS = float(np.finfo(float).eps)
 # Whole-array Newton steps allowed per rebuild.  From the Hermite seed,
-# the corrected step on the in-cell equation took 2 steps at 16 and 64
-# samples and 1 at 512, 4096, 16384 and 2**20, at each of 47 charges
-# mu = 1 + 10**u, u in [-12, 11]; with a = 0 it took 2 at 16 and 1 from 64
-# on.
+# the corrected step on the in-cell equation took 1 step at 16, 64, 128,
+# 256, 512, 4096, 16384 and 2**20 samples, at each of 47 charges
+# mu = 1 + 10**u, u in [-12, 11], and with a = 0.
 _NEWTON_CAP = 60
 # Largest n_samples accepted: a rebuild peaks at about 15 floats per sample
 # (123 MB at 2**20), of which its layout holds 4.5 (36 bytes per sample).
@@ -118,76 +117,29 @@ _MAX_SAMPLES = 2**20
 # Layouts are cached for up to this many samples, four at a time: at most
 # 4 * 36 * 2**14 bytes, about 2.4 MB.
 _CACHED_SAMPLES = 2**14
-# Lower bound on the half-width asinh(sqrt(b)) of the strip in which H' is
-# analytic, over physical orbits (b >= 0.5175 gives 0.668).
-_STRIP = 0.665
-# Relative error allowed by the strip bound of a cell's Gauss rule.
-_RULE_ERROR = 1e-18
+# Fewest cells of the angle grid, so that no cell is wider than pi/512.
+# There the 4-point rule's strip bound (w / (4 y))**8, with y = 0.665 below
+# asinh(sqrt(b)) on physical orbits, is 8.0e-22 (module docstring).
+_MIN_CELLS = 256
 
-
-def _gauss_table(nodes: list[float], weights: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes on [0, 1], followed by 1, and weights."""
-    table = (np.array(nodes + [1.0]), np.array(weights))
-    for arr in table:
-        arr.setflags(write=False)
-    return table
-
-
-# Gauss-Legendre rules on [0, 1], fewest nodes first.  The m-point rule is
-# exact for polynomials of degree 2m - 1; its node table ends with the end
-# point 1, at which Newton also needs H'.
-_GL_RULES = (
-    _gauss_table(
-        [0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970263],
-        [0.17392742256872692, 0.32607257743127305, 0.32607257743127305, 0.17392742256872692],
-    ),
-    _gauss_table(
-        [
-            0.019855071751231884,
-            0.10166676129318664,
-            0.2372337950418355,
-            0.4082826787521751,
-            0.591717321247825,
-            0.7627662049581645,
-            0.8983332387068134,
-            0.9801449282487681,
-        ],
-        [
-            0.05061426814518813,
-            0.11119051722668724,
-            0.15685332293894363,
-            0.181341891689181,
-            0.181341891689181,
-            0.15685332293894363,
-            0.11119051722668724,
-            0.05061426814518813,
-        ],
-    ),
+# The 4-point Gauss-Legendre rule on [0, 1], exact for polynomials of
+# degree 7.  The node table ends with the end point 1, at which Newton
+# also needs H'.
+_GL_NODES = np.array(
+    [0.06943184420297371, 0.33000947820757187, 0.6699905217924281, 0.9305681557970263, 1.0]
 )
-
-
-def _gauss_rule(n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The rule with the fewest nodes whose strip bound holds on cells pi/n wide.
-
-    An m-point rule on a cell of width w errs by about (w / (4 y))**(2 m)
-    relative, for H' analytic in the strip |Im s| < y (module docstring).
-    From n = 16 on the 8-point rule meets _RULE_ERROR, and from n = 212 on
-    the 4-point rule does.
-    """
-    ratio = math.pi / n_samples / (4.0 * _STRIP)
-    for nodes, weights in _GL_RULES[:-1]:
-        if ratio ** (2 * weights.size) <= _RULE_ERROR:
-            return nodes, weights
-    return _GL_RULES[-1]
+_GL_WEIGHTS = np.array(
+    [0.17392742256872692, 0.32607257743127305, 0.32607257743127305, 0.17392742256872692]
+)
+_GL_NODES.setflags(write=False)
+_GL_WEIGHTS.setflags(write=False)
 
 
 class _Layout(NamedTuple):
     """Read-only arrays of a rebuild that depend on the sample count alone."""
 
-    grid: np.ndarray  # the half + 1 cell ends k pi / n; the last is pi / 2
-    nodes: np.ndarray  # the m Gauss nodes of the rule on [0, 1], then 1
-    weights: np.ndarray  # the rule's m weights
-    cc_nodes: np.ndarray  # cos**2 at each cell's Gauss nodes, (half, m)
+    grid: np.ndarray  # the cells + 1 cell ends; the last is pi / 2
+    cc_nodes: np.ndarray  # cos**2 at each cell's Gauss nodes, (cells, 4)
     cc_grid: np.ndarray  # cos**2 at the cell ends
     frac: np.ndarray  # target fractions k / n, k = 1 .. half - 1
     t: np.ndarray  # scaled times j / n, j = 0 .. n
@@ -195,19 +147,17 @@ class _Layout(NamedTuple):
 
 def _build_layout(n_samples: int) -> _Layout:
     half = n_samples // 2
-    w = 0.5 * math.pi / half
-    nodes, weights = _gauss_rule(n_samples)
-    grid = np.arange(half + 1) * w
+    cells = max(half, _MIN_CELLS)
+    w = 0.5 * math.pi / cells
+    grid = np.arange(cells + 1) * w
     grid[-1] = 0.5 * math.pi
-    cc_nodes = grid[:-1, None] + w * nodes[:-1]
+    cc_nodes = grid[:-1, None] + w * _GL_NODES[:-1]
     np.cos(cc_nodes, out=cc_nodes)
     cc_nodes *= cc_nodes
     cc_grid = np.cos(grid)
     cc_grid *= cc_grid
     layout = _Layout(
         grid=grid,
-        nodes=nodes,
-        weights=weights,
         cc_nodes=cc_nodes,
         cc_grid=cc_grid,
         frac=np.arange(1, half) / n_samples,
@@ -228,22 +178,22 @@ def _layout(n_samples: int) -> _Layout:
     return _build_layout(n_samples)
 
 
-def _grid_values(a: float, cc_nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _grid_values(a: float, cc_nodes: np.ndarray) -> np.ndarray:
     """H at the cell ends from cos**2 at the cells' Gauss nodes.
 
     Each cell's increment of H is its Gauss rule on H' (see the module
     docstring), and the increments are added up with the rounding error of
-    every addition carried along: a running sum over half cells alone
-    gathers an error that grows with half.  The last value is the sum over
-    every cell, an approximation of G(1).
+    every addition carried along: a plain running sum over the cells
+    gathers an error that grows with their count.  The last value is the
+    sum over every cell, an approximation of G(1).
     """
-    half = cc_nodes.shape[0]
+    n_cells = cc_nodes.shape[0]
     dh = cc_nodes - a
     np.sqrt(dh, out=dh)
     np.divide(cc_nodes, dh, out=dh)
-    cells = dh @ weights
-    cells *= 0.5 * math.pi / half
-    h_grid = np.zeros(half + 1)
+    cells = dh @ _GL_WEIGHTS
+    cells *= 0.5 * math.pi / n_cells
+    h_grid = np.zeros(n_cells + 1)
     run, prev = h_grid[1:], h_grid[:-1]
     np.cumsum(cells, out=run)
     # TwoSum: err is the exact rounding error of run[k] = prev[k] + cells[k].
@@ -261,9 +211,9 @@ def _hermite_seed(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p0, rest, p): each target's cell start, target - H(p0), and Newton's seed.
 
-    Each sample inverts H only inside its grid cell [p0, p0 + pi/n]:
+    Each sample inverts H only inside its grid cell [p0, p0 + w]:
     H(p) = H(p0) + int_{p0}^{p} H'(s) ds, so Newton needs H' alone.  No
-    target reaches the last cell (module docstring), so j + 1 < half.  The
+    target reaches the last cell (module docstring), so j + 1 < N.  The
     seed is the cubic Hermite interpolant of the inverse on the cell, with
     slopes 1 / H' at its ends:
 
@@ -335,13 +285,13 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     on a grid point) from 16 to 2**20.  The first-half samples invert the
     time map by Newton's method in the angle p, one whole-array step at a
     time, anchored in the cells of a uniform angle grid and seeded by
-    cubic Hermite interpolation of the inverse on each cell.  The grid
-    values are compensated running sums of each cell's Gauss rule on H',
-    with 8 nodes below n_samples = 212 and 4 from there on, and Newton
-    takes H inside a cell by the same rule (see the module docstring);
-    the last grid value is G(1) = I_{1/2}(a) / 2 from the moment.  Each
-    Newton step d is corrected by its second-order term K d**2.  The second half is mirrored, so the collision is crossed
-    rather than integrated through.  A sample has settled once the
+    cubic Hermite interpolation of the inverse on each cell.  The grid has
+    max(n_samples / 2, 256) cells, and its values are compensated running
+    sums of each cell's 4-point Gauss rule on H'; Newton takes H inside a
+    cell by the same rule (see the module docstring).  The last grid
+    value is G(1) = I_{1/2}(a) / 2 from the moment.  Each Newton step d is
+    corrected by its second-order term K d**2.  The second half is
+    mirrored, so the collision is crossed rather than integrated through.  A sample has settled once the
     third-order error its last step predicts falls below eps * p, or its
     step falls below 4 eps * p or stops shrinking, which marks the
     rounding floor; the loop stops when every sample has settled at the
@@ -359,9 +309,9 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     if not -math.inf < a <= 0.0:
         raise DomainError(f"invalid orbit: q1antimax/q1max = {a!r} is not finite and <= 0")
     half = n_samples // 2
-    grid, nodes, weights, cc_nodes, cc_grid, frac, t = _layout(n_samples)
-    h_grid = _grid_values(a, cc_nodes, weights)
-    # Frees an uncached layout's node table (m / 2 floats per sample) before Newton.
+    grid, cc_nodes, cc_grid, frac, t = _layout(n_samples)
+    h_grid = _grid_values(a, cc_nodes)
+    # Frees an uncached layout's node table (2 floats per sample) before Newton.
     del cc_nodes
     # G(1) = I_{1/2}(a) / 2 (substitute r = 1 - u**2) keeps the targets
     # exact where the last cell's Gauss rule is poor, at tiny b.
@@ -373,12 +323,12 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
 
     # The Newton block: all columns but the last hold the Gauss nodes on
     # [p0, p], the last holds p.  It takes cos**2, then H'.
-    blk = np.empty((p.size, nodes.size))
+    blk = np.empty((p.size, _GL_NODES.size))
     den = np.empty_like(blk)
     last = None
     for _ in range(_NEWTON_CAP):
         width = p - p0
-        np.multiply(width[:, None], nodes, out=blk)
+        np.multiply(width[:, None], _GL_NODES, out=blk)
         blk += p0[:, None]
         np.cos(blk, out=blk)
         blk *= blk
@@ -388,7 +338,7 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
         q = b / den[:, -1]
         np.sqrt(den, out=den)
         blk /= den
-        step = blk[:, :-1] @ weights
+        step = blk[:, :-1] @ _GL_WEIGHTS
         step *= width
         np.subtract(rest, step, out=step)
         step /= blk[:, -1]

@@ -3,7 +3,7 @@
 import pytest
 
 import frozenplanet as fp
-from frozenplanet import specialfn
+from frozenplanet import orbit, specialfn
 
 _CACHED_CONSTANTS = (
     fp.lemniscate_constant,
@@ -46,3 +46,21 @@ def broken_varpi(monkeypatch):
     monkeypatch.undo()
     for fn in _CACHED_CONSTANTS:
         fn.cache_clear()
+
+
+@pytest.fixture
+def unsettled_rebuild(monkeypatch):
+    """Seed every rebuild at its cells' midpoints and allow one Newton step.
+
+    One step from the Hermite seed settles every sample at every sample
+    count; one step from a midpoint does not, so the rebuild must report
+    its failure to converge.
+    """
+    hermite = orbit._hermite_seed
+
+    def midpoint(b, grid, cc_grid, h_grid, target):
+        p0, rest, _ = hermite(b, grid, cc_grid, h_grid, target)
+        return p0, rest, p0 + 0.5 * grid[1]
+
+    monkeypatch.setattr(orbit, "_hermite_seed", midpoint)
+    monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)

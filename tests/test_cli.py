@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import frozenplanet as fp
-from frozenplanet import cli, orbit
+from frozenplanet import cli
 from frozenplanet.cli import main
 
 WALL_TIME = re.compile(r'"wall_time": [^,}\n]+')
@@ -135,6 +136,22 @@ def test_solve_csv_file_with_sidecar_manifest(capsys, tmp_path):
     manifest = json.loads((tmp_path / "traj.csv.manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert manifest["parameters"]["format"] == "csv"
+
+
+def test_solve_csv_to_device_manifest_on_stderr(capsys):
+    # An output path that is not a regular file, such as the null device,
+    # gets no sidecar beside it: the manifest goes to stderr instead.
+    stray = os.devnull + ".manifest.json"
+    before = os.path.exists(stray)
+    for argv in (
+        ["solve", "--mu", "2", "--samples", "16", "--format", "csv"],
+        ["scan", "--mu-min", "2", "--mu-max", "3", "--steps", "2"],
+    ):
+        code, out, err = _run(capsys, argv + ["--out", os.devnull])
+        assert code == 0
+        assert out == ""
+        assert json.loads(err)["command"] == argv[0]
+        assert os.path.exists(stray) == before
 
 
 def test_solve_csv_stdout_manifest_on_stderr(capsys):
@@ -281,16 +298,14 @@ def test_config_file_not_utf8(capsys, tmp_path, monkeypatch):
     assert err.startswith("error:") and "cannot read config file" in err
 
 
-def test_nonconvergence_exit_code(capsys, monkeypatch):
+def test_nonconvergence_exit_code(capsys, unsettled_rebuild):
     # The orbit mean at mu = 1e308 exceeds 2**1023, so its bracket overflows.
     code, out, err = _run(capsys, ["solve", "--mu", "1e308", "--samples", "16"])
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "overflowed" in err
 
-    # One Newton step settles every sample at the default 512 samples but
-    # not at 64, whose wider cells leave the seed further from the root.
-    monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)
+    # One Newton step from each cell's midpoint leaves samples unsettled.
     code, out, err = _run(capsys, ["solve", "--mu", "2", "--samples", "64"])
     assert code == 3
     assert out == ""

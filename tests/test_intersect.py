@@ -59,13 +59,6 @@ def test_classify_kappa_rejects_non_finite(kappa):
         classify_kappa(kappa)
 
 
-def test_classify_kappa_touch_tol_validation():
-    with pytest.raises(DomainError):
-        classify_kappa(0.0, touch_tol=0.0)
-    with pytest.raises(DomainError):
-        classify_kappa(0.0, touch_tol=1e-2)
-
-
 def test_classify_below_threshold():
     assert classify(2.0) is IntersectionClass.DISJOINT
 

@@ -229,8 +229,8 @@ def test_reconstruct_against_brentq_at_512(u):
 @pytest.mark.parametrize("b", [1e-12, 1e-6, 1e-3, 0.3])
 def test_reconstruct_against_brentq_nonphysical_b(sol_mu2, b):
     # Physical orbits have b = -q1antimax/q1max >= 0.517; a smaller b brings
-    # the singularity of H' closer to the real axis near p = pi/2.  From
-    # n = 512 on the rebuild runs the 4-point rule.
+    # the singularity of H' closer to the real axis near p = pi/2.  Below
+    # n = 512 the rebuild runs the grid of n = 512.
     sol = dataclasses.replace(sol_mu2, q1antimax=-b * sol_mu2.q1max)
     for n in (16, 64, 512, 4096):
         err = _brentq_error(sol, n)
@@ -248,10 +248,9 @@ def test_reconstruct_closed_form_at_zero_a(sol_mu2):
     assert np.max(np.abs(traj.q1[: n // 2 + 1] - expected)) <= 1e-14 * sol.q1max
 
 
-def test_reconstruct_newton_cap_reports_context(sol_mu2, monkeypatch):
-    # One Newton step is too few; the error names the orbit and the step,
-    # in its message and in its fields.
-    monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)
+def test_reconstruct_newton_cap_reports_context(sol_mu2, unsettled_rebuild):
+    # One Newton step from a cell's midpoint is too few; the error names
+    # the orbit and the step, in its message and in its fields.
     with pytest.raises(ConvergenceError, match=r"a=-.*n_samples=64, worst step") as info:
         reconstruct(sol_mu2, 64)
     exc = info.value
@@ -264,11 +263,13 @@ def test_reconstruct_newton_cap_reports_context(sol_mu2, monkeypatch):
 
 def test_reconstruct_one_newton_step_at_512(monkeypatch):
     # From the Hermite seed one corrected Newton step settles every sample
-    # at the benchmark's sample count, over the whole charge range.
+    # over the whole charge range: at the benchmark's sample count, at the
+    # smaller counts that share its grid, and at 4096.
     monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)
     sols = [solve_orbit(1.0 + 10.0**u) for u in np.linspace(-12.0, 11.0, 47)]
-    for sol in sols:
-        reconstruct(sol, 512)
+    for n in (16, 64, 256, 512, 4096):
+        for sol in sols:
+            reconstruct(sol, n)
     for sol in (sols[0], sols[23], sols[-1]):
         err = _brentq_error(sol, 512)
         assert err <= 1e-14 * sol.q1max, f"mu={sol.mu!r}: error {err:.3e}"
@@ -338,7 +339,7 @@ def test_time_grid_against_time_map(n):
     for b in np.geomspace(0.5175, 2.25e24, 25):
         layout = orbit._layout(n)
         grid = layout.grid
-        h_grid = orbit._grid_values(-b, layout.cc_nodes, layout.weights)
+        h_grid = orbit._grid_values(-b, layout.cc_nodes)
         ref = _time_map(-b, grid)
         g_full = 0.5 * ratio_integrals(-b)[0]
         assert grid[-1] == 0.5 * math.pi
@@ -347,29 +348,28 @@ def test_time_grid_against_time_map(n):
 
 
 def test_gauss_tables_exact_to_their_degree():
-    # The m-point table integrates the monomials up to degree 2m - 1 on
-    # [0, 1]; its node list ends with the end point 1, where Newton needs H'.
+    # The 4-point table integrates the monomials up to degree 7 on [0, 1];
+    # its node list ends with the end point 1, where Newton needs H'.
     eps = np.finfo(float).eps
-    assert [w.size for _, w in orbit._GL_RULES] == [4, 8]
-    for nodes, w in orbit._GL_RULES:
-        m = w.size
-        assert nodes.size == m + 1 and nodes[-1] == 1.0
-        assert not nodes.flags.writeable and not w.flags.writeable
-        for k in range(2 * m):
-            assert abs(w @ nodes[:m] ** k - 1.0 / (k + 1)) <= 4 * eps / (k + 1), (m, k)
+    nodes, w = orbit._GL_NODES, orbit._GL_WEIGHTS
+    assert w.size == 4
+    assert nodes.size == 5 and nodes[-1] == 1.0
+    assert not nodes.flags.writeable and not w.flags.writeable
+    for k in range(8):
+        assert abs(w @ nodes[:4] ** k - 1.0 / (k + 1)) <= 4 * eps / (k + 1), k
 
 
 def test_gauss_rule_meets_strip_bound():
-    # On cells pi/n wide the picked rule's strip bound (w / (4 y))**(2m),
-    # with y = 0.665 below asinh(sqrt(b)) on physical orbits, is at most
-    # 1e-18 for every sample count reconstruct accepts; 4 nodes serve
-    # from n = 212 on.
+    # The grid has max(n/2, 256) cells, so no cell is wider than pi/512.
+    # On those cells the 4-point rule's strip bound (w / (4 y))**8, with
+    # y = 0.665 below asinh(sqrt(b)) on physical orbits, is at most 1e-18
+    # for every sample count reconstruct accepts.
     assert math.asinh(math.sqrt(0.5175)) > 0.665
     for n in range(16, orbit._MAX_SAMPLES + 1, 2):
-        m = orbit._gauss_rule(n)[1].size
-        assert (math.pi / n / (4 * 0.665)) ** (2 * m) <= 1e-18, n
-        assert m == (8 if n < 212 else 4), n
-    for n in (16, 210, 212, 512, 2**20):
+        w = 0.5 * math.pi / max(n // 2, 256)
+        assert (w / (4 * 0.665)) ** 8 <= 1e-18, n
+    for n in (16, 210, 512, 2**20):
         layout = orbit._layout(n)
-        assert layout.cc_nodes.shape == (n // 2, layout.weights.size)
-        assert layout.nodes is orbit._gauss_rule(n)[0]
+        cells = max(n // 2, 256)
+        assert layout.cc_nodes.shape == (cells, 4)
+        assert layout.grid.size == cells + 1 and layout.grid[-1] == 0.5 * math.pi
