@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -201,6 +202,9 @@ def _cmd_solve(args: argparse.Namespace, settings: Settings) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
+    for flag, value in (("--mu-min", args.mu_min), ("--mu-max", args.mu_max)):
+        if not math.isfinite(value):
+            raise DomainError(f"scan requires a finite {flag}, got {value!r}")
     if not 1.0 < args.mu_min < args.mu_max:
         raise DomainError(
             f"scan requires 1 < mu_min < mu_max, got [{args.mu_min!r}, {args.mu_max!r}]"

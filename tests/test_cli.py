@@ -218,6 +218,23 @@ def test_scan_rejects_bad_ranges(capsys, tmp_path):
         assert "error:" in err
 
 
+def test_scan_rejects_non_finite_bounds(capsys, recwarn):
+    # A non-finite bound is named by its flag before the grid is built, so
+    # np.linspace never runs on it and no charge the user did not pass
+    # (such as the NaN that linspace makes from an infinite end) is reported.
+    for flag, other, value in (
+        ("--mu-max", ("--mu-min", "2"), "inf"),
+        ("--mu-max", ("--mu-min", "2"), "nan"),
+        ("--mu-min", ("--mu-max", "4"), "nan"),
+        ("--mu-min", ("--mu-max", "4"), "-inf"),
+    ):
+        code, out, err = _run(capsys, ["scan", f"{flag}={value}", *other, "--steps", "3"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: scan requires a finite {flag}, got {float(value)!r}\n"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_threshold_payload(capsys):
     code, out, _ = _run(capsys, ["threshold"])
     assert code == 0

@@ -20,6 +20,7 @@ from frozenplanet import (
     period,
     q1_extrema,
     qbar2_of,
+    sigma_pair,
     solve_orbit,
 )
 from frozenplanet import solver
@@ -97,20 +98,27 @@ def test_solve_orbit_large_mu():
 def test_solve_orbit_failures_carry_context(monkeypatch):
     # At mu = 1e308 the orbit mean (about 1.33 mu) exceeds 2**1023, and so
     # does its closed-form lower bound (about 1.17 mu): the bracket starts
-    # at 2**1023, whose double overflows, so the last estimate is 2**1023
-    # after the one F call there.
+    # at 2**1023, whose double overflows, so the last estimate is 2**1023.
+    # That point lies left of x_l, which decides its sign without an F call.
     with pytest.raises(ConvergenceError, match="bracket for the orbit mean overflowed") as info:
         solve_orbit(1e308)
     exc = info.value
-    assert (exc.mu, exc.last, exc.iterations) == (1e308, 2.0**1023, 1)
+    assert (exc.mu, exc.last, exc.iterations) == (1e308, 2.0**1023, 0)
     assert -1.0 < exc.a <= 0.0
+    # At mu = 1.7e308 gamma**2 is subnormal and both bounds overflow: the
+    # window decides nothing, so F is called at 2**1023.
+    assert solver._decided_window(gamma_of_mu(1.7e308), 1e-10) == (0.0, math.inf)
+    with pytest.raises(ConvergenceError, match="bracket for the orbit mean overflowed") as info:
+        solve_orbit(1.7e308)
+    assert (info.value.last, info.value.iterations) == (2.0**1023, 1)
 
-    # A bracket that starts right of the root at mu = 2.
+    # A bracket that starts right of the root at mu = 2, where x = 100 lies
+    # right of x_r and is decided without a call.
     monkeypatch.setattr(solver, "_bracket_start", lambda gamma: (100.0, 200.0))
     with pytest.raises(ConvergenceError, match="no sign change") as info:
         solve_orbit(2.0)
     exc = info.value
-    assert (exc.mu, exc.last, exc.iterations) == (2.0, 100.0, 1)
+    assert (exc.mu, exc.last, exc.iterations) == (2.0, 100.0, 0)
     assert exc.a < 0.0
     monkeypatch.undo()
 
@@ -120,8 +128,21 @@ def test_solve_orbit_failures_carry_context(monkeypatch):
     exc = info.value
     assert exc.mu == 2.0
     assert abs(exc.last - QBAR1_MU2) <= 1e-2
-    assert exc.iterations > 2
+    assert exc.iterations == 9
     assert exc.a < 0.0
+
+    # The interval collapses at x = 1.75 >= x_r, a midpoint the window
+    # decided: the error still reports the residual F makes there, and
+    # counts that call (the one midpoint before it, x = 1.5, was evaluated).
+    monkeypatch.setattr(solver, "_WIDTH_STOP", 0.3)
+    gamma = gamma_of_mu(2.0)
+    assert 1.75 >= solver._decided_window(gamma, 1e-10)[1]
+    with pytest.raises(ConvergenceError, match="bisection interval collapsed") as info:
+        solve_orbit(2.0)
+    exc = info.value
+    assert (exc.last, exc.iterations) == (1.75, 2)
+    assert f"residual={big_f(gamma, 1.75) - 2.0!r})" in str(exc)
+    monkeypatch.undo()
 
     # Raise sites that know none of the numbers leave them unset.
     plain = ConvergenceError("plain")
@@ -138,7 +159,7 @@ def test_solve_orbit_period_overflow():
     exc = info.value
     assert exc.mu == 5e307
     assert math.isfinite(exc.last) and exc.last > 5e307
-    assert exc.iterations == 33
+    assert exc.iterations == 30
     assert -1.0 < exc.a < 0.0
 
 
@@ -202,15 +223,27 @@ def _x_hi(gamma):
 
 
 def _solve_doubling_from_one(mu, tol=1e-10):
-    """solve_orbit's bisection on a bracket that starts at [1e-8, 1] and doubles from x = 1."""
+    """solve_orbit's bisection on a bracket that starts at [1e-8, 1] and doubles from x = 1.
+
+    F is evaluated at every trial point.  The failures are raised with
+    solve_orbit's messages, last estimates and ``a``.
+    """
     gamma = gamma_of_mu(mu)
 
     def f(x):
         return big_f(gamma, x) - 2.0
 
+    def failure(message, x):
+        plus, minus = sigma_pair(gamma, x)
+        return ConvergenceError(message, mu=mu, a=min(minus / plus, 0.0), last=x)
+
     lo, hi = 1e-8, 1.0
     assert f(lo) > 0.0
-    while f(hi) >= 0.0:
+    while True:
+        if math.isinf(hi):
+            raise failure(f"bracket for the orbit mean overflowed past {lo!r} for mu={mu!r}", lo)
+        if f(hi) < 0.0:
+            break
         lo, hi = hi, 2.0 * hi
     while True:
         mid = 0.5 * (lo + hi)
@@ -222,6 +255,9 @@ def _solve_doubling_from_one(mu, tol=1e-10):
             lo = mid
         else:
             hi = mid
+    eta = period(gamma, mid)
+    if not math.isfinite(eta):
+        raise failure(f"period of the orbit overflowed for mu={mu!r} (orbit mean {mid!r})", mid)
     q1max, q1antimax = q1_extrema(gamma, mid)
     return OrbitSolution(
         mu=mu,
@@ -231,29 +267,66 @@ def _solve_doubling_from_one(mu, tol=1e-10):
         kappa=kappa_of(gamma, mid),
         q1max=q1max,
         q1antimax=q1antimax,
-        eta=period(gamma, mid),
+        eta=eta,
         fixpoint_residual=abs(f_mid),
     )
 
 
+def _outcome(solve, mu, tol):
+    """The solution, or the type, message, last estimate and a of the failure."""
+    try:
+        return solve(mu, tol)
+    except ConvergenceError as exc:
+        return type(exc), str(exc), exc.last, exc.a
+
+
 def test_closed_form_start_keeps_every_orbit():
-    # The bracket skips only powers of two left of the root, so the final
-    # bracket and every bisection midpoint are those of a doubling from 1:
-    # every field is bit-identical, over the whole solvable range and on
-    # consecutive doubles next to the ionization threshold.
+    # The bracket skips only powers of two left of the root, and the window
+    # (x_l, x_r) decides each point it skips with the branch F gives there,
+    # so the final bracket and every bisection midpoint are those of a
+    # doubling from 1 that evaluates every point: every field is
+    # bit-identical, over the whole solvable range, on the benchmark's range
+    # (which holds u in [-9, -3], where x_r lies close to the root) and on
+    # consecutive doubles next to the ionization threshold, and the three
+    # failures from mu = 5e307 on match in type, message, last estimate and a.
     charges = [1.0 + d for d in np.geomspace(1e-12, 4.9e307, 80)]
+    charges += [1.0 + 10.0**u for u in np.linspace(-12.0, 11.0, 2000)]
     mu = 1.0 + 1e-12
-    for _ in range(200):
+    for _ in range(2000):
         mu = math.nextafter(mu, 2.0)
         charges.append(mu)
-    for mu in charges:
-        assert solve_orbit(mu) == _solve_doubling_from_one(mu), mu
+    charges += [5e307, 6.7e307, 1e308]
+    for tol in (1e-14, 1e-10, 1e-6):
+        for mu in charges:
+            expected = _outcome(_solve_doubling_from_one, mu, tol)
+            assert _outcome(solve_orbit, mu, tol) == expected, (mu, tol)
+
+
+_LOG_MU_MINUS_1 = (-12.0, math.log10(4.9e307))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.floats(min_value=_LOG_MU_MINUS_1[0], max_value=_LOG_MU_MINUS_1[1]),
+    st.floats(min_value=-14.0, max_value=-6.0),
+)
+def test_decided_window_premise(u, log_tol):
+    # mu - 1 and tol log-uniform.  Left of x_l every F - 2 exceeds tol and
+    # right of x_r every one falls below -tol, so a point there takes the
+    # branch its evaluation would give; the root lies strictly between.
+    mu, tol = 1.0 + 10.0**u, 10.0**log_tol
+    gamma = gamma_of_mu(mu)
+    x_l, x_r = solver._decided_window(gamma, tol)
+    assert big_f(gamma, x_l) - 2.0 > tol
+    assert big_f(gamma, x_r) - 2.0 < -tol
+    assert x_l < solve_orbit(mu, tol).qbar1 < x_r
 
 
 def test_solve_orbit_f_calls(monkeypatch):
-    # The closed-form start leaves at most three F calls before the
+    # The closed-form start leaves at most three trial points before the
     # bisection, so the count does not grow with the charge (a doubling
-    # from x = 1 makes 71 at mu = 1e11 and 1,030 at 1e300).
+    # from x = 1 makes 71 at mu = 1e11 and 1,030 at 1e300), and the window
+    # (x_l, x_r) decides about 10 of the 34 trial points without a call.
     calls = []
 
     def counted(gamma, x):
@@ -261,14 +334,17 @@ def test_solve_orbit_f_calls(monkeypatch):
         return big_f(gamma, x)
 
     monkeypatch.setattr(solver, "big_f", counted)
-    for mu, expected in ((2.0, 33), (1e11, 34), (1e300, 33)):
+    for mu, expected in ((2.0, 29), (1e11, 32), (1e300, 31)):
         calls.clear()
         solve_orbit(mu)
         assert len(calls) == expected, mu
-    for u in np.linspace(-12.0, 11.0, 24):
+    counts = []
+    for u in np.linspace(-12.0, 11.0, 2301):
         calls.clear()
         solve_orbit(1.0 + 10.0**u)
-        assert len(calls) <= 36, u
+        counts.append(len(calls))
+    assert max(counts) <= 32
+    assert np.mean(counts) <= 25.0
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
