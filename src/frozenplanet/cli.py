@@ -35,6 +35,11 @@ _CONFIG_ENV = "FROZEN_PLANET_CONFIG"
 _CONFIG_KEYS = ("tol", "samples")
 
 _SCAN_HEADER = "mu,gamma,qbar1,qbar2,kappa,q1max,q1antimax,eta,class"
+# Largest scan --steps accepted.  A scan holds its CSV rows until the last
+# solve, so that a failed solve writes nothing; that peaks at about 230
+# bytes per row (tracemalloc, 8,000 rows), about 120 MB at 2**19 rows, as
+# much as the largest trajectory rebuild.
+_MAX_STEPS = 2**19
 # Trajectory rows formatted per block of CSV text.
 _CSV_BLOCK = 2**16
 
@@ -209,17 +214,17 @@ def _cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
         raise DomainError(
             f"scan requires 1 < mu_min < mu_max, got [{args.mu_min!r}, {args.mu_max!r}]"
         )
-    if args.steps < 2:
-        raise DomainError(f"scan requires steps >= 2, got {args.steps!r}")
+    if not 2 <= args.steps <= _MAX_STEPS:
+        raise DomainError(f"scan requires 2 <= --steps <= {_MAX_STEPS}, got {args.steps!r}")
     start = time.perf_counter()
-    lines = [_SCAN_HEADER]
+    lines = [_SCAN_HEADER + "\n"]
     for mu in np.linspace(args.mu_min, args.mu_max, args.steps):
         sol = solve_orbit(float(mu), tol=settings.tol)
         verdict = classify_kappa(sol.kappa)
         lines.append(
             f"{sol.mu!r},{sol.gamma!r},{sol.qbar1!r},{sol.qbar2!r},"
             f"{sol.kappa!r},{sol.q1max!r},{sol.q1antimax!r},{sol.eta!r},"
-            f"{verdict.value}"
+            f"{verdict.value}\n"
         )
     manifest = _manifest(
         "scan",
@@ -231,7 +236,7 @@ def _cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
         },
         time.perf_counter() - start,
     )
-    _emit(["\n".join(lines) + "\n"], args.out)
+    _emit(lines, args.out)
     _emit_sidecar_manifest(manifest, args.out)
     return 0
 
@@ -301,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="solve and classify a range of charges (CSV)")
     p_scan.add_argument("--mu-min", type=float, required=True)
     p_scan.add_argument("--mu-max", type=float, required=True)
-    p_scan.add_argument("--steps", type=int, default=50, help="row count (default 50)")
+    p_scan.add_argument("--steps", type=int, default=50, help="row count, 2 to 2**19 (default 50)")
     p_scan.add_argument(
         "--tol", type=float, default=None, help="per-solve residual tolerance"
     )

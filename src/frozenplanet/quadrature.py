@@ -18,8 +18,12 @@ At b = 0 the moments are exactly 2 and 4/3.  For b >= 4 the expansion of
     I_k = b**(-1/2) * sum_j (1/2)_j / j! * B(k + j + 1, 1/2) * (-1/b)**j,
 
 summed in Horner form.  Every branch stays within a few units of rounding
-of a 40-digit evaluation, from b = 1e-300 to b = 1e25.  The time map, the
-incomplete form of I_{1/2}, is R_D from the same kernel, written once for
+of a 40-digit evaluation, from b = 1e-300 to b = 1e25.  The shape
+functional F and the period rest on one private kernel, ``_shape``, which
+returns F with the sigma pair and I_{1/2} it used; ``big_f`` and
+``period`` wrap it, and the orbit solve calls it at each trial point and
+builds the period from the accepted one.  The time map, the
+incomplete form of I_{1/2}, is R_D from the same Carlson kernel, written once for
 floats and arrays alike.  It serves time_integral and, through it, the
 tests' independent reference for the trajectory rebuild, which builds its
 own angle grid from a Gauss rule and takes G(1) = I_{1/2} / 2 from the
@@ -95,15 +99,23 @@ def ratio_integrals(a: float) -> tuple[float, float]:
     return i_half, i_three_half
 
 
-def big_f(gamma: float, x: float) -> float:
-    """Shape functional F(gamma, x) = sigma_plus * I_{3/2}(a) / I_{1/2}(a).
+def _shape(gamma: float, x: float) -> tuple[float, float, float, float]:
+    """(F, sigma_plus, sigma_minus, I_{1/2}(a)) at the point (gamma, x).
 
-    Here a = sigma_minus / sigma_plus at the point (gamma, x).  For fixed
-    gamma > 0 the map x -> F(gamma, x) is strictly decreasing from a value
-    >= 8/3 at x = 0 towards 0, and the mean position of the periodic orbit
-    is the unique x solving F(gamma, x) = 2.  Rounding can push a to a tiny
-    positive value where it vanishes analytically (gamma = -1, x < 2); such
-    values are clamped to 0.  Requires a finite x >= 0.
+    The one evaluation of the shape functional F = sigma_plus * I_{3/2} /
+    I_{1/2}, with a = sigma_minus / sigma_plus.  :func:`big_f` returns its
+    F and :func:`period` its sigma_plus and I_{1/2}, after checks of their
+    own; the orbit solve calls it at each trial point it cannot decide in
+    closed form and keeps the pair and the moment of the accepted point
+    for the period and the swing.  Rounding can push a to a tiny positive
+    value where it vanishes analytically (gamma = -1, x < 2); such values
+    are clamped to 0.  Where a overflows to -inf, b = -a exceeds every
+    double and the series gives I_{3/2} / I_{1/2} = 3/4 and I_{1/2} =
+    (pi / 2) / sqrt(b) to far below rounding; plus * minus =
+    -4 (gamma + 1)**2 gives sqrt(b) = |minus| / (2 |gamma + 1|) without
+    the overflow.  Raises
+    :class:`DomainError` unless x >= 0 and sigma_plus > 0, naming a
+    non-finite argument first.
     """
     plus, minus = sigma_pair(gamma, x)
     if not plus > 0.0 or x < 0.0:
@@ -120,11 +132,27 @@ def big_f(gamma: float, x: float) -> float:
     if a > 0.0:
         a = 0.0
     elif a == -math.inf:
-        # sigma_minus / sigma_plus overflowed, so b exceeds every double and
-        # the series gives I_{3/2} / I_{1/2} = 3/4 to far below rounding.
-        return 0.75 * plus
+        return 0.75 * plus, plus, minus, math.pi * abs(gamma + 1.0) / abs(minus)
     i_half, i_three_half = ratio_integrals(a)
-    return plus * i_three_half / i_half
+    return plus * i_three_half / i_half, plus, minus, i_half
+
+
+def _eta(gamma: float, qbar1: float, q1max: float, i_half: float) -> float:
+    """Period sqrt(2) * gamma * qbar1 * sqrt(q1max) * I_{1/2}(a) (see :func:`period`)."""
+    return math.sqrt(2.0) * gamma * qbar1 * math.sqrt(q1max) * i_half
+
+
+def big_f(gamma: float, x: float) -> float:
+    """Shape functional F(gamma, x) = sigma_plus * I_{3/2}(a) / I_{1/2}(a).
+
+    Here a = sigma_minus / sigma_plus at the point (gamma, x).  For fixed
+    gamma > 0 the map x -> F(gamma, x) is strictly decreasing from a value
+    >= 8/3 at x = 0 towards 0, and the mean position of the periodic orbit
+    is the unique x solving F(gamma, x) = 2.  Requires a finite gamma, a
+    finite x >= 0 and sigma_plus > 0 there.  The checks, the clamp of a
+    and the case where a overflows all live in the kernel ``_shape``.
+    """
+    return _shape(gamma, x)[0]
 
 
 def period(gamma: float, qbar1: float) -> float:
@@ -133,25 +161,19 @@ def period(gamma: float, qbar1: float) -> float:
     ``qbar1`` is the orbit mean, q1max / q1antimax are its energy-relation
     roots, and a is their ratio; the kappa value consistent with
     (gamma, qbar1) is built into the sigma roots, so only those two
-    arguments are needed.
+    arguments are needed.  The moment and the sigma pair come from the
+    kernel ``_shape`` at x = qbar1, the one that ``big_f`` wraps.
     """
     if not math.isfinite(gamma):
         raise DomainError(f"period requires a finite gamma, got gamma={gamma!r}")
     if not 0.0 < qbar1 < math.inf:
         raise DomainError(f"period requires a finite qbar1 > 0, got qbar1={qbar1!r}")
-    plus, minus = sigma_pair(gamma, qbar1)
-    if plus <= 0.0:
-        raise DomainError(f"period undefined where sigma_plus <= 0 (gamma={gamma!r})")
-    q1max = 0.5 * plus * qbar1
-    a = min(minus / plus, 0.0)
-    if a == -math.inf:
-        # b = -a overflowed; the series' leading term (pi / 2) / sqrt(b) is
-        # I_{1/2} to far below rounding, and plus * minus = -4 (gamma + 1)**2
-        # gives sqrt(b) = |minus| / (2 |gamma + 1|) without the overflow.
-        i_half = math.pi * abs(gamma + 1.0) / abs(minus)
-    else:
-        i_half = ratio_integrals(a)[0]
-    return math.sqrt(2.0) * gamma * qbar1 * math.sqrt(q1max) * i_half
+    try:
+        _, plus, _, i_half = _shape(gamma, qbar1)
+    except DomainError:
+        # With gamma and qbar1 checked, only sigma_plus <= 0 is left.
+        raise DomainError(f"period undefined where sigma_plus <= 0 (gamma={gamma!r})") from None
+    return _eta(gamma, qbar1, 0.5 * plus * qbar1, i_half)
 
 
 def _h(b, s, cc):

@@ -37,6 +37,16 @@ trial point is evaluated).  Where R nears 3/4, for u in [-9, -3], x_r
 lies close to the root and a solve takes 11 on average (3 to 20 for u in
 [-8, -3]).
 
+Each trial point the window leaves undecided is evaluated once, through
+the kernel ``quadrature._shape`` that :func:`big_f` wraps, with the window
+tests inline.  The kernel returns F with the sigma pair (sigma_plus,
+sigma_minus) and the moment I_{1/2} it used, and the solve keeps those of
+the accepted midpoint: q1max = sigma_plus qbar1 / 2, q1antimax =
+sigma_minus qbar1 / 2 and the period eta follow from them by the
+arithmetic of ``q1_extrema`` and ``period``, to the same doubles.  A solve
+therefore computes no moment pair beyond those of its F evaluations (29
+at mu = 2) and calls none of ``big_f``, ``period`` or ``q1_extrema``.
+
 The doubling has no cap: qbar1 grows like 1.33 mu, so the bracket covers
 every charge whose orbit mean lies below 2**1023, up to mu of about
 6.7e307.  The period eta grows like 3.63 mu and passes the largest double
@@ -49,8 +59,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .model import gamma_of_mu, kappa_of, q1_extrema, qbar2_of, sigma_pair
-from .quadrature import big_f, period
+from .model import gamma_of_mu, kappa_of, qbar2_of, sigma_pair
+from .quadrature import _eta, _shape, big_f
 
 _X_LO = 1e-8
 _X_TOP = 2.0**1023
@@ -62,8 +72,8 @@ class OrbitSolution:
     """One solved periodic orbit, with all derived scalars attached.
 
     ``fixpoint_residual`` is |F(gamma, qbar1) - 2| at the accepted root;
-    every other field is closed-form algebra or one pair of moment
-    integrals away from (mu, qbar1).
+    every other field is closed-form algebra in (mu, qbar1) and the sigma
+    pair and I_{1/2} of that last F evaluation.
     """
 
     mu: float
@@ -137,7 +147,11 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     at trial points strictly inside the closed-form window (x_l, x_r);
     outside it the sign of F - 2 is known and the branch is taken without
     a call.  A solve makes 24 F calls on average at the default ``tol``
-    over mu = 1 + 10**u, u in [-12, 11], and never more than 32.
+    over mu = 1 + 10**u, u in [-12, 11], and never more than 32, each one
+    call of the kernel ``quadrature._shape``.  The swing (q1max, q1antimax)
+    and the period eta are formed from the sigma pair and I_{1/2} of the
+    accepted evaluation, bit-identical to ``q1_extrema`` and ``period`` at
+    the solved mean, so no moment pair is computed after the root is found.
     :class:`ConvergenceError` is raised when the upper end overflows to
     infinity (the orbit mean exceeds 2**1023, from mu of about 6.7e307),
     when the relative interval width falls below 1e-14 before the residual
@@ -148,21 +162,18 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     if not 1e-14 <= tol <= 1e-6:
         raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
     gamma = gamma_of_mu(mu)
+    # F - 2 > 0 at every x <= x_l and < 0 at every x >= x_r; only points
+    # strictly between are evaluated.
     x_l, x_r = _decided_window(gamma, tol)
     evals = 0
 
-    def f(x: float) -> float:
-        # F - 2, or an infinity of its sign where the window decides it.
-        nonlocal evals
-        if x <= x_l:
-            return math.inf
-        if x >= x_r:
-            return -math.inf
-        evals += 1
-        return big_f(gamma, x) - 2.0
-
     lo, hi = _bracket_start(gamma)
-    if f(lo) <= 0.0:
+    if x_l < lo < x_r:
+        evals += 1
+        no_sign_change = _shape(gamma, lo)[0] <= 2.0
+    else:
+        no_sign_change = lo > x_l
+    if no_sign_change:
         raise _failure(
             f"no sign change available: F(gamma, {lo!r}) <= 2 for mu={mu!r}",
             mu, gamma, lo, evals,
@@ -173,21 +184,30 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
                 f"bracket for the orbit mean overflowed past {lo!r} for mu={mu!r}",
                 mu, gamma, lo, evals,
             )
-        if f(hi) < 0.0:
+        if x_l < hi < x_r:
+            evals += 1
+            if _shape(gamma, hi)[0] < 2.0:
+                break
+        elif hi > x_l:
             break
         lo = hi
         hi *= 2.0
 
     while True:
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if abs(f_mid) <= tol:
-            break
+        if x_l < mid < x_r:
+            evals += 1
+            f, plus, minus, i_half = _shape(gamma, mid)
+            f_mid = f - 2.0
+            if abs(f_mid) <= tol:
+                break
+        else:
+            f_mid = math.inf if mid <= x_l else -math.inf
         if hi - lo < _WIDTH_STOP * mid:
             if math.isinf(f_mid):
                 # Report the residual F gives at a decided midpoint.
                 evals += 1
-                f_mid = big_f(gamma, mid) - 2.0
+                f_mid = _shape(gamma, mid)[0] - 2.0
             raise _failure(
                 f"bisection interval collapsed before reaching tol={tol:g} "
                 f"(mu={mu!r}, residual={f_mid!r})",
@@ -198,14 +218,16 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
         else:
             hi = mid
 
+    # The accepted midpoint was evaluated: its sigma pair and I_{1/2} give
+    # the swing and the period, as q1_extrema and period would.
     qbar1 = mid
-    eta = period(gamma, qbar1)
+    q1max = 0.5 * plus * qbar1
+    eta = _eta(gamma, qbar1, q1max, i_half)
     if not math.isfinite(eta):
         raise _failure(
             f"period of the orbit overflowed for mu={mu!r} (orbit mean {qbar1!r})",
             mu, gamma, qbar1, evals,
         )
-    q1max, q1antimax = q1_extrema(gamma, qbar1)
     return OrbitSolution(
         mu=mu,
         gamma=gamma,
@@ -213,7 +235,7 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
         qbar2=qbar2_of(gamma, qbar1),
         kappa=kappa_of(gamma, qbar1),
         q1max=q1max,
-        q1antimax=q1antimax,
+        q1antimax=0.5 * minus * qbar1,
         eta=eta,
         fixpoint_residual=abs(f_mid),
     )

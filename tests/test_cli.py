@@ -235,6 +235,19 @@ def test_scan_rejects_non_finite_bounds(capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_scan_rejects_steps_above_cap(capsys, monkeypatch):
+    # A scan holds its rows until the last solve, so --steps is capped; a
+    # count above the cap is named by its flag before any charge is solved.
+    solved = []
+    monkeypatch.setattr(cli, "solve_orbit", lambda mu, tol: solved.append(mu))
+    too_many = cli._MAX_STEPS + 1
+    code, out, err = _run(
+        capsys, ["scan", "--mu-min", "2", "--mu-max", "4", "--steps", str(too_many)]
+    )
+    assert (code, out, solved) == (2, "", [])
+    assert err == f"error: scan requires 2 <= --steps <= {cli._MAX_STEPS}, got {too_many}\n"
+
+
 def test_threshold_payload(capsys):
     code, out, _ = _run(capsys, ["threshold"])
     assert code == 0

@@ -14,6 +14,7 @@ independence:
 """
 
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -301,6 +302,16 @@ def test_period_rejects_nonfinite_gamma():
     for gamma in (math.nan, math.inf):
         with pytest.raises(DomainError, match=f"finite gamma, got gamma={gamma!r}"):
             period(gamma, 1.0)
+
+
+def test_period_rejects_nonpositive_sigma_plus():
+    # sigma_plus vanishes at gamma = -1, x >= 2, and is NaN where
+    # gamma**2 * qbar1 overflows; the error names sigma_plus, not the
+    # moment argument a that such a point would reach.
+    for gamma, qbar1 in ((-1.0, 2.0), (-1.0, 3.0), (1e200, 1.0)):
+        message = f"period undefined where sigma_plus <= 0 (gamma={gamma!r})"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            period(gamma, qbar1)
 
 
 def test_time_integral_against_time_map_and_mpmath():

@@ -23,7 +23,7 @@ from frozenplanet import (
     sigma_pair,
     solve_orbit,
 )
-from frozenplanet import solver
+from frozenplanet import model, quadrature, solver
 from frozenplanet.solver import OrbitSolution
 
 # Frozen regression values from the current build (defect |F - 2| <= 1e-10;
@@ -56,15 +56,15 @@ def test_solve_orbit_mu20_kappa(sol_mu2):
 
 
 def test_solution_internal_consistency(sol_mu2, sol_mu4):
-    for sol in (sol_mu2, sol_mu4):
+    # The swing and the period come from the accepted point's sigma pair
+    # and I_1/2 by the arithmetic of q1_extrema and period: the same doubles.
+    for sol in (sol_mu2, sol_mu4, solve_orbit(1e11), solve_orbit(1e300)):
         g = gamma_of_mu(sol.mu)
         assert_allclose(sol.gamma, g, rtol=1e-14)
         assert_allclose(sol.qbar2, qbar2_of(g, sol.qbar1), rtol=1e-14)
         assert_allclose(sol.kappa, kappa_of(g, sol.qbar1), rtol=1e-12)
-        q1max, q1anti = q1_extrema(g, sol.qbar1)
-        assert_allclose(sol.q1max, q1max, rtol=1e-12)
-        assert_allclose(sol.q1antimax, q1anti, rtol=1e-12)
-        assert_allclose(sol.eta, period(g, sol.qbar1), rtol=1e-12)
+        assert (sol.q1max, sol.q1antimax) == q1_extrema(g, sol.qbar1)
+        assert sol.eta == period(g, sol.qbar1)
         assert sol.q1antimax < 0.0 < sol.qbar1 < sol.q1max
 
 
@@ -327,17 +327,35 @@ def test_solve_orbit_f_calls(monkeypatch):
     # bisection, so the count does not grow with the charge (a doubling
     # from x = 1 makes 71 at mu = 1e11 and 1,030 at 1e300), and the window
     # (x_l, x_r) decides about 10 of the 34 trial points without a call.
+    # Each evaluated point is one call of the kernel that big_f wraps, and
+    # every moment pair belongs to one: the swing and the period come from
+    # the accepted point, with no big_f, period or q1_extrema call.
     calls = []
+    moment_calls = []
+    shape, moments = quadrature._shape, quadrature.ratio_integrals
 
     def counted(gamma, x):
         calls.append(x)
-        return big_f(gamma, x)
+        return shape(gamma, x)
 
-    monkeypatch.setattr(solver, "big_f", counted)
+    def counted_moments(a):
+        moment_calls.append(a)
+        return moments(a)
+
+    def forbidden(*args):
+        raise AssertionError("solve_orbit must not call this")
+
+    monkeypatch.setattr(solver, "_shape", counted)
+    monkeypatch.setattr(quadrature, "ratio_integrals", counted_moments)
+    for module, name in (
+        (solver, "big_f"), (quadrature, "big_f"), (quadrature, "period"), (model, "q1_extrema"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
     for mu, expected in ((2.0, 29), (1e11, 32), (1e300, 31)):
         calls.clear()
+        moment_calls.clear()
         solve_orbit(mu)
-        assert len(calls) == expected, mu
+        assert len(calls) == len(moment_calls) == expected, mu
     counts = []
     for u in np.linspace(-12.0, 11.0, 2301):
         calls.clear()
