@@ -44,6 +44,8 @@ def mu_of_gamma(gamma: float) -> float:
 
 def qbar2_of(gamma: float, qbar1: float) -> float:
     """Outer-electron rest position qbar2 = (gamma + 1) * qbar1."""
+    if not math.isfinite(gamma):
+        raise DomainError(f"qbar2_of requires a finite gamma, got {gamma!r}")
     if not 0.0 < qbar1 < math.inf:
         raise DomainError(f"qbar2_of requires a finite qbar1 > 0, got {qbar1!r}")
     return (gamma + 1.0) * qbar1
@@ -94,6 +96,8 @@ def q1_extrema(gamma: float, qbar1: float) -> tuple[float, float]:
     q1antimax = sigma_minus * qbar1 / 2 < 0 is the spurious second root of
     the same energy relation.  Their ratio parametrizes every moment integral.
     """
+    if not math.isfinite(gamma):
+        raise DomainError(f"q1_extrema requires a finite gamma, got {gamma!r}")
     if not 0.0 < qbar1 < math.inf:
         raise DomainError(f"q1_extrema requires a finite qbar1 > 0, got {qbar1!r}")
     plus, minus = sigma_pair(gamma, qbar1)
@@ -106,6 +110,10 @@ def q1max_of_kappa(kappa: float, gamma: float, qbar1: float) -> float:
     Same amplitude as ``q1_extrema(...)[0]`` but parametrized by kappa;
     uses mu * gamma**2 = (gamma + 1)**2 so mu never has to be formed.
     """
+    if not math.isfinite(kappa):
+        raise DomainError(f"q1max_of_kappa requires a finite kappa, got {kappa!r}")
+    if not math.isfinite(gamma):
+        raise DomainError(f"q1max_of_kappa requires a finite gamma, got {gamma!r}")
     if not 0.0 < qbar1 < math.inf:
         raise DomainError(f"q1max_of_kappa requires a finite qbar1 > 0, got {qbar1!r}")
     b = gamma * gamma * kappa * qbar1 * qbar1

@@ -190,3 +190,16 @@ def test_q1max_of_kappa_rejects_nonfinite_qbar1():
     for qbar1 in (math.nan, math.inf):
         with pytest.raises(DomainError):
             q1max_of_kappa(0.5, 1.0, qbar1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_helpers_reject_nonfinite_gamma_and_kappa(bad):
+    # Each error names the argument, as kappa_of and period do.
+    with pytest.raises(DomainError, match=f"qbar2_of requires a finite gamma, got {bad!r}"):
+        qbar2_of(bad, 1.0)
+    with pytest.raises(DomainError, match=f"q1_extrema requires a finite gamma, got {bad!r}"):
+        q1_extrema(bad, 1.0)
+    with pytest.raises(DomainError, match=f"q1max_of_kappa requires a finite gamma, got {bad!r}"):
+        q1max_of_kappa(0.5, bad, 1.0)
+    with pytest.raises(DomainError, match=f"q1max_of_kappa requires a finite kappa, got {bad!r}"):
+        q1max_of_kappa(bad, 1.0, 1.0)

@@ -86,8 +86,8 @@ def test_solve_orbit_near_ionization_threshold():
 
 
 def test_solve_orbit_large_mu():
-    # The orbit mean grows like 1.33 mu; the doubling bracket has no cap and
-    # follows it as far as the float range reaches.
+    # The orbit mean grows like 1.33 mu; the bracket has no cap and follows
+    # it as far as the float range reaches.
     sols = [solve_orbit(mu) for mu in (1000.0, 1e12, 1e15, 1e20, 1e100, 1e300)]
     for sol in sols:
         assert abs(sol.fixpoint_residual) <= 1e-10
@@ -96,31 +96,24 @@ def test_solve_orbit_large_mu():
 
 
 def test_solve_orbit_failures_carry_context(monkeypatch):
-    # At mu = 1e308 the orbit mean (about 1.33 mu) exceeds 2**1023, and so
-    # does its closed-form lower bound (about 1.17 mu): the bracket starts
-    # at 2**1023, whose double overflows, so the last estimate is 2**1023.
-    # That point lies left of x_l, which decides its sign without an F call.
-    with pytest.raises(ConvergenceError, match="bracket for the orbit mean overflowed") as info:
-        solve_orbit(1e308)
-    exc = info.value
-    assert (exc.mu, exc.last, exc.iterations) == (1e308, 2.0**1023, 0)
-    assert -1.0 < exc.a <= 0.0
-    # At mu = 1.7e308 gamma**2 is subnormal and both bounds overflow: the
-    # window decides nothing, so F is called at 2**1023.
-    assert solver._decided_window(gamma_of_mu(1.7e308), 1e-10) == (0.0, math.inf)
+    # From mu of about 6.34e307 the closed-form bound x_r of the root
+    # exceeds 2**1023, so no power of two brackets it: the solve raises
+    # before any F call, with 2**1023 as the last estimate.  Just below, the
+    # bracket holds, and the period of the solved orbit overflows instead.
+    with pytest.raises(ConvergenceError, match="period of the orbit overflowed"):
+        solve_orbit(6e307)
+    for mu in (6.4e307, 1e308):
+        assert solver._decided_window(gamma_of_mu(mu), 1e-10)[1] > 2.0**1023
+        with pytest.raises(ConvergenceError, match="bracket for the orbit mean overflowed") as info:
+            solve_orbit(mu)
+        exc = info.value
+        assert (exc.mu, exc.last, exc.iterations) == (mu, 2.0**1023, 0)
+        assert -1.0 < exc.a <= 0.0
+    # At mu = 1.7e308 gamma**2 is subnormal and both bounds overflow.
+    assert solver._decided_window(gamma_of_mu(1.7e308), 1e-10) == (math.inf, math.inf)
     with pytest.raises(ConvergenceError, match="bracket for the orbit mean overflowed") as info:
         solve_orbit(1.7e308)
-    assert (info.value.last, info.value.iterations) == (2.0**1023, 1)
-
-    # A bracket that starts right of the root at mu = 2, where x = 100 lies
-    # right of x_r and is decided without a call.
-    monkeypatch.setattr(solver, "_bracket_start", lambda gamma: (100.0, 200.0))
-    with pytest.raises(ConvergenceError, match="no sign change") as info:
-        solve_orbit(2.0)
-    exc = info.value
-    assert (exc.mu, exc.last, exc.iterations) == (2.0, 100.0, 0)
-    assert exc.a < 0.0
-    monkeypatch.undo()
+    assert (info.value.last, info.value.iterations) == (2.0**1023, 0)
 
     monkeypatch.setattr(solver, "_WIDTH_STOP", 1e-3)
     with pytest.raises(ConvergenceError, match="bisection interval collapsed") as info:
@@ -151,7 +144,7 @@ def test_solve_orbit_failures_carry_context(monkeypatch):
 
 def test_solve_orbit_period_overflow():
     # The period grows like 3.63 mu and passes the largest double from mu
-    # of about 4.95e307, before the bracket overflows at about 6.7e307.
+    # of about 4.95e307, before the bracket overflows at about 6.34e307.
     sol = solve_orbit(4.9e307)
     assert math.isfinite(sol.eta) and sol.eta > sol.mu
     with pytest.raises(ConvergenceError, match="period of the orbit overflowed") as info:
@@ -222,10 +215,12 @@ def _x_hi(gamma):
     return (2.0 / 3.0 + 0.75 * (gamma + 1.0) ** 2) / gamma**2
 
 
-def _solve_doubling_from_one(mu, tol=1e-10):
-    """solve_orbit's bisection on a bracket that starts at [1e-8, 1] and doubles from x = 1.
+def _solve_every_point(mu, tol=1e-10):
+    """solve_orbit's outcome from a bisection that evaluates F at every trial point.
 
-    F is evaluated at every trial point.  The failures are raised with
+    It doubles from x = 1 to the least power of two 2**k >= 1 with F < 2,
+    then bisects [0, 2**(k+1)], whose first midpoint is 2**k, and accepts
+    the first midpoint with |F - 2| <= tol.  The failures are raised with
     solve_orbit's messages, last estimates and ``a``.
     """
     gamma = gamma_of_mu(mu)
@@ -233,31 +228,26 @@ def _solve_doubling_from_one(mu, tol=1e-10):
     def f(x):
         return big_f(gamma, x) - 2.0
 
-    def failure(message, x):
-        plus, minus = sigma_pair(gamma, x)
-        return ConvergenceError(message, mu=mu, a=min(minus / plus, 0.0), last=x)
-
-    lo, hi = 1e-8, 1.0
-    assert f(lo) > 0.0
+    hi = 1.0
+    while f(hi) >= 0.0:
+        hi *= 2.0
+    lo, step, mid = 0.0, hi, hi
     while True:
-        if math.isinf(hi):
-            raise failure(f"bracket for the orbit mean overflowed past {lo!r} for mu={mu!r}", lo)
-        if f(hi) < 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    while True:
-        mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if abs(f_mid) <= tol:
             break
-        assert hi - lo >= 1e-14 * mid
+        assert 2.0 * step >= 1e-14 * mid
         if f_mid > 0.0:
             lo = mid
-        else:
-            hi = mid
+        step *= 0.5
+        mid = lo + step
     eta = period(gamma, mid)
     if not math.isfinite(eta):
-        raise failure(f"period of the orbit overflowed for mu={mu!r} (orbit mean {mid!r})", mid)
+        plus, minus = sigma_pair(gamma, mid)
+        raise ConvergenceError(
+            f"period of the orbit overflowed for mu={mu!r} (orbit mean {mid!r})",
+            mu=mu, a=min(minus / plus, 0.0), last=mid,
+        )
     q1max, q1antimax = q1_extrema(gamma, mid)
     return OrbitSolution(
         mu=mu,
@@ -281,25 +271,80 @@ def _outcome(solve, mu, tol):
 
 
 def test_closed_form_start_keeps_every_orbit():
-    # The bracket skips only powers of two left of the root, and the window
-    # (x_l, x_r) decides each point it skips with the branch F gives there,
-    # so the final bracket and every bisection midpoint are those of a
-    # doubling from 1 that evaluates every point: every field is
-    # bit-identical, over the whole solvable range, on the benchmark's range
-    # (which holds u in [-9, -3], where x_r lies close to the root) and on
-    # consecutive doubles next to the ionization threshold, and the three
-    # failures from mu = 5e307 on match in type, message, last estimate and a.
+    # The solve bisects [0, top], top the least power of two at or above
+    # x_r.  The reference bisects [0, 2**(k+1)], and 2**(k+1) > 2 root > x_r,
+    # so 2**(k+1) >= top.  Its midpoints from 2**k down to top lie at or
+    # right of x_r, where F - 2 < -2 tol, so it goes left at each and then
+    # tries the solver's midpoints in order.  The window (x_l, x_r) decides
+    # each point the solver skips with the branch F gives there, so every
+    # field is bit-identical: over the whole solvable range, on the
+    # benchmark's range (which holds u in [-9, -3], where x_r lies close to
+    # the root) and on consecutive doubles next to the ionization
+    # threshold, and the period overflow at mu = 5e307 matches in type,
+    # message, last estimate and a.
     charges = [1.0 + d for d in np.geomspace(1e-12, 4.9e307, 80)]
     charges += [1.0 + 10.0**u for u in np.linspace(-12.0, 11.0, 2000)]
     mu = 1.0 + 1e-12
     for _ in range(2000):
         mu = math.nextafter(mu, 2.0)
         charges.append(mu)
-    charges += [5e307, 6.7e307, 1e308]
+    charges.append(5e307)
     for tol in (1e-14, 1e-10, 1e-6):
         for mu in charges:
-            expected = _outcome(_solve_doubling_from_one, mu, tol)
+            expected = _outcome(_solve_every_point, mu, tol)
             assert _outcome(solve_orbit, mu, tol) == expected, (mu, tol)
+        # Past mu of about 6.34e307 no power of two brackets x_r, while the
+        # reference still reaches the period overflow at 6.7e307.
+        for mu in (6.7e307, 1e308):
+            with pytest.raises(ConvergenceError, match="bracket for the orbit mean overflowed"):
+                solve_orbit(mu, tol)
+
+
+def _consecutive_doubles(mu, n):
+    """mu and the n doubles that follow it."""
+    out = [mu]
+    for _ in range(n):
+        out.append(math.nextafter(out[-1], math.inf))
+    return out
+
+
+def _charge_where_x_r_reaches(x, tol):
+    """The least double mu in (1 + 1e-12, 1e3] whose window bound x_r is at least x."""
+    lo, hi = 1.0 + 1e-12, 1e3
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if solver._decided_window(gamma_of_mu(mid), tol)[1] >= x:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_qbar1_non_decreasing_in_mu():
+    # Every trial point lies in one dyadic tree, so two charges take the
+    # same branches down to the first point that separates their roots:
+    # the solved mean is non-decreasing in mu, the property the benchmark
+    # gates.  The sets are consecutive doubles next to the ionization
+    # threshold, consecutive doubles around each charge where top switches
+    # (x_r crossing 1, 2 and 4), and sorted log-uniform charges.  At
+    # tol = 1e-14 the acceptance band |F - 2| <= tol is about 22 rounding
+    # units of F wide, and at a point on that band's edge one rounding unit
+    # can accept the point for one double and pass it for the next.  Such a
+    # decrease stays within the accuracy that |F - 2| <= tol gives both
+    # means, 2 tol relative, since |x F_x| >= 1.2 at the root.
+    rng = np.random.default_rng(0)
+    random_charges = np.sort(1.0 + 10.0 ** rng.uniform(-12.0, 11.0, 5000)).tolist()
+    for tol, allowed in ((1e-10, 0.0), (1e-14, 2e-14)):
+        sets = [_consecutive_doubles(1.0 + 1e-12, 2000), random_charges]
+        for x in (1.0, 2.0, 4.0):
+            mu = _charge_where_x_r_reaches(x, tol)
+            for _ in range(200):
+                mu = math.nextafter(mu, 0.0)
+            sets.append(_consecutive_doubles(mu, 400))
+        for charges in sets:
+            qbar1 = np.array([solve_orbit(mu, tol).qbar1 for mu in charges])
+            drop = (qbar1[:-1] - qbar1[1:]) / qbar1[:-1]
+            assert drop.max() <= allowed, (tol, charges[int(drop.argmax())])
 
 
 _LOG_MU_MINUS_1 = (-12.0, math.log10(4.9e307))
@@ -323,10 +368,11 @@ def test_decided_window_premise(u, log_tol):
 
 
 def test_solve_orbit_f_calls(monkeypatch):
-    # The closed-form start leaves at most three trial points before the
-    # bisection, so the count does not grow with the charge (a doubling
-    # from x = 1 makes 71 at mu = 1e11 and 1,030 at 1e300), and the window
-    # (x_l, x_r) decides about 10 of the 34 trial points without a call.
+    # The bracket [0, top] comes from the closed-form bound x_r, so the
+    # count does not grow with the charge (a doubling from x = 1 makes 71
+    # at mu = 1e11 and 1,030 at 1e300), and the window (x_l, x_r) decides
+    # every trial point outside it without a call.  Next to the ionization
+    # threshold the root nears 3/4, an early dyadic midpoint.
     # Each evaluated point is one call of the kernel that big_f wraps, and
     # every moment pair belongs to one: the swing and the period come from
     # the accepted point, with no big_f, period or q1_extrema call.
@@ -356,13 +402,16 @@ def test_solve_orbit_f_calls(monkeypatch):
         moment_calls.clear()
         solve_orbit(mu)
         assert len(calls) == len(moment_calls) == expected, mu
+    us = np.linspace(-12.0, 11.0, 2301)
     counts = []
-    for u in np.linspace(-12.0, 11.0, 2301):
+    for u in us:
         calls.clear()
         solve_orbit(1.0 + 10.0**u)
         counts.append(len(calls))
-    assert max(counts) <= 32
-    assert np.mean(counts) <= 25.0
+    counts = np.array(counts)
+    assert counts.max() <= 32
+    assert counts.mean() <= 20.5
+    assert counts[us <= -9.0].max() <= 5
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
