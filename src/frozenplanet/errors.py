@@ -13,12 +13,20 @@ class ConvergenceError(RuntimeError):
     the orbit parameter ``a`` = q1antimax / q1max, the number of
     ``iterations`` made (evaluations of F in the solver, Newton steps in the
     trajectory inversion) and ``last``, the last estimate of the orbit mean
-    or the worst remaining Newton step.
+    or the worst remaining Newton step.  The orbit solve adds its closed-form
+    ``window`` (x_l, x_r) and the counts of the trial points it tried,
+    ``decided`` by that window and ``evaluated`` by an F call.
     """
 
-    def __init__(self, *args, mu=None, a=None, iterations=None, last=None):
+    def __init__(
+        self, *args, mu=None, a=None, iterations=None, last=None,
+        window=None, decided=None, evaluated=None,
+    ):
         super().__init__(*args)
         self.mu = mu
         self.a = a
         self.iterations = iterations
         self.last = last
+        self.window = window
+        self.decided = decided
+        self.evaluated = evaluated

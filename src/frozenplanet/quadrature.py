@@ -13,12 +13,15 @@ through Carlson's R_F and R_D (:func:`frozenplanet.specialfn.carlson_rf_rd`):
 
 the last from int_0^1 P'(r) / sqrt(P(r)) dr = 0 with P = r (1 - r) (r + b).
 At b = 0 the moments are exactly 2 and 4/3.  For b >= 4 the expansion of
-1 / sqrt(r + b) in powers of r / b <= 1/4 gives instead
+1 / sqrt(r + b) about r = 1/2, in powers of (r - 1/2) / (b + 1/2), whose
+size is at most 1/9 there, gives instead
 
-    I_k = b**(-1/2) * sum_j (1/2)_j / j! * B(k + j + 1, 1/2) * (-1/b)**j,
+    I_k = (b + 1/2)**(-1/2) * sum_j (1/2)_j / j! * M_kj * (-T)**j,
+    T = 1 / (b + 1/2),   M_kj = int_0^1 r**k (r - 1/2)**j (1 - r)**(-1/2) dr,
 
-summed in Horner form.  Every branch stays within a few units of rounding
-of a 40-digit evaluation, from b = 1e-300 to b = 1e25.  The shape
+17 terms summed in Horner form.  Every branch stays within a few units of
+rounding of a 40-digit evaluation, from b = 1e-300 to b = 1e25, and the
+series within 2 units from b = 4 to b = 1.7e308.  The shape
 functional F and the period rest on one private kernel, ``_shape``, which
 returns F with the sigma pair and I_{1/2} it used; ``big_f`` and
 ``period`` wrap it, and the orbit solve calls it at each trial point and
@@ -44,33 +47,54 @@ from .specialfn import carlson_rf_rd
 # (they differ by O(b log(1/b))), while R_D(0, 1 + b, b) ~ 3/b would
 # overflow towards the subnormal range.
 _B_NEGLIGIBLE = 1e-300
-# The power series in -1/b serves b >= _B_SERIES, where its ratio is at
-# most 1/4; after _SERIES_TERMS terms the first omitted one is below 1% of
-# a unit of rounding of the sum.
+# The expansion about r = 1/2 serves b >= _B_SERIES, where its ratio
+# |r - 1/2| / (b + 1/2) is at most 1/9; after _SERIES_TERMS terms the first
+# omitted one is below 0.02 of a unit of rounding of the sum (see
+# ``_series_coefficients``).
 _B_SERIES = 4.0
-_SERIES_TERMS = 28
+_SERIES_TERMS = 17
 
 
 def _series_coefficients(k: float, first: float) -> tuple[float, ...]:
-    """(1/2)_j / j! * B(k + j + 1, 1/2) for j < _SERIES_TERMS, highest j first.
+    """(1/2)_j / j! * M_j for j < _SERIES_TERMS, highest j first.
 
-    ``first`` is B(k + 1, 1/2); each coefficient follows from the one before
-    by the ratio recurrences of the Pochhammer symbol and the Beta function.
+    M_j = int_0^1 r**k (r - 1/2)**j (1 - r)**(-1/2) dr and ``first`` is
+    M_0 = B(k + 1, 1/2).  Integrating d/dr [r**(k+1) (1 - r)**(1/2)
+    (r - 1/2)**j] over [0, 1], which gives zero, and writing every power of
+    r and 1 - r about 1/2 gives the three-term recurrence
+
+        (k + j + 3/2) M_{j+1} = (k/2 + 1/4) M_j + (j/4) M_{j-1},
+
+    whose terms are all positive for k > -1/2, so no step cancels: every
+    M_j used is within 4 rounding units of 40-digit quadrature.  Term j of
+    the sum is about 9**-j of it at b = 4, term 1 at most 0.04, so these
+    errors cost under 0.15 of a unit of the sum.  The binomial sum over B(k + i + 1, 1/2) that expands
+    (r - 1/2)**j directly would cancel instead: its terms reach
+    (3/2)**j M_0 against M_j ~ 2**-j M_0, up to 3**j units lost, which
+    the damping by (2/9)**j turns into up to 3**-j units of the sum.  As
+    (1/2)_j / j! ~ 1/sqrt(pi j), M_j ~ 2**-j and T <= 2/9, at b = 4 the
+    first omitted term, j = 17, is 0.014 (k = 1/2) and 0.019 (k = 3/2)
+    of 2**-53 relative to the sum, below 0.02 of a unit.
     """
-    coef = [first]
-    for j in range(1, _SERIES_TERMS):
-        coef.append(coef[-1] * (j - 0.5) / j * (k + j) / (k + j + 0.5))
+    moments = [first, (0.5 * k + 0.25) * first / (k + 1.5)]
+    for j in range(1, _SERIES_TERMS - 1):
+        moments.append(((0.5 * k + 0.25) * moments[j] + 0.25 * j * moments[j - 1]) / (k + j + 1.5))
+    coef, pochhammer = [], 1.0
+    for j, moment in enumerate(moments):
+        coef.append(pochhammer * moment)
+        pochhammer *= (j + 0.5) / (j + 1)
     return tuple(reversed(coef))
 
 
 # Pairs (I_{1/2} coefficient, I_{3/2} coefficient), from B(3/2, 1/2) = pi/2
-# and B(5/2, 1/2) = 3 pi / 8.
+# and B(5/2, 1/2) = 3 pi / 8.  The Horner sum starts from the top pair.
 _SERIES = tuple(
     zip(
         _series_coefficients(0.5, 0.5 * math.pi),
         _series_coefficients(1.5, 0.375 * math.pi),
     )
 )
+_SERIES_TOP, _SERIES_REST = _SERIES[0], _SERIES[1:]
 
 
 def ratio_integrals(a: float) -> tuple[float, float]:
@@ -88,12 +112,18 @@ def ratio_integrals(a: float) -> tuple[float, float]:
         i_half = (2.0 / 3.0) * b * rd
         i_three_half = (2.0 * (1.0 - b) * i_half + 2.0 * b * rf) / 3.0
     else:
-        t = -1.0 / b
-        i_half = i_three_half = 0.0
-        for c_half, c_three_half in _SERIES:
+        # b + 1/2 is exact below 2**52, and above it its rounding moves
+        # I_k by at most a quarter unit.  The scale 1 / sqrt(b + 1/2)
+        # stays normal up to the largest b, while T = 1 / (b + 1/2) turns
+        # subnormal from b of about 4.5e307 on, where every term past the
+        # first is far below rounding.
+        shifted = b + 0.5
+        t = -1.0 / shifted
+        i_half, i_three_half = _SERIES_TOP
+        for c_half, c_three_half in _SERIES_REST:
             i_half = i_half * t + c_half
             i_three_half = i_three_half * t + c_three_half
-        scale = 1.0 / math.sqrt(b)
+        scale = 1.0 / math.sqrt(shifted)
         i_half *= scale
         i_three_half *= scale
     return i_half, i_three_half

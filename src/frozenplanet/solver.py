@@ -86,11 +86,31 @@ def fixpoint_residual(mu: float, x: float) -> float:
     return big_f(gamma_of_mu(mu), x) - 2.0
 
 
-def _failure(message: str, mu: float, gamma: float, x: float, evals: int) -> ConvergenceError:
-    """A solver failure at the last estimate x of the orbit mean, after evals F calls."""
+def _failure(
+    message: str,
+    mu: float,
+    gamma: float,
+    x: float,
+    window: tuple[float, float],
+    steps: tuple[float, float],
+    evaluated: int,
+    evals: int,
+) -> ConvergenceError:
+    """A solver failure at the last estimate x of the orbit mean.
+
+    ``window`` is the closed-form window (x_l, x_r).  ``steps`` holds the
+    bisection's first and current step, both powers of two, so the loop
+    has tried log2(first / current) midpoints, read off their exponents;
+    ``evaluated`` of them were evaluated and the rest decided by the
+    window.  ``evals`` counts every F call made, one more than
+    ``evaluated`` where F was called at a decided midpoint to report its
+    residual.
+    """
     plus, minus = sigma_pair(gamma, x)
+    trials = math.frexp(steps[0])[1] - math.frexp(steps[1])[1]
     return ConvergenceError(
-        message, mu=mu, a=min(minus / plus, 0.0), iterations=evals, last=x
+        message, mu=mu, a=min(minus / plus, 0.0), iterations=evals, last=x,
+        window=window, decided=trials - evaluated, evaluated=evaluated,
     )
 
 
@@ -132,7 +152,9 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     of about 6.34e307), when the relative interval width falls below 1e-14
     before the residual meets ``tol``, or when the period of the solved
     orbit is not finite (it exceeds the largest double from mu of about
-    4.95e307).  Its ``iterations`` counts the F calls made.
+    4.95e307).  Its ``iterations`` counts the F calls made; ``window``
+    holds (x_l, x_r), and ``decided`` and ``evaluated`` split the midpoints
+    tried by whether the window or an F call took their branch.
     """
     if not 1e-14 <= tol <= 1e-6:
         raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
@@ -143,11 +165,12 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     if not x_r <= _X_TOP:
         raise _failure(
             f"bracket for the orbit mean overflowed past 2**1023 for mu={mu!r}",
-            mu, gamma, _X_TOP, 0,
+            mu, gamma, _X_TOP, (x_l, x_r), (_X_TOP, _X_TOP), 0, 0,
         )
     # Bisect [0, top], top the least power of two at or above x_r.
     mantissa, exponent = math.frexp(x_r)
-    lo, step = 0.0, math.ldexp(0.5 if mantissa == 0.5 else 1.0, exponent)
+    top = math.ldexp(0.5 if mantissa == 0.5 else 1.0, exponent)
+    lo, step = 0.0, top
     evals = 0
     while True:
         step *= 0.5
@@ -161,14 +184,14 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
         else:
             f_mid = math.inf if mid <= x_l else -math.inf
         if 2.0 * step < _WIDTH_STOP * mid:
-            if math.isinf(f_mid):
+            reported = math.isinf(f_mid)
+            if reported:
                 # Report the residual F gives at a decided midpoint.
-                evals += 1
                 f_mid = _shape(gamma, mid)[0] - 2.0
             raise _failure(
                 f"bisection interval collapsed before reaching tol={tol:g} "
                 f"(mu={mu!r}, residual={f_mid!r})",
-                mu, gamma, mid, evals,
+                mu, gamma, mid, (x_l, x_r), (top, step), evals, evals + reported,
             )
         if f_mid > 0.0:
             lo = mid
@@ -181,7 +204,7 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     if not math.isfinite(eta):
         raise _failure(
             f"period of the orbit overflowed for mu={mu!r} (orbit mean {qbar1!r})",
-            mu, gamma, qbar1, evals,
+            mu, gamma, qbar1, (x_l, x_r), (top, step), evals, evals,
         )
     return OrbitSolution(
         mu=mu,

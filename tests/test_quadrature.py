@@ -1,7 +1,7 @@
 """Tests for the moment integrals I_k(a), the ratio map, the period and the time map.
 
 The package evaluates all of them in closed form (Carlson's R_F and R_D, or
-a power series for large |a|).  Oracles used here, in decreasing order of
+a series about r = 1/2 for large |a|).  Oracles used here, in decreasing order of
 independence:
 
 * closed Beta-function forms at a = -1 and elementary values at a = 0,
@@ -109,6 +109,45 @@ def test_ratio_integrals_against_mpmath():
         i_half, i_three_half = ratio_integrals(-b)
         assert _rel_mp(i_half, _mp_moment(b, 0.5)) <= 8 * EPS, b
         assert _rel_mp(i_three_half, _mp_moment(b, 1.5)) <= 8 * EPS, b
+
+
+def _mp_moment_2f1(b, k):
+    """I_k at 40 digits from Euler's integral for 2F1:
+    B(k + 1, 1/2) b**(-1/2) 2F1(1/2, k + 1; k + 3/2; -1/b).  Unlike the
+    R_D identity, nothing cancels as b grows."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(b)
+        k = mpmath.mpf(k)
+        half = mpmath.mpf(1) / 2
+        hyp = mpmath.hyp2f1(half, k + 1, k + 1 + half, -1 / b)
+        return mpmath.beta(k + 1, half) / mpmath.sqrt(b) * hyp
+
+
+def _ulps(value, ref):
+    """|value - ref| in units in the last place of the double nearest ref."""
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(value) - ref) / math.ulp(float(ref)))
+
+
+def test_series_branch_against_mpmath_densely():
+    # The b >= 4 branch at 240 log-spaced b from 4 to 1.7e308, next to the
+    # largest double, plus the double above 4, and 4.4e307 and 1e308, where
+    # T = 1 / (b + 1/2) reaches the subnormal range.
+    above = math.nextafter(4.0, math.inf)
+    b_values = [float(b) for b in np.geomspace(4.0, 1.7e308, 240)]
+    b_values += [above, 4.4e307, 1e308]
+    for b in b_values:
+        for k, moment in zip((0.5, 1.5), ratio_integrals(-b)):
+            assert _ulps(moment, _mp_moment_2f1(b, k)) <= 4.0, (b, k)
+    # Across the switch the series adds at most one unit to the jump from
+    # the R_D branch just below 4, whose own error there (4.8 units in
+    # I_{3/2}, from the cancelling 1 - b in its I_{3/2} identity) sets it.
+    below = math.nextafter(4.0, 0.0)
+    for k, lower, at, upper in zip(
+        (0.5, 1.5), ratio_integrals(-below), ratio_integrals(-4.0), ratio_integrals(-above)
+    ):
+        assert abs(lower - at) <= (_ulps(lower, _mp_moment_2f1(below, k)) + 1.0) * math.ulp(at)
+        assert abs(upper - at) <= 4 * math.ulp(at)
 
 
 def test_time_map_against_mpmath():

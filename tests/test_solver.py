@@ -20,6 +20,7 @@ from frozenplanet import (
     period,
     q1_extrema,
     qbar2_of,
+    ratio_integrals,
     sigma_pair,
     solve_orbit,
 )
@@ -85,6 +86,53 @@ def test_solve_orbit_near_ionization_threshold():
     assert_allclose(sol.qbar1, 0.75 * sol.mu, rtol=1e-3)
 
 
+def test_solve_orbit_slope_at_ionization_threshold():
+    """(qbar1 - 3/4) / (mu - 1) tends to 3/4 as mu -> 1.
+
+    There gamma -> inf and b = -sigma_minus / sigma_plus grows like
+    (9/16) gamma**2, so R = I_{3/2} / I_{1/2} = 3/4 + O(1/b) and the root
+    of F = sigma_plus R = 2 has sigma_plus = 8/3 + O(1/b).  The mean with
+    that sigma_plus is x = (2 - s) / gamma**2, s = sigma_plus / 2 -
+    2 (gamma + 1)**2 / sigma_plus = 4/3 - (3/4) (gamma + 1)**2 + O(1),
+    since ds / dsigma_plus grows like gamma**2 ~ b, so
+
+        x = (3/4) (1 + 1/gamma)**2 + O(gamma**-2) = 3/4 + (3/2) / gamma + O(gamma**-2).
+
+    With mu - 1 = 2 / gamma + gamma**-2 the slope is 3/4 + O(mu - 1).
+    At tol = 1e-14 the solve leaves |F - 2| <= 1e-14 and |F_x| is about
+    8/3, so qbar1 is within 4e-15 of the root: 4e-6 of the slope at
+    mu - 1 = 1e-9.  (At the default tol the solve accepts 3/4 itself.)
+    """
+    for offset in (1e-9, 1e-8):
+        mu = 1.0 + offset
+        slope = (solve_orbit(mu, tol=1e-14).qbar1 - 0.75) / (mu - 1.0)
+        assert abs(slope - 0.75) <= 1e-4, (offset, slope)
+
+
+# The large-charge limit, frozen from 30-digit mpmath: b_inf is the root of
+# sqrt(b) = R(b), R = I_{3/2} / I_{1/2}, and s_inf = (1 - b_inf) / sqrt(b_inf).
+B_INF = 0.5174783659557972
+S_INF = 0.6707654594107527
+KAPPA_INF = 0.5046253606330479
+
+
+def test_kappa_at_large_charge_limit():
+    """kappa(mu) approaches kappa_inf = s_inf / (2 - s_inf) from below.
+
+    As mu -> inf, gamma -> 0; at the root sqrt(b) = (gamma + 1) R(b), so b
+    tends to b_inf.  With s = 2 - gamma**2 qbar1 = (1 - b) / R(b), kappa =
+    2 / (gamma**2 qbar1) - 1 = s / (2 - s), and R(b_inf) = sqrt(b_inf)
+    gives s_inf.  At mu = 1e20 kappa lies 1.7e-10 below the limit, a
+    correction of order 1 / sqrt(mu).
+    """
+    i_half, i_three_half = ratio_integrals(-B_INF)
+    assert abs(i_three_half / i_half - math.sqrt(B_INF)) <= 1e-15
+    assert abs((1.0 - B_INF) / math.sqrt(B_INF) - S_INF) <= 4e-16
+    assert abs(S_INF / (2.0 - S_INF) - KAPPA_INF) <= 4e-16
+    gap = KAPPA_INF - solve_orbit(1e20, tol=1e-14).kappa
+    assert 0.0 < gap <= 5e-10, gap
+
+
 def test_solve_orbit_large_mu():
     # The orbit mean grows like 1.33 mu; the bracket has no cap and follows
     # it as far as the float range reaches.
@@ -100,14 +148,28 @@ def test_solve_orbit_failures_carry_context(monkeypatch):
     # exceeds 2**1023, so no power of two brackets it: the solve raises
     # before any F call, with 2**1023 as the last estimate.  Just below, the
     # bracket holds, and the period of the solved orbit overflows instead.
-    with pytest.raises(ConvergenceError, match="period of the orbit overflowed"):
+    # Each failure carries the closed-form window and splits the midpoints
+    # it tried into those the window decided and those F evaluated; at
+    # 6e307 the bisection of [0, 2**1023] tried 33 midpoints before the
+    # accepted one's period overflowed, and 31 of them lay in the window.
+    calls = []
+    real_shape = quadrature._shape
+    monkeypatch.setattr(solver, "_shape", lambda *args: calls.append(args) or real_shape(*args))
+    with pytest.raises(ConvergenceError, match="period of the orbit overflowed") as info:
         solve_orbit(6e307)
+    monkeypatch.undo()
+    exc = info.value
+    assert exc.window == solver._decided_window(gamma_of_mu(6e307), 1e-10)
+    assert (exc.decided, exc.evaluated, exc.iterations) == (2, 31, 31) == (2, len(calls), 31)
+    assert exc.window[0] < exc.last < exc.window[1] <= 2.0**1023
     for mu in (6.4e307, 1e308):
-        assert solver._decided_window(gamma_of_mu(mu), 1e-10)[1] > 2.0**1023
+        window = solver._decided_window(gamma_of_mu(mu), 1e-10)
+        assert window[1] > 2.0**1023
         with pytest.raises(ConvergenceError, match="bracket for the orbit mean overflowed") as info:
             solve_orbit(mu)
         exc = info.value
         assert (exc.mu, exc.last, exc.iterations) == (mu, 2.0**1023, 0)
+        assert (exc.window, exc.decided, exc.evaluated) == (window, 0, 0)
         assert -1.0 < exc.a <= 0.0
     # At mu = 1.7e308 gamma**2 is subnormal and both bounds overflow.
     assert solver._decided_window(gamma_of_mu(1.7e308), 1e-10) == (math.inf, math.inf)
@@ -121,7 +183,8 @@ def test_solve_orbit_failures_carry_context(monkeypatch):
     exc = info.value
     assert exc.mu == 2.0
     assert abs(exc.last - QBAR1_MU2) <= 1e-2
-    assert exc.iterations == 9
+    assert (exc.decided, exc.evaluated, exc.iterations) == (3, 9, 9)
+    assert exc.window == solver._decided_window(gamma_of_mu(2.0), 1e-14)
     assert exc.a < 0.0
 
     # The interval collapses at x = 1.75 >= x_r, a midpoint the window
@@ -134,12 +197,16 @@ def test_solve_orbit_failures_carry_context(monkeypatch):
         solve_orbit(2.0)
     exc = info.value
     assert (exc.last, exc.iterations) == (1.75, 2)
+    # Midpoints 1 and 1.75 were decided, 1.5 evaluated; the report call at
+    # 1.75 counts in iterations only.
+    assert (exc.decided, exc.evaluated) == (2, 1)
     assert f"residual={big_f(gamma, 1.75) - 2.0!r})" in str(exc)
     monkeypatch.undo()
 
     # Raise sites that know none of the numbers leave them unset.
     plain = ConvergenceError("plain")
     assert (plain.mu, plain.a, plain.iterations, plain.last) == (None, None, None, None)
+    assert (plain.window, plain.decided, plain.evaluated) == (None, None, None)
 
 
 def test_solve_orbit_period_overflow():
