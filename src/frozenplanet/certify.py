@@ -257,9 +257,11 @@ def _fd_second_derivative_defect(traj: Trajectory, lo: float, hi: float) -> floa
 
 def check_trajectory_residuals(n_samples: int = 1024) -> CheckResult:
     """Mean/energy residuals, time-reversal symmetry, and the FD motion law
-    with second-order convergence, at mu in {2, 4, mu*}."""
+    with second-order convergence, at mu in {2, 4, mu*, 1e11}.  The last
+    is the top of the charge range the benchmark's trajectory workload
+    draws from."""
     details = []
-    for mu in (2.0, 4.0, critical_mu()):
+    for mu in (2.0, 4.0, critical_mu(), 1e11):
         sol = solve_orbit(mu)
         traj = reconstruct(sol, n_samples)
         mean_rel = abs(mean_residual(traj)) / sol.qbar1

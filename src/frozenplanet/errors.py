@@ -13,7 +13,10 @@ class ConvergenceError(RuntimeError):
     the orbit parameter ``a`` = q1antimax / q1max, the number of
     ``iterations`` made (evaluations of F in the solver, Newton steps in the
     trajectory inversion) and ``last``, the last estimate of the orbit mean
-    or the worst remaining Newton step.  The orbit solve adds its closed-form
+    or the worst remaining Newton step.  A trajectory rebuild whose first
+    half period fails to fall carries ``mu``, ``a`` and the Newton steps it
+    took, and names the first sample where q1 does not fall in its
+    message.  The orbit solve adds its closed-form
     ``window`` (x_l, x_r) and the counts of the trial points it tried,
     ``decided`` by that window and ``evaluated`` by an F call.
     """

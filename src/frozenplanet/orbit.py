@@ -20,15 +20,21 @@ module's time map, which serves time_integral).  On a uniform grid of
 N + 1 angles, N = max(n/2, 256) cells of width pi/(2N) <= pi/n, each
 cell's increment of H is the 4-point Gauss-Legendre rule on H', all
 cells in one array pass, and the grid values are the running sum of the
-increments.  A plain running sum of N terms gathers rounding that grows
-with N: against bracketed root solves it moved samples by up to
-3.7e-14 q1max at n = 4096 and 9.5e-14 at n = 16384.  So the sum is
-compensated: TwoSum gives the exact rounding error of each addition, and
-the running sum of those errors is added back, which leaves every grid
-value within a few units of rounding of G(1).  The last value is set to
-G(1) = I_{1/2}(a) / 2 (substitute r = 1 - u**2 in the moment), which
-keeps the targets exact where the last cell's rule is poor, at tiny
-non-physical b.  A sample whose target lies in the grid cell
+increments.  The layout holds cos**2 as one (5, N) table: its first four
+rows at each cell's Gauss nodes, its fifth at the cell starts, so the
+same add, sqrt and divide give H' at the cell starts for the seed below.
+A plain running sum of N terms gathers rounding that grows with N:
+against bracketed root solves it moved samples by up to 3.7e-14 q1max at
+n = 4096 and 9.5e-14 at n = 16384.  So the sum is compensated: the
+rounding error of every addition is taken exactly and the running sum of
+those errors is added back, which leaves every grid value within a few
+units of rounding of G(1).  The increments decrease (H' does), so each
+running sum is at least as large as the increment added to it, and
+Fast2Sum, e = cell - (run - prev), gives that error exactly (Dekker
+1971), the same error as TwoSum in half its operations.  The last value
+is set to G(1) = I_{1/2}(a) / 2 (substitute r = 1 - u**2 in the moment),
+which keeps the targets exact where the last cell's rule is poor, at
+tiny non-physical b.  A sample whose target lies in the grid cell
 [p0, p0 + pi/(2N)] solves
 
     R(p) = int_{p0}^{p} H'(s) ds - (target - H(p0)) = 0,    R' = H',
@@ -53,9 +59,20 @@ the chord is G(1) * (1 - 1/N), at least the largest target
 G(1) * (1 - 2/n).  Over b in [1e-12, 2.25e24] and n up to 2**20, H at
 pi/2 - pi/n exceeds the largest target by at least 0.85 * 2 G(1) / n,
 far above rounding, and H at the last inner grid angle, no further
-left, exceeds it by more.
+left, exceeds it by more.  So both ends of every sample's cell are cell
+starts, whose slopes the grid pass gave.
 
-Each Newton step runs on the whole array of samples.  From p, with
+Each Newton step runs on the whole array of m samples, as one block of
+rows by samples: every pass below is one NumPy call over a few
+contiguous rows, not a broadcast over a short inner axis.  One matrix
+product with the (2, m) rows of cell starts p0 and iterates p fills the
+width p - p0 and the (5, m) angles (1 - x_k) p0 + x_k p at the four
+Gauss nodes x_k and at x = 1, which is p itself.  H' there comes from
+cos**2 = 1 / (1 + tan**2): one tan pass costs less than one cos pass
+where NumPy's float64 tan is vectorized and its cos is not (2.3 against
+6.9 us for 1,275 angles, NumPy 2.4 on a 2-vCPU x86-64 host), is within
+a unit of rounding like cos, and leaves tan(p)**2 in the block for the
+step's correction and the settle test.  From p, with
 d = -R / H' the Newton step, the root lies at p + delta, where
 
     -d + delta - K delta**2 + (H''' / (6 H')) delta**3 + ... = 0,
@@ -80,16 +97,36 @@ simplifies to
 
     |H''' / (6 H') - 2 K**2| = (tan(p)**2 * (7 q + 3) + 1 + q) / 6,
 
-where tan(p)**2 = (1 - c**2) / c**2 and q come from c**2, which the
-Newton block holds at p beside the Gauss nodes.  The loop ends when
-every sample has settled.  From the Hermite seed one step settles every
-sample at every n (figures at _NEWTON_CAP).
+where tan(p)**2 and q = b / (c**2 + b) come from the Newton block's row
+at p.  The loop ends when every sample has settled.  From the Hermite
+seed one step settles every sample at every n (figures at _NEWTON_CAP).
 
-The arrays that depend on n alone (the grid angles, cos**2 at the
-grid's Gauss nodes and at the grid angles, the target
-fractions k/n and the times) are built once per sample count and kept,
-read-only, for the last few counts up to 2**14 samples; a larger count
-builds them afresh and drops them when it returns.
+The settle test first bounds every sample at once.  Since 0 <= q <= 1,
+
+    tan(p)**2 * (7 q + 3) + 1 + q <= 10 tan(p)**2 + 2,
+
+the difference being (1 - q) (7 tan(p)**2 + 1) >= 0.  So if
+
+    max |d|**3 * (10 max tan(p)**2 + 2) <= 6 eps * min p,
+
+every sample's own error term lies below 6 eps times its own p, and all
+have settled: one reduction over the block's rows tan(p)**2, |d| and -p
+decides.  The bound only ever settles samples the per-sample test would
+settle; where it fails, the per-sample test decides.  From the Hermite
+seed it held with a wide margin at every charge and n tried: its left
+side was at most 0.004 of its right at n = 512, and less elsewhere
+(47 charges mu = 1 + 10**u, u in [-12, 11], n from 16 to 2**20).
+
+The arrays that depend on n alone (the grid angles, the cos**2 table,
+the Gauss weights scaled by the cell width, the target fractions k/n
+and the times) are built once per sample count and kept, read-only, for
+the last few counts up to 2**14 samples; a larger count builds them
+afresh and drops them when it returns.  They hold 4.5 floats, 36 bytes,
+per sample: 2.5 in the cos**2 table, 0.5 each in the grid and the
+fractions, 1 in the times.  A rebuild peaks in its Newton steps at 12.5
+floats per sample, 105 MB at 2**20 samples: the block's 19 rows of
+n/2 samples (9.5), the ends, the rests and the step (2), and the times
+(1); the rest of an uncached layout is freed before Newton starts.
 """
 
 from __future__ import annotations
@@ -111,8 +148,9 @@ _EPS = float(np.finfo(float).eps)
 # 256, 512, 4096, 16384 and 2**20 samples, at each of 47 charges
 # mu = 1 + 10**u, u in [-12, 11], and with a = 0.
 _NEWTON_CAP = 60
-# Largest n_samples accepted: a rebuild peaks at about 15 floats per sample
-# (123 MB at 2**20), of which its layout holds 4.5 (36 bytes per sample).
+# Largest n_samples accepted: a rebuild peaks at 12.5 floats per sample
+# (105 MB at 2**20; module docstring), and its layout holds 4.5 (36 bytes
+# per sample).
 _MAX_SAMPLES = 2**20
 # Layouts are cached for up to this many samples, four at a time: at most
 # 4 * 36 * 2**14 bytes, about 2.4 MB.
@@ -133,14 +171,21 @@ _GL_WEIGHTS = np.array(
 )
 _GL_NODES.setflags(write=False)
 _GL_WEIGHTS.setflags(write=False)
+# Maps a sample's interval ends (p0, p) to the first six rows of its
+# Newton block: row 0 is the width p - p0, and row 1 + k is
+# (1 - x_k) p0 + x_k p at the node x_k, so row 5 (x = 1) is p itself.
+_ENDS_TO_BLOCK = np.stack(
+    [np.append(-1.0, 1.0 - _GL_NODES), np.append(1.0, _GL_NODES)], axis=1
+)
+_ENDS_TO_BLOCK.setflags(write=False)
 
 
 class _Layout(NamedTuple):
     """Read-only arrays of a rebuild that depend on the sample count alone."""
 
     grid: np.ndarray  # the cells + 1 cell ends; the last is pi / 2
-    cc_nodes: np.ndarray  # cos**2 at each cell's Gauss nodes, (cells, 4)
-    cc_grid: np.ndarray  # cos**2 at the cell ends
+    cc: np.ndarray  # cos**2 at each cell's 4 Gauss nodes and its start, (5, cells)
+    weights: np.ndarray  # the Gauss weights times the cell width
     frac: np.ndarray  # target fractions k / n, k = 1 .. half - 1
     t: np.ndarray  # scaled times j / n, j = 0 .. n
 
@@ -151,15 +196,14 @@ def _build_layout(n_samples: int) -> _Layout:
     w = 0.5 * math.pi / cells
     grid = np.arange(cells + 1) * w
     grid[-1] = 0.5 * math.pi
-    cc_nodes = grid[:-1, None] + w * _GL_NODES[:-1]
-    np.cos(cc_nodes, out=cc_nodes)
-    cc_nodes *= cc_nodes
-    cc_grid = np.cos(grid)
-    cc_grid *= cc_grid
+    # Offsets of the rows in a cell: the Gauss nodes, then the start.
+    cc = (w * np.append(_GL_NODES[:-1], 0.0))[:, None] + grid[:-1]
+    np.cos(cc, out=cc)
+    cc *= cc
     layout = _Layout(
         grid=grid,
-        cc_nodes=cc_nodes,
-        cc_grid=cc_grid,
+        cc=cc,
+        weights=_GL_WEIGHTS * w,
         frac=np.arange(1, half) / n_samples,
         t=np.arange(n_samples + 1) / n_samples,
     )
@@ -178,8 +222,10 @@ def _layout(n_samples: int) -> _Layout:
     return _build_layout(n_samples)
 
 
-def _grid_values(a: float, cc_nodes: np.ndarray) -> np.ndarray:
-    """H at the cell ends from cos**2 at the cells' Gauss nodes.
+def _grid_values(
+    a: float, cc: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H at the cell ends, H' at the cell starts) from the layout's cos**2 table.
 
     Each cell's increment of H is its Gauss rule on H' (see the module
     docstring), and the increments are added up with the rounding error of
@@ -187,35 +233,33 @@ def _grid_values(a: float, cc_nodes: np.ndarray) -> np.ndarray:
     gathers an error that grows with their count.  The last value is the
     sum over every cell, an approximation of G(1).
     """
-    n_cells = cc_nodes.shape[0]
-    dh = cc_nodes - a
-    np.sqrt(dh, out=dh)
-    np.divide(cc_nodes, dh, out=dh)
-    cells = dh @ _GL_WEIGHTS
-    cells *= 0.5 * math.pi / n_cells
-    h_grid = np.zeros(n_cells + 1)
+    slope = cc - a
+    np.sqrt(slope, out=slope)
+    np.divide(cc, slope, out=slope)
+    cells = weights @ slope[:-1]
+    h_grid = np.empty(cells.size + 1)
+    h_grid[0] = 0.0
     run, prev = h_grid[1:], h_grid[:-1]
-    np.cumsum(cells, out=run)
-    # TwoSum: err is the exact rounding error of run[k] = prev[k] + cells[k].
-    back = run - prev
-    err = run - back
-    np.subtract(prev, err, out=err)
-    cells -= back
-    err += cells
-    run += np.cumsum(err, out=err)
-    return h_grid
+    np.add.accumulate(cells, out=run)
+    # Fast2Sum: prev[k] >= cells[k], so cells[k] - (run[k] - prev[k]) is
+    # the exact rounding error of run[k] = prev[k] + cells[k].
+    cells -= run - prev
+    run += np.add.accumulate(cells, out=cells)
+    return h_grid, slope[-1]
 
 
 def _hermite_seed(
-    b: float, grid: np.ndarray, cc_grid: np.ndarray, h_grid: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p0, rest, p): each target's cell start, target - H(p0), and Newton's seed.
+    grid: np.ndarray, h_grid: np.ndarray, slope: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, rest): rows p0 and p, each target's cell start and Newton's
+    seed, and target - H(p0).
 
     Each sample inverts H only inside its grid cell [p0, p0 + w]:
     H(p) = H(p0) + int_{p0}^{p} H'(s) ds, so Newton needs H' alone.  No
-    target reaches the last cell (module docstring), so j + 1 < N.  The
-    seed is the cubic Hermite interpolant of the inverse on the cell, with
-    slopes 1 / H' at its ends:
+    target reaches the last cell (module docstring), so both ends of a
+    sample's cell are cell starts, with H' in ``slope``.  The seed is the
+    cubic Hermite interpolant of the inverse on the cell, with slopes
+    1 / H' at its ends:
 
         p = p0 + tau (w + (1 - tau) (d0 (1 - tau) - d1 tau)),
 
@@ -223,32 +267,108 @@ def _hermite_seed(
     d = cell / H' - w at either end.
     """
     w = float(grid[1])  # the cell width: grid[k] = k w
-    j1 = np.searchsorted(h_grid, target, "right")
-    j = j1 - 1
+    # j is the cell of each target: h_grid[j] <= target < h_grid[j + 1].
+    j = h_grid[1:].searchsorted(target, "right")
     h0 = h_grid[j]
     rest = target - h0
-    cell = h_grid[j1]
+    cell = h_grid[1:][j]
     cell -= h0
-    slope = cc_grid + b
-    np.sqrt(slope, out=slope)
-    slope /= cc_grid
     tau = rest / cell
     d0 = slope[j]
-    d0 *= cell
+    np.divide(cell, d0, out=d0)
     d0 -= w
-    d1 = slope[j1]
-    d1 *= cell
+    d1 = slope[1:][j]
+    np.divide(cell, d1, out=d1)
     d1 -= w
     d1 *= tau
-    tau_c = 1.0 - tau
+    tau_c = np.subtract(1.0, tau, out=cell)
     d0 *= tau_c
     d0 -= d1
     d0 *= tau_c
     d0 += w
     d0 *= tau
-    p0 = grid[j]
-    d0 += p0
-    return p0, rest, d0
+    ends = np.empty((2, target.size))
+    p0 = grid.take(j, out=ends[0])
+    np.add(d0, p0, out=ends[1])
+    return ends, rest
+
+
+def _settled(
+    size: np.ndarray,
+    tan2: np.ndarray,
+    hq: np.ndarray,
+    p: np.ndarray,
+    last: np.ndarray | None,
+) -> np.ndarray:
+    """The samples that have settled, decided one by one.
+
+    ``size`` is |d|, ``hq`` is (1 + q) / 2 and ``last`` the previous step's
+    |d| (None before the first).  A sample has settled once six times its
+    predicted error, (tan(p)**2 (7 q + 3) + 1 + q) |d|**3, is at most
+    6 eps p, or |d| is at most 4 eps p or no smaller than the last step's.
+    """
+    q = 2.0 * hq - 1.0
+    err6 = (tan2 * (7.0 * q + 3.0) + 1.0 + q) * size**3
+    settled = err6 <= (6.0 * _EPS) * p
+    settled |= size <= (4.0 * _EPS) * p
+    if last is not None:
+        settled |= size >= last
+    return settled
+
+
+def _newton(ends: np.ndarray, rest: np.ndarray, b: float) -> tuple[int, float | None]:
+    """Settle every sample by whole-array Newton steps, in place in ``ends[1]``.
+
+    Returns the steps taken and None, or, if some sample has not settled
+    in _NEWTON_CAP steps, the cap and the largest step left unsettled.
+    """
+    p = ends[1]
+    # The Newton block, nodes by samples.  One product with the ends fills
+    # rows 0 to 5: the width, the Gauss nodes on [p0, p], and p.  Rows 1 to
+    # 5 then take tan**2, and rows 6 and 7 take |d| and -p, so that rows 5
+    # to 7 are what the settle test reduces.  Rows 8 to 18 are work space:
+    # cos**2 and then H' at the nodes and p, cos**2 + b, and (1 + q) / 2.
+    blk = np.empty((19, p.size))
+    width, at_nodes, bound = blk[0], blk[1:6], blk[5:8]
+    tan2, size, neg_p = bound
+    den, work, hq = blk[8:13], blk[13:18], blk[18]
+    last = None
+    for steps in range(1, _NEWTON_CAP + 1):
+        np.matmul(_ENDS_TO_BLOCK, ends, out=blk[:6])
+        np.tan(at_nodes, out=at_nodes)
+        at_nodes *= at_nodes
+        # cos**2 = 1 / (1 + tan**2), then H' = cos**2 / sqrt(cos**2 + b).
+        np.add(at_nodes, 1.0, out=den)
+        np.divide(1.0, den, out=den)
+        np.add(den, b, out=work)
+        np.divide(0.5 * b, work[-1], out=hq)
+        hq += 0.5
+        np.sqrt(work, out=work)
+        den /= work
+        step = _GL_WEIGHTS @ den[:-1]
+        step *= width
+        np.subtract(rest, step, out=step)
+        step /= den[-1]
+        np.abs(step, out=size)
+        np.negative(p, out=neg_p)
+        # The one-reduction bound (module docstring), with max(-p) = -min(p);
+        # where it fails, each sample is decided on its own.
+        tan2_max, d_max, neg_p_max = np.maximum.reduce(bound, axis=1).tolist()
+        settled = d_max**3 * (10.0 * tan2_max + 2.0) <= 6.0 * _EPS * -neg_p_max
+        if not settled:
+            mask = _settled(size, tan2, hq, p, last)
+            settled = bool(mask.all())
+        # p += step (1 + K step), with K = tan(p) (1 + q) / 2.
+        k_step = np.sqrt(tan2, out=tan2)
+        k_step *= hq
+        k_step *= step
+        k_step += 1.0
+        k_step *= step
+        p += k_step
+        if settled:
+            return steps, None
+        last = size.copy()
+    return _NEWTON_CAP, float(np.max(last[~mask]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,11 +411,12 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     cell by the same rule (see the module docstring).  The last grid
     value is G(1) = I_{1/2}(a) / 2 from the moment.  Each Newton step d is
     corrected by its second-order term K d**2.  The second half is
-    mirrored, so the collision is crossed rather than integrated through.  A sample has settled once the
-    third-order error its last step predicts falls below eps * p, or its
-    step falls below 4 eps * p or stops shrinking, which marks the
-    rounding floor; the loop stops when every sample has settled at the
-    same step.
+    mirrored, so the collision is crossed rather than integrated through.
+    A sample has settled once the third-order error its last step predicts
+    falls below eps * p, or its step falls below 4 eps * p or stops
+    shrinking, which marks the rounding floor; the loop stops when every
+    sample has settled at the same step.  A first half period whose q1
+    fails to fall raises ConvergenceError.
     """
     if (
         not isinstance(n_samples, (int, np.integer))
@@ -309,66 +430,21 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     if not -math.inf < a <= 0.0:
         raise DomainError(f"invalid orbit: q1antimax/q1max = {a!r} is not finite and <= 0")
     half = n_samples // 2
-    grid, cc_nodes, cc_grid, frac, t = _layout(n_samples)
-    h_grid = _grid_values(a, cc_nodes)
-    # Frees an uncached layout's node table (2 floats per sample) before Newton.
-    del cc_nodes
+    grid, cc, weights, frac, t = _layout(n_samples)
+    h_grid, slope = _grid_values(a, cc, weights)
+    # Frees an uncached layout's cos**2 table (2.5 floats per sample).
+    del cc
     # G(1) = I_{1/2}(a) / 2 (substitute r = 1 - u**2) keeps the targets
     # exact where the last cell's Gauss rule is poor, at tiny b.
     g_full = 0.5 * ratio_integrals(a)[0]
     h_grid[-1] = g_full
     target = frac * (2.0 * g_full)
-    b = -a
-    p0, rest, p = _hermite_seed(b, grid, cc_grid, h_grid, target)
-
-    # The Newton block: all columns but the last hold the Gauss nodes on
-    # [p0, p], the last holds p.  It takes cos**2, then H'.
-    blk = np.empty((p.size, _GL_NODES.size))
-    den = np.empty_like(blk)
-    last = None
-    for _ in range(_NEWTON_CAP):
-        width = p - p0
-        np.multiply(width[:, None], _GL_NODES, out=blk)
-        blk += p0[:, None]
-        np.cos(blk, out=blk)
-        blk *= blk
-        tan2 = 1.0 - blk[:, -1]
-        tan2 /= blk[:, -1]
-        np.add(blk, b, out=den)
-        q = b / den[:, -1]
-        np.sqrt(den, out=den)
-        blk /= den
-        step = blk[:, :-1] @ _GL_WEIGHTS
-        step *= width
-        np.subtract(rest, step, out=step)
-        step /= blk[:, -1]
-        size = np.abs(step)
-        # Six times the error the corrected step leaves (module docstring).
-        one_q = q + 1.0
-        err6 = q * 7.0
-        err6 += 3.0
-        err6 *= tan2
-        err6 += one_q
-        err6 *= size
-        err6 *= size
-        err6 *= size
-        settled = err6 <= (6.0 * _EPS) * p
-        settled |= size <= (4.0 * _EPS) * p
-        if last is not None:
-            settled |= size >= last
-        # p += step (1 + K step), with K = tan(p) (1 + q) / 2.
-        k_step = np.sqrt(tan2, out=tan2)
-        k_step *= one_q
-        k_step *= 0.5
-        k_step *= step
-        k_step += 1.0
-        k_step *= step
-        p += k_step
-        last = size
-        if settled.all():
-            break
-    else:
-        worst = float(np.max(last[~settled]))
+    ends, rest = _hermite_seed(grid, h_grid, slope, target)
+    # Newton needs none of these; an uncached layout's grid and fractions
+    # go with them.
+    del h_grid, slope, target, grid, frac
+    steps, worst = _newton(ends, rest, -a)
+    if worst is not None:
         raise ConvergenceError(
             f"time-map inversion did not settle in {_NEWTON_CAP} Newton steps "
             f"(a={a!r}, n_samples={n_samples}, worst step {worst:.3e})",
@@ -380,16 +456,24 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
 
     q1 = np.empty(n_samples + 1)
     q1[0] = sol.q1max
+    # q1 = q1max cos(p)**2 = q1max / (1 + tan(p)**2).
     inner = q1[1:half]
-    np.cos(p, out=inner)
+    np.tan(ends[1], out=inner)
     inner *= inner
-    inner *= sol.q1max
+    inner += 1.0
+    np.divide(sol.q1max, inner, out=inner)
     q1[half] = 0.0
     q1[half + 1 :] = q1[half - 1 :: -1]
 
-    if not (q1[1 : half + 1] < q1[:half]).all():
+    falls = q1[1 : half + 1] < q1[:half]
+    if not falls.all():
         raise ConvergenceError(
-            "time-map inversion produced a non-monotone first half period"
+            "time-map inversion produced a non-monotone first half period: "
+            f"q1 does not fall at sample {int(falls.argmin()) + 1} "
+            f"(a={a!r}, n_samples={n_samples}, iterations={steps})",
+            mu=sol.mu,
+            a=a,
+            iterations=steps,
         )
 
     q1.setflags(write=False)

@@ -58,9 +58,10 @@ def unsettled_rebuild(monkeypatch):
     """
     hermite = orbit._hermite_seed
 
-    def midpoint(b, grid, cc_grid, h_grid, target):
-        p0, rest, _ = hermite(b, grid, cc_grid, h_grid, target)
-        return p0, rest, p0 + 0.5 * grid[1]
+    def midpoint(grid, h_grid, slope, target):
+        ends, rest = hermite(grid, h_grid, slope, target)
+        ends[1] = ends[0] + 0.5 * grid[1]
+        return ends, rest
 
     monkeypatch.setattr(orbit, "_hermite_seed", midpoint)
     monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from frozenplanet.certify import CheckResult, run_suite
+from frozenplanet.certify import CheckResult, check_trajectory_residuals, run_suite
 
 
 def test_fast_suite_all_pass():
@@ -33,3 +33,11 @@ def test_full_suite_extends_fast():
 def test_run_suite_rejects_unknown_level():
     with pytest.raises(ValueError):
         run_suite("paranoid")
+
+
+def test_trajectory_residuals_reach_top_of_workload_range():
+    # The trajectory check also runs at mu = 1e11, the top of the charge
+    # range the benchmark's trajectory workload draws from.
+    result = check_trajectory_residuals()
+    assert result.passed, result.detail
+    assert "mu=1e+11:" in result.detail

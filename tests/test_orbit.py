@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,63 @@ def test_reconstruct_newton_cap_reports_context(sol_mu2, unsettled_rebuild):
     assert f"worst step {exc.last:.3e}" in str(exc)
 
 
+def test_settle_bound_dominates_error_coefficient(monkeypatch, sol_mu2, unsettled_rebuild):
+    # For q in [0, 1], 10 tan**2 + 2 is at least the error coefficient
+    # tan**2 (7 q + 3) + 1 + q: the difference is (1 - q) (7 tan**2 + 1),
+    # checked in exact rationals.
+    tan2s = [Fraction(0), Fraction(1, 10**12), Fraction(3, 7), Fraction(1), Fraction(10**15)]
+    for q in [Fraction(k, 16) for k in range(17)] + [Fraction(1, 10**9)]:
+        for tan2 in tan2s:
+            coefficient = tan2 * (7 * q + 3) + 1 + q
+            bound = 10 * tan2 + 2
+            assert bound - coefficient == (1 - q) * (7 * tan2 + 1) >= 0, (q, tan2)
+    # One step from a cell's midpoint fails the bound, so the per-sample
+    # test decides, and finds samples unsettled.
+    calls = []
+    per_sample = orbit._settled
+
+    def counted(*args):
+        calls.append(per_sample(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(orbit, "_settled", counted)
+    with pytest.raises(ConvergenceError):
+        reconstruct(sol_mu2, 64)
+    assert len(calls) == 1 and not calls[0].all()
+
+
+def test_settle_bound_decides_from_hermite_seed(monkeypatch):
+    # From the Hermite seed the one-reduction bound settles every sample at
+    # once (at most 0.004 of its limit at n = 512), so the per-sample test
+    # never runs.
+    def refuse(*args):
+        raise AssertionError("the per-sample settle test ran")
+
+    monkeypatch.setattr(orbit, "_settled", refuse)
+    for u in np.linspace(-12.0, 11.0, 47):
+        sol = solve_orbit(1.0 + 10.0**u)
+        for n in (16, 64, 256, 512, 4096):
+            reconstruct(sol, n)
+
+
+def test_reconstruct_monotonicity_failure_reports_context(monkeypatch, sol_mu2):
+    # Swapped target fractions make q1 rise at sample 11; the error names
+    # the sample and the sample count, and carries the orbit and the
+    # Newton steps taken.
+    layout = orbit._layout(64)
+    frac = layout.frac.copy()
+    frac[[9, 10]] = frac[[10, 9]]
+    monkeypatch.setattr(orbit, "_layout", lambda n: layout._replace(frac=frac))
+    with pytest.raises(
+        ConvergenceError, match=r"q1 does not fall at sample 11 .*n_samples=64, iterations=1"
+    ) as info:
+        reconstruct(sol_mu2, 64)
+    exc = info.value
+    assert exc.mu == sol_mu2.mu
+    assert exc.a == sol_mu2.q1antimax / sol_mu2.q1max
+    assert exc.iterations == 1
+
+
 def test_reconstruct_one_newton_step_at_512(monkeypatch):
     # From the Hermite seed one corrected Newton step settles every sample
     # over the whole charge range: at the benchmark's sample count, at the
@@ -335,16 +393,38 @@ def test_time_grid_against_time_map(n):
     # Physical orbits have b from about 0.5175 (mu -> 1) to 2.25e24.  The
     # compensated sum of the cells' Gauss rules matches the closed-form
     # time map at every grid angle, and its end matches G(1) = I_{1/2} / 2.
+    # The grid pass's slopes are H' at the cell starts.
     eps = np.finfo(float).eps
+    layout = orbit._layout(n)
+    grid = layout.grid
+    cc_start = np.cos(grid[:-1]) ** 2
     for b in np.geomspace(0.5175, 2.25e24, 25):
-        layout = orbit._layout(n)
-        grid = layout.grid
-        h_grid = orbit._grid_values(-b, layout.cc_nodes)
+        h_grid, slope = orbit._grid_values(-b, layout.cc, layout.weights)
         ref = _time_map(-b, grid)
         g_full = 0.5 * ratio_integrals(-b)[0]
         assert grid[-1] == 0.5 * math.pi
         assert np.max(np.abs(h_grid - ref)) <= 8 * eps * g_full, b
         assert abs(h_grid[-1] - g_full) <= 4 * eps * g_full, b
+        h_prime = cc_start / np.sqrt(cc_start + b)
+        assert np.max(np.abs(slope - h_prime) / h_prime) <= 4 * eps, b
+
+
+@pytest.mark.parametrize("n", [16, 4096, 2**16])
+def test_grid_sum_error_terms_match_two_sum(n):
+    # The grid pass takes each addition's rounding error by Fast2Sum, which
+    # is exact because every running sum is at least the increment added
+    # to it.  The grid values then equal those of TwoSum, bit for bit.
+    layout = orbit._layout(n)
+    for b in (1e-12, 0.3, 0.5175, 2.0, 1e6, 2.25e24):
+        h_grid, _ = orbit._grid_values(-b, layout.cc, layout.weights)
+        cc = layout.cc[:-1]
+        cells = layout.weights @ (cc / np.sqrt(cc + b))
+        run = np.cumsum(cells)
+        prev = np.r_[0.0, run[:-1]]
+        back = run - prev
+        err = (prev - (run - back)) + (cells - back)
+        two_sum = np.r_[0.0, run + np.cumsum(err)]
+        assert np.array_equal(h_grid, two_sum), b
 
 
 def test_gauss_tables_exact_to_their_degree():
@@ -368,8 +448,15 @@ def test_gauss_rule_meets_strip_bound():
     for n in range(16, orbit._MAX_SAMPLES + 1, 2):
         w = 0.5 * math.pi / max(n // 2, 256)
         assert (w / (4 * 0.665)) ** 8 <= 1e-18, n
+    eps = np.finfo(float).eps
     for n in (16, 210, 512, 2**20):
         layout = orbit._layout(n)
         cells = max(n // 2, 256)
-        assert layout.cc_nodes.shape == (cells, 4)
-        assert layout.grid.size == cells + 1 and layout.grid[-1] == 0.5 * math.pi
+        grid, w = layout.grid, 0.5 * math.pi / cells
+        assert layout.cc.shape == (5, cells)
+        assert grid.size == cells + 1 and grid[-1] == 0.5 * math.pi
+        # Rows 0 to 3: cos**2 at each cell's Gauss nodes; row 4: at its start.
+        nodes = grid[:-1] + w * orbit._GL_NODES[:4, None]
+        assert np.max(np.abs(layout.cc[:4] - np.cos(nodes) ** 2)) <= 2 * eps
+        assert np.array_equal(layout.cc[4], np.cos(grid[:-1]) ** 2)
+        assert np.array_equal(layout.weights, orbit._GL_WEIGHTS * w)
