@@ -12,16 +12,22 @@ through Carlson's R_F and R_D (:func:`frozenplanet.specialfn.carlson_rf_rd`):
     I_{3/2}  = (2 * (1 - b) * I_{1/2} + b * I_{-1/2}) / 3,
 
 the last from int_0^1 P'(r) / sqrt(P(r)) dr = 0 with P = r (1 - r) (r + b).
-At b = 0 the moments are exactly 2 and 4/3.  For b >= 4 the expansion of
+At b = 0 the moments are exactly 2 and 4/3.  For b >= 1 the expansion of
 1 / sqrt(r + b) about r = 1/2, in powers of (r - 1/2) / (b + 1/2), whose
-size is at most 1/9 there, gives instead
+size is at most 1/3 there, gives instead
 
     I_k = (b + 1/2)**(-1/2) * sum_j (1/2)_j / j! * M_kj * (-T)**j,
     T = 1 / (b + 1/2),   M_kj = int_0^1 r**k (r - 1/2)**j (1 - r)**(-1/2) dr,
 
-17 terms summed in Horner form.  Every branch stays within a few units of
-rounding of a 40-digit evaluation, from b = 1e-300 to b = 1e25, and the
-series within 2 units from b = 4 to b = 1.7e308.  The shape
+summed in Horner form over the terms that b needs.  A table built at
+import gives each binade [2**i, 2**(i+1)) of b the fewest terms whose first
+omitted one is below 0.02 of 2**-53 of the sum at b = 2**i: 34 at b = 1,
+17 at b = 4, 11 at b = 16 and one from b = 2**57 on.  So R_D serves only
+b < 1, where both terms of the I_{3/2} identity are non-negative and
+nothing cancels; b = 1 is where the orbit touches the outer electron
+(kappa = 0).  Every branch stays within a few units of rounding of a
+40-digit evaluation, from b = 1e-300 to b = 1e25, and the series within
+2.3 units from b = 1 to b = 1.7e308.  The shape
 functional F and the period rest on one private kernel, ``_shape``, which
 returns F with the sigma pair and I_{1/2} it used; ``big_f`` and
 ``period`` wrap it, and the orbit solve calls it at each trial point and
@@ -48,53 +54,84 @@ from .specialfn import carlson_rf_rd
 # overflow towards the subnormal range.
 _B_NEGLIGIBLE = 1e-300
 # The expansion about r = 1/2 serves b >= _B_SERIES, where its ratio
-# |r - 1/2| / (b + 1/2) is at most 1/9; after _SERIES_TERMS terms the first
-# omitted one is below 0.02 of a unit of rounding of the sum (see
-# ``_series_coefficients``).
-_B_SERIES = 4.0
-_SERIES_TERMS = 17
+# |r - 1/2| / (b + 1/2) is at most 1/3.  Each binade of b runs the fewest
+# of the _SERIES_TERMS terms whose first omitted one is below _SERIES_CUT of
+# the sum at its lower end (see ``_terms_needed``): all of them at b = 1,
+# 11 at b = 16, one from b = 2**57 on.
+_B_SERIES = 1.0
+_SERIES_TERMS = 34
+_SERIES_CUT = 0.02 * 2.0**-53
 
 
 def _series_coefficients(k: float, first: float) -> tuple[float, ...]:
-    """(1/2)_j / j! * M_j for j < _SERIES_TERMS, highest j first.
+    """(1/2)_j / j! * M_j for j <= _SERIES_TERMS, lowest j first.
 
     M_j = int_0^1 r**k (r - 1/2)**j (1 - r)**(-1/2) dr and ``first`` is
     M_0 = B(k + 1, 1/2).  Integrating d/dr [r**(k+1) (1 - r)**(1/2)
     (r - 1/2)**j] over [0, 1], which gives zero, and writing every power of
     r and 1 - r about 1/2 gives the three-term recurrence
 
-        (k + j + 3/2) M_{j+1} = (k/2 + 1/4) M_j + (j/4) M_{j-1},
+        (4k + 4j + 6) M_{j+1} = (2k + 1) M_j + j M_{j-1}.
 
-    whose terms are all positive for k > -1/2, so no step cancels: every
-    M_j used is within 4 rounding units of 40-digit quadrature.  Term j of
-    the sum is about 9**-j of it at b = 4, term 1 at most 0.04, so these
-    errors cost under 0.15 of a unit of the sum.  The binomial sum over B(k + i + 1, 1/2) that expands
-    (r - 1/2)**j directly would cancel instead: its terms reach
-    (3/2)**j M_0 against M_j ~ 2**-j M_0, up to 3**j units lost, which
-    the damping by (2/9)**j turns into up to 3**-j units of the sum.  As
-    (1/2)_j / j! ~ 1/sqrt(pi j), M_j ~ 2**-j and T <= 2/9, at b = 4 the
-    first omitted term, j = 17, is 0.014 (k = 1/2) and 0.019 (k = 3/2)
-    of 2**-53 relative to the sum, below 0.02 of a unit.
+    For k in {1/2, 3/2} its coefficients are integers, so M_j / M_0 =
+    num_j / den_j with num_0 = den_0 = 1, num_1 = 2k + 1, den_1 = 4k + 6,
+    den_{j+1} = (4k + 4j + 6) den_j and num_{j+1} = (2k + 1) num_j +
+    j (4k + 4j + 2) num_{j-1}, held exactly as Python integers.  With
+    (1/2)_j / j! = C(2j, j) / 4**j the whole ratio is one integer quotient,
+    which Python rounds correctly, so each coefficient carries the rounding
+    of that quotient, of M_0 and of one product: within 1.3 units of a
+    40-digit evaluation for every j.  The same recurrence in floats, whose
+    positive terms never cancel, lets the roundings of its steps add up to
+    4.5 units in M_24 (k = 3/2); the binomial sum over B(k + i + 1, 1/2)
+    that expands (r - 1/2)**j directly would cancel instead, its terms
+    reaching (3/2)**j M_0 against M_j ~ 2**-j M_0.  The last coefficient,
+    j = 34, is only read as the first omitted term at b = 1.
     """
-    moments = [first, (0.5 * k + 0.25) * first / (k + 1.5)]
-    for j in range(1, _SERIES_TERMS - 1):
-        moments.append(((0.5 * k + 0.25) * moments[j] + 0.25 * j * moments[j - 1]) / (k + j + 1.5))
-    coef, pochhammer = [], 1.0
-    for j, moment in enumerate(moments):
-        coef.append(pochhammer * moment)
-        pochhammer *= (j + 0.5) / (j + 1)
-    return tuple(reversed(coef))
+    h = int(2.0 * k) + 1  # 2k + 1
+    num, den = [1, h], [1, 2 * h + 4]
+    for j in range(1, _SERIES_TERMS):
+        num.append(h * num[j] + j * (2 * h + 4 * j) * num[j - 1])
+        den.append((2 * h + 4 * j + 4) * den[j])
+    return tuple(
+        first * (math.comb(2 * j, j) * n / (4**j * d)) for j, (n, d) in enumerate(zip(num, den))
+    )
 
 
 # Pairs (I_{1/2} coefficient, I_{3/2} coefficient), from B(3/2, 1/2) = pi/2
-# and B(5/2, 1/2) = 3 pi / 8.  The Horner sum starts from the top pair.
+# and B(5/2, 1/2) = 3 pi / 8.
 _SERIES = tuple(
     zip(
         _series_coefficients(0.5, 0.5 * math.pi),
         _series_coefficients(1.5, 0.375 * math.pi),
     )
 )
-_SERIES_TOP, _SERIES_REST = _SERIES[0], _SERIES[1:]
+
+
+def _terms_needed(b: float) -> int:
+    """Least N whose first omitted term, j = N, is below _SERIES_CUT of the sum at b >= 1.
+
+    The terms (1/2)_j / j! M_j T**j alternate in sign and fall in size, so
+    each sum is at least its first two terms; the test is made against
+    that, for both moments.  The first omitted term falls with b, so the
+    count at the lower end of a range of b serves the whole range.
+    """
+    t = 1.0 / (b + 0.5)
+    (half_0, three_half_0), (half_1, three_half_1) = _SERIES[:2]
+    floor_half = _SERIES_CUT * (half_0 - half_1 * t)
+    floor_three_half = _SERIES_CUT * (three_half_0 - three_half_1 * t)
+    n, power = 1, t
+    while _SERIES[n][0] * power >= floor_half or _SERIES[n][1] * power >= floor_three_half:
+        n, power = n + 1, power * t
+    return n
+
+
+# Entry i holds, for b in [2**i, 2**(i+1)), the top coefficient pair of the
+# Horner sum and the pairs below it, highest j first, at the count
+# _terms_needed(2**i); binades with equal counts share one entry.
+_SERIES_BY_COUNT = {
+    n: (_SERIES[n - 1], tuple(reversed(_SERIES[: n - 1]))) for n in range(1, _SERIES_TERMS + 1)
+}
+_SERIES_BY_BINADE = tuple(_SERIES_BY_COUNT[_terms_needed(2.0**i)] for i in range(1024))
 
 
 def ratio_integrals(a: float) -> tuple[float, float]:
@@ -105,13 +142,7 @@ def ratio_integrals(a: float) -> tuple[float, float]:
     if not -math.inf < a <= 0.0:
         raise DomainError(f"ratio integrals require a finite a <= 0, got a={a!r}")
     b = -a
-    if b < _B_NEGLIGIBLE:
-        i_half, i_three_half = 2.0, 4.0 / 3.0
-    elif b < _B_SERIES:
-        rf, rd = carlson_rf_rd(0.0, 1.0 + b, b)
-        i_half = (2.0 / 3.0) * b * rd
-        i_three_half = (2.0 * (1.0 - b) * i_half + 2.0 * b * rf) / 3.0
-    else:
+    if b >= _B_SERIES:
         # b + 1/2 is exact below 2**52, and above it its rounding moves
         # I_k by at most a quarter unit.  The scale 1 / sqrt(b + 1/2)
         # stays normal up to the largest b, while T = 1 / (b + 1/2) turns
@@ -119,13 +150,20 @@ def ratio_integrals(a: float) -> tuple[float, float]:
         # first is far below rounding.
         shifted = b + 0.5
         t = -1.0 / shifted
-        i_half, i_three_half = _SERIES_TOP
-        for c_half, c_three_half in _SERIES_REST:
+        (i_half, i_three_half), rest = _SERIES_BY_BINADE[math.frexp(b)[1] - 1]
+        for c_half, c_three_half in rest:
             i_half = i_half * t + c_half
             i_three_half = i_three_half * t + c_three_half
         scale = 1.0 / math.sqrt(shifted)
         i_half *= scale
         i_three_half *= scale
+    elif b < _B_NEGLIGIBLE:
+        i_half, i_three_half = 2.0, 4.0 / 3.0
+    else:
+        # For b < 1 both terms of the I_{3/2} identity are non-negative.
+        rf, rd = carlson_rf_rd(0.0, 1.0 + b, b)
+        i_half = (2.0 / 3.0) * b * rd
+        i_three_half = (2.0 * (1.0 - b) * i_half + 2.0 * b * rf) / 3.0
     return i_half, i_three_half
 
 

@@ -32,6 +32,7 @@ from frozenplanet import (
     sigma_pair,
     time_integral,
 )
+from frozenplanet import quadrature
 from frozenplanet.quadrature import _time_map
 
 # Frozen regression values (current double-precision build; independently
@@ -43,10 +44,10 @@ BIG_F_AT_1_2 = 2.9179194869686507
 
 EPS = float(np.finfo(float).eps)
 # b = -a from the subnormal range to 1e25, on both sides of the series
-# switch at b = 4; every physical orbit has b >= 0.517.
+# switch at b = 1; every physical orbit has b >= 0.517.
 B_VALUES = (
     5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 1e-12, 1e-8, 1e-4, 1e-2, 0.517,
-    1.0, 2.0, 3.99, 4.0, 4.01, 6.48, 1e2, 1e4, 1e8, 1e12, 1e16, 1e25,
+    0.999, 1.0, 1.001, 2.0, 3.99, 4.0, 4.01, 6.48, 1e2, 1e4, 1e8, 1e12, 1e16, 1e25,
 )
 
 
@@ -130,24 +131,75 @@ def _ulps(value, ref):
 
 
 def test_series_branch_against_mpmath_densely():
-    # The b >= 4 branch at 240 log-spaced b from 4 to 1.7e308, next to the
-    # largest double, plus the double above 4, and 4.4e307 and 1e308, where
-    # T = 1 / (b + 1/2) reaches the subnormal range.
-    above = math.nextafter(4.0, math.inf)
-    b_values = [float(b) for b in np.geomspace(4.0, 1.7e308, 240)]
+    # The b >= 1 branch at 121 evenly spaced b on [1, 4], where its ratio
+    # reaches 1/3, at each power of two up to 2**60, where a binade's term
+    # count is at its bound, and at 240 log-spaced b from 4 to 1.7e308,
+    # next to the largest double; plus the double above 1, and 4.4e307 and
+    # 1e308, where T = 1 / (b + 1/2) reaches the subnormal range.
+    above = math.nextafter(1.0, math.inf)
+    b_values = [float(b) for b in np.linspace(1.0, 4.0, 121)]
+    b_values += [2.0**i for i in range(61)]
+    b_values += [float(b) for b in np.geomspace(4.0, 1.7e308, 240)]
     b_values += [above, 4.4e307, 1e308]
     for b in b_values:
         for k, moment in zip((0.5, 1.5), ratio_integrals(-b)):
             assert _ulps(moment, _mp_moment_2f1(b, k)) <= 4.0, (b, k)
     # Across the switch the series adds at most one unit to the jump from
-    # the R_D branch just below 4, whose own error there (4.8 units in
-    # I_{3/2}, from the cancelling 1 - b in its I_{3/2} identity) sets it.
-    below = math.nextafter(4.0, 0.0)
+    # the R_D branch just below 1, whose own error there sets it.
+    below = math.nextafter(1.0, 0.0)
     for k, lower, at, upper in zip(
-        (0.5, 1.5), ratio_integrals(-below), ratio_integrals(-4.0), ratio_integrals(-above)
+        (0.5, 1.5), ratio_integrals(-below), ratio_integrals(-1.0), ratio_integrals(-above)
     ):
         assert abs(lower - at) <= (_ulps(lower, _mp_moment_2f1(below, k)) + 1.0) * math.ulp(at)
         assert abs(upper - at) <= 4 * math.ulp(at)
+
+
+def _mp_series_coefficient(k, j):
+    """(1/2)_j / j! * M_j, M_j = int_0^1 r**k (r - 1/2)**j (1 - r)**(-1/2) dr,
+    from the binomial sum over B(k + i + 1, 1/2).  That sum cancels by up
+    to 3**j, so it runs at 80 digits to leave more than 40."""
+    with mpmath.workdps(80):
+        half = mpmath.mpf(1) / 2
+        moment = mpmath.fsum(
+            mpmath.binomial(j, i) * (-half) ** (j - i) * mpmath.beta(k + i + 1, half)
+            for i in range(j + 1)
+        )
+        return mpmath.binomial(2 * j, j) / mpmath.mpf(4) ** j * moment
+
+
+def test_series_coefficients_and_term_table():
+    # Every coefficient the series reads, j <= 34, is within 4 units of
+    # its 80-digit value.
+    coefficients = [[_mp_series_coefficient(k, j) for j in range(35)] for k in (0.5, 1.5)]
+    for k, column, reference in zip((0.5, 1.5), zip(*quadrature._SERIES), coefficients):
+        assert len(column) == 35
+        for j, (value, ref) in enumerate(zip(column, reference)):
+            assert _ulps(value, ref) <= 4.0, (k, j)
+    # Binade i, b in [2**i, 2**(i + 1)), sums the first n pairs by Horner,
+    # highest j first.  Its n is the least whose first omitted term, j = n,
+    # is below 0.02 of 2**-53 of the sum at b = 2**i, for both moments; the
+    # terms only fall as b grows, so that n serves the whole binade.  The
+    # counts never grow with b, from all 34 terms at b = 1 to one term.
+    table = quadrature._SERIES_BY_BINADE
+    counts = [len(rest) + 1 for _, rest in table]
+    assert len(table) == 1024
+    assert counts[0] == 34 and counts[-1] == 1
+    assert all(n >= m for n, m in zip(counts, counts[1:]))
+    for (top, rest), n in zip(table, counts):
+        assert (top,) + rest == quadrature._SERIES[n - 1 :: -1]
+    with mpmath.workdps(40):
+        cut = mpmath.mpf(0.02) * mpmath.mpf(2) ** -53
+        for i, n in enumerate(counts):
+            t = 1 / (mpmath.mpf(2) ** i + mpmath.mpf(0.5))
+            totals = [
+                mpmath.fsum(c * (-t) ** j for j, c in enumerate(reference))
+                for reference in coefficients
+            ]
+            before, at = (
+                max(ref[m] * t**m / total for ref, total in zip(coefficients, totals))
+                for m in (n - 1, n)
+            )
+            assert at < cut <= before, (i, n)
 
 
 def test_time_map_against_mpmath():

@@ -17,6 +17,7 @@ from frozenplanet import (
     fixpoint_residual,
     gamma_of_mu,
     kappa_of,
+    mu_of_gamma,
     period,
     q1_extrema,
     qbar2_of,
@@ -387,13 +388,26 @@ def _charge_where_x_r_reaches(x, tol):
     return hi
 
 
+def _charge_where_root_b_is(b):
+    """The charge whose root has moment argument b = -a.
+
+    sigma_plus * sigma_minus = -4 (gamma + 1)**2 gives sigma_plus =
+    2 (gamma + 1) / sqrt(b), so F = sigma_plus I_{3/2} / I_{1/2} = 2 holds
+    where gamma + 1 = sqrt(b) I_{1/2}(-b) / I_{3/2}(-b)."""
+    i_half, i_three_half = ratio_integrals(-b)
+    return mu_of_gamma(math.sqrt(b) * i_half / i_three_half - 1.0)
+
+
 def test_qbar1_non_decreasing_in_mu():
     # Every trial point lies in one dyadic tree, so two charges take the
     # same branches down to the first point that separates their roots:
     # the solved mean is non-decreasing in mu, the property the benchmark
     # gates.  The sets are consecutive doubles next to the ionization
     # threshold, consecutive doubles around each charge where top switches
-    # (x_r crossing 1, 2 and 4), and sorted log-uniform charges.  At
+    # (x_r crossing 1, 2 and 4), consecutive doubles around the charges
+    # where the root's b crosses the moments' series switch at b = 1 (the
+    # touch point mu*) and their step from 14 to 11 terms at b = 16, and
+    # sorted log-uniform charges.  At
     # tol = 1e-14 the acceptance band |F - 2| <= tol is about 22 rounding
     # units of F wide, and at a point on that band's edge one rounding unit
     # can accept the point for one double and pass it for the next.  Such a
@@ -403,8 +417,9 @@ def test_qbar1_non_decreasing_in_mu():
     random_charges = np.sort(1.0 + 10.0 ** rng.uniform(-12.0, 11.0, 5000)).tolist()
     for tol, allowed in ((1e-10, 0.0), (1e-14, 2e-14)):
         sets = [_consecutive_doubles(1.0 + 1e-12, 2000), random_charges]
-        for x in (1.0, 2.0, 4.0):
-            mu = _charge_where_x_r_reaches(x, tol)
+        centres = [_charge_where_x_r_reaches(x, tol) for x in (1.0, 2.0, 4.0)]
+        centres += [critical_mu(), _charge_where_root_b_is(16.0)]
+        for mu in centres:
             for _ in range(200):
                 mu = math.nextafter(mu, 0.0)
             sets.append(_consecutive_doubles(mu, 400))
