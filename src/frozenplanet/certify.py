@@ -38,6 +38,10 @@ _MU_STAR_PRINTED = 13.69
 _QBAR1_MU2_REF = 1.6041328017664948
 _ETA_MU2_REF = 4.695443068509868
 _ETA_TOUCH_REF = 40.802656956606687
+# Charges the classification grid checks, from 1.02 to 40.
+_CLASSIFICATION_CHARGES = 50
+# Sample count of the rebuilds whose residuals are checked.
+_TRAJECTORY_SAMPLES = 1024
 
 
 @dataclass(frozen=True)
@@ -203,9 +207,9 @@ def check_monotone_unique_grid(n_mu: int = 25, n_grid: int = 10_000) -> CheckRes
     )
 
 
-def check_classification_grid(n_mu: int = 50) -> CheckResult:
+def check_classification_grid() -> CheckResult:
     """One Disjoint -> Intersects flip, bracketing mu*, with kappa/q1max agreement."""
-    mus = np.geomspace(1.02, 40.0, n_mu)
+    mus = np.geomspace(1.02, 40.0, _CLASSIFICATION_CHARGES)
     verdicts = []
     for mu in mus:
         sol = solve_orbit(float(mu), tol=1e-10)
@@ -224,7 +228,7 @@ def check_classification_grid(n_mu: int = 50) -> CheckResult:
         return CheckResult(
             "classification_grid",
             False,
-            f"{n_mu} charges: no Disjoint -> Intersects flip found",
+            f"{_CLASSIFICATION_CHARGES} charges: no Disjoint -> Intersects flip found",
         )
     mu_star = critical_mu()
     ok = (
@@ -236,7 +240,7 @@ def check_classification_grid(n_mu: int = 50) -> CheckResult:
     return CheckResult(
         "classification_grid",
         ok,
-        f"{n_mu} charges, {flips} flip(s), bracket "
+        f"{_CLASSIFICATION_CHARGES} charges, {flips} flip(s), bracket "
         f"[{mus[first_int - 1]:.4f}, {mus[first_int]:.4f}] around mu*={mu_star:.4f}",
     )
 
@@ -255,7 +259,7 @@ def _fd_second_derivative_defect(traj: Trajectory, lo: float, hi: float) -> floa
     return float(np.max(np.abs(fd / rhs - 1.0)))
 
 
-def check_trajectory_residuals(n_samples: int = 1024) -> CheckResult:
+def check_trajectory_residuals() -> CheckResult:
     """Mean/energy residuals, time-reversal symmetry, and the FD motion law
     with second-order convergence, at mu in {2, 4, mu*, 1e11}.  The last
     is the top of the charge range the benchmark's trajectory workload
@@ -263,7 +267,7 @@ def check_trajectory_residuals(n_samples: int = 1024) -> CheckResult:
     details = []
     for mu in (2.0, 4.0, critical_mu(), 1e11):
         sol = solve_orbit(mu)
-        traj = reconstruct(sol, n_samples)
+        traj = reconstruct(sol, _TRAJECTORY_SAMPLES)
         mean_rel = abs(mean_residual(traj)) / sol.qbar1
         energy = abs(energy_residual(traj))
         symmetry = float(np.max(np.abs(traj.q1 - traj.q1[::-1])))

@@ -11,12 +11,13 @@ class ConvergenceError(RuntimeError):
     The keyword-only fields carry the numbers behind the failure where the
     raising code knows them, and are ``None`` otherwise: the charge ``mu``,
     the orbit parameter ``a`` = q1antimax / q1max, the number of
-    ``iterations`` made (evaluations of F in the solver, Newton steps in the
-    trajectory inversion) and ``last``, the last estimate of the orbit mean
-    or the worst remaining Newton step.  A trajectory rebuild whose first
-    half period fails to fall carries ``mu``, ``a`` and the Newton steps it
-    took, and names the first sample where q1 does not fall in its
-    message.  The orbit solve adds its closed-form
+    ``iterations`` made (evaluations of F in the orbit solve) and ``last``,
+    the last estimate of the orbit mean or a trajectory rebuild's largest
+    Newton step.  A rebuild whose Newton step fails its settle bound
+    carries ``mu``, ``a`` and ``last``, and names both sides of the bound
+    in its message; one whose first half period fails to fall carries
+    ``mu`` and ``a``, and names the first sample where q1 does not fall.
+    The orbit solve adds its closed-form
     ``window`` (x_l, x_r) and the counts of the trial points it tried,
     ``decided`` by that window and ``evaluated`` by an F call.
     """

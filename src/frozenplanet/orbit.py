@@ -62,11 +62,11 @@ far above rounding, and H at the last inner grid angle, no further
 left, exceeds it by more.  So both ends of every sample's cell are cell
 starts, whose slopes the grid pass gave.
 
-Each Newton step runs on the whole array of m samples, as one block of
-rows by samples: every pass below is one NumPy call over a few
-contiguous rows, not a broadcast over a short inner axis.  One matrix
-product with the (2, m) rows of cell starts p0 and iterates p fills the
-width p - p0 and the (5, m) angles (1 - x_k) p0 + x_k p at the four
+The rebuild takes one Newton step, on the whole array of m samples, as
+one block of rows by samples: every pass below is one NumPy call over a
+few contiguous rows, not a broadcast over a short inner axis.  One
+matrix product with the (2, m) rows of cell starts p0 and seeds p fills
+the width p - p0 and the (5, m) angles (1 - x_k) p0 + x_k p at the four
 Gauss nodes x_k and at x = 1, which is p itself.  H' there comes from
 cos**2 = 1 / (1 + tan**2): one tan pass costs less than one cos pass
 where NumPy's float64 tan is vectorized and its cos is not (2.3 against
@@ -84,8 +84,7 @@ Solving for delta by repeated substitution gives
 
 so the step p += d + K d**2 leaves an error of about
 |H''' / (6 H') - 2 K**2| * |d|**3, and a sample has settled once that
-falls below eps * p, or once d falls below 4 eps * p or stops shrinking,
-which marks the rounding floor.  With c = cos(p), s = sin(p) and
+is at most eps * p.  With c = cos(p), s = sin(p) and
 q = b / (c**2 + b) in [0, 1],
 
     K = tan(p) * (1 + q) / 2,
@@ -98,10 +97,9 @@ simplifies to
     |H''' / (6 H') - 2 K**2| = (tan(p)**2 * (7 q + 3) + 1 + q) / 6,
 
 where tan(p)**2 and q = b / (c**2 + b) come from the Newton block's row
-at p.  The loop ends when every sample has settled.  From the Hermite
-seed one step settles every sample at every n (figures at _NEWTON_CAP).
+at p.
 
-The settle test first bounds every sample at once.  Since 0 <= q <= 1,
+The settle test bounds every sample at once.  Since 0 <= q <= 1,
 
     tan(p)**2 * (7 q + 3) + 1 + q <= 10 tan(p)**2 + 2,
 
@@ -111,11 +109,12 @@ the difference being (1 - q) (7 tan(p)**2 + 1) >= 0.  So if
 
 every sample's own error term lies below 6 eps times its own p, and all
 have settled: one reduction over the block's rows tan(p)**2, |d| and -p
-decides.  The bound only ever settles samples the per-sample test would
-settle; where it fails, the per-sample test decides.  From the Hermite
-seed it held with a wide margin at every charge and n tried: its left
-side was at most 0.004 of its right at n = 512, and less elsewhere
-(47 charges mu = 1 + 10**u, u in [-12, 11], n from 16 to 2**20).
+decides.  From the Hermite seed it held with a wide margin at every
+charge and n tried: its left side was at most 0.0046 of its right over
+278 charges (mu = 1 + 10**u, u in [-12, 15], and up to 4.9e307) at
+sample counts from 16 to 2**20, and at most 0.16 of it over synthetic
+b in [0, 1e300].  So one step settles every sample, and a rebuild whose
+step fails the bound raises ConvergenceError instead of stepping again.
 
 The arrays that depend on n alone (the grid angles, the cos**2 table,
 the Gauss weights scaled by the cell width, the target fractions k/n
@@ -123,7 +122,7 @@ and the times) are built once per sample count and kept, read-only, for
 the last few counts up to 2**14 samples; a larger count builds them
 afresh and drops them when it returns.  They hold 4.5 floats, 36 bytes,
 per sample: 2.5 in the cos**2 table, 0.5 each in the grid and the
-fractions, 1 in the times.  A rebuild peaks in its Newton steps at 12.5
+fractions, 1 in the times.  A rebuild peaks in its Newton step at 12.5
 floats per sample, 105 MB at 2**20 samples: the block's 19 rows of
 n/2 samples (9.5), the ends, the rests and the step (2), and the times
 (1); the rest of an uncached layout is freed before Newton starts.
@@ -143,11 +142,6 @@ from .quadrature import ratio_integrals
 from .solver import OrbitSolution
 
 _EPS = float(np.finfo(float).eps)
-# Whole-array Newton steps allowed per rebuild.  From the Hermite seed,
-# the corrected step on the in-cell equation took 1 step at 16, 64, 128,
-# 256, 512, 4096, 16384 and 2**20 samples, at each of 47 charges
-# mu = 1 + 10**u, u in [-12, 11], and with a = 0.
-_NEWTON_CAP = 60
 # Largest n_samples accepted: a rebuild peaks at 12.5 floats per sample
 # (105 MB at 2**20; module docstring), and its layout holds 4.5 (36 bytes
 # per sample).
@@ -293,82 +287,50 @@ def _hermite_seed(
     return ends, rest
 
 
-def _settled(
-    size: np.ndarray,
-    tan2: np.ndarray,
-    hq: np.ndarray,
-    p: np.ndarray,
-    last: np.ndarray | None,
-) -> np.ndarray:
-    """The samples that have settled, decided one by one.
+def _newton(ends: np.ndarray, rest: np.ndarray, b: float) -> tuple[float, float, float]:
+    """Take one corrected Newton step on every sample, in place in ``ends[1]``.
 
-    ``size`` is |d|, ``hq`` is (1 + q) / 2 and ``last`` the previous step's
-    |d| (None before the first).  A sample has settled once six times its
-    predicted error, (tan(p)**2 (7 q + 3) + 1 + q) |d|**3, is at most
-    6 eps p, or |d| is at most 4 eps p or no smaller than the last step's.
-    """
-    q = 2.0 * hq - 1.0
-    err6 = (tan2 * (7.0 * q + 3.0) + 1.0 + q) * size**3
-    settled = err6 <= (6.0 * _EPS) * p
-    settled |= size <= (4.0 * _EPS) * p
-    if last is not None:
-        settled |= size >= last
-    return settled
-
-
-def _newton(ends: np.ndarray, rest: np.ndarray, b: float) -> tuple[int, float | None]:
-    """Settle every sample by whole-array Newton steps, in place in ``ends[1]``.
-
-    Returns the steps taken and None, or, if some sample has not settled
-    in _NEWTON_CAP steps, the cap and the largest step left unsettled.
+    Returns the largest step |d| and the two sides of the one-reduction
+    settle bound, max |d|**3 (10 max tan(p)**2 + 2) and 6 eps min p: every
+    sample has settled if the first is at most the second.
     """
     p = ends[1]
     # The Newton block, nodes by samples.  One product with the ends fills
     # rows 0 to 5: the width, the Gauss nodes on [p0, p], and p.  Rows 1 to
     # 5 then take tan**2, and rows 6 and 7 take |d| and -p, so that rows 5
-    # to 7 are what the settle test reduces.  Rows 8 to 18 are work space:
+    # to 7 are what the settle bound reduces.  Rows 8 to 18 are work space:
     # cos**2 and then H' at the nodes and p, cos**2 + b, and (1 + q) / 2.
     blk = np.empty((19, p.size))
     width, at_nodes, bound = blk[0], blk[1:6], blk[5:8]
     tan2, size, neg_p = bound
     den, work, hq = blk[8:13], blk[13:18], blk[18]
-    last = None
-    for steps in range(1, _NEWTON_CAP + 1):
-        np.matmul(_ENDS_TO_BLOCK, ends, out=blk[:6])
-        np.tan(at_nodes, out=at_nodes)
-        at_nodes *= at_nodes
-        # cos**2 = 1 / (1 + tan**2), then H' = cos**2 / sqrt(cos**2 + b).
-        np.add(at_nodes, 1.0, out=den)
-        np.divide(1.0, den, out=den)
-        np.add(den, b, out=work)
-        np.divide(0.5 * b, work[-1], out=hq)
-        hq += 0.5
-        np.sqrt(work, out=work)
-        den /= work
-        step = _GL_WEIGHTS @ den[:-1]
-        step *= width
-        np.subtract(rest, step, out=step)
-        step /= den[-1]
-        np.abs(step, out=size)
-        np.negative(p, out=neg_p)
-        # The one-reduction bound (module docstring), with max(-p) = -min(p);
-        # where it fails, each sample is decided on its own.
-        tan2_max, d_max, neg_p_max = np.maximum.reduce(bound, axis=1).tolist()
-        settled = d_max**3 * (10.0 * tan2_max + 2.0) <= 6.0 * _EPS * -neg_p_max
-        if not settled:
-            mask = _settled(size, tan2, hq, p, last)
-            settled = bool(mask.all())
-        # p += step (1 + K step), with K = tan(p) (1 + q) / 2.
-        k_step = np.sqrt(tan2, out=tan2)
-        k_step *= hq
-        k_step *= step
-        k_step += 1.0
-        k_step *= step
-        p += k_step
-        if settled:
-            return steps, None
-        last = size.copy()
-    return _NEWTON_CAP, float(np.max(last[~mask]))
+    np.matmul(_ENDS_TO_BLOCK, ends, out=blk[:6])
+    np.tan(at_nodes, out=at_nodes)
+    at_nodes *= at_nodes
+    # cos**2 = 1 / (1 + tan**2), then H' = cos**2 / sqrt(cos**2 + b).
+    np.add(at_nodes, 1.0, out=den)
+    np.divide(1.0, den, out=den)
+    np.add(den, b, out=work)
+    np.divide(0.5 * b, work[-1], out=hq)
+    hq += 0.5
+    np.sqrt(work, out=work)
+    den /= work
+    step = _GL_WEIGHTS @ den[:-1]
+    step *= width
+    np.subtract(rest, step, out=step)
+    step /= den[-1]
+    np.abs(step, out=size)
+    np.negative(p, out=neg_p)
+    # The settle bound (module docstring), with max(-p) = -min(p).
+    tan2_max, d_max, neg_p_max = np.maximum.reduce(bound, axis=1).tolist()
+    # p += step (1 + K step), with K = tan(p) (1 + q) / 2.
+    k_step = np.sqrt(tan2, out=tan2)
+    k_step *= hq
+    k_step *= step
+    k_step += 1.0
+    k_step *= step
+    p += k_step
+    return d_max, d_max**3 * (10.0 * tan2_max + 2.0), 6.0 * _EPS * -neg_p_max
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,20 +365,19 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
 
     ``n_samples`` must be an even integer (the collision then falls exactly
     on a grid point) from 16 to 2**20.  The first-half samples invert the
-    time map by Newton's method in the angle p, one whole-array step at a
-    time, anchored in the cells of a uniform angle grid and seeded by
-    cubic Hermite interpolation of the inverse on each cell.  The grid has
+    time map by one whole-array Newton step in the angle p, anchored in
+    the cells of a uniform angle grid and seeded by cubic Hermite
+    interpolation of the inverse on each cell.  The grid has
     max(n_samples / 2, 256) cells, and its values are compensated running
     sums of each cell's 4-point Gauss rule on H'; Newton takes H inside a
     cell by the same rule (see the module docstring).  The last grid
-    value is G(1) = I_{1/2}(a) / 2 from the moment.  Each Newton step d is
+    value is G(1) = I_{1/2}(a) / 2 from the moment.  The Newton step d is
     corrected by its second-order term K d**2.  The second half is
     mirrored, so the collision is crossed rather than integrated through.
-    A sample has settled once the third-order error its last step predicts
-    falls below eps * p, or its step falls below 4 eps * p or stops
-    shrinking, which marks the rounding floor; the loop stops when every
-    sample has settled at the same step.  A first half period whose q1
-    fails to fall raises ConvergenceError.
+    The step is accepted if one bound over all samples puts the
+    third-order error it predicts at most eps * p at every sample.  A step
+    that fails the bound, or a first half period whose q1 fails to fall,
+    raises ConvergenceError.
     """
     if (
         not isinstance(n_samples, (int, np.integer))
@@ -443,14 +404,15 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     # Newton needs none of these; an uncached layout's grid and fractions
     # go with them.
     del h_grid, slope, target, grid, frac
-    steps, worst = _newton(ends, rest, -a)
-    if worst is not None:
+    worst, left, right = _newton(ends, rest, -a)
+    # Written so that a NaN side fails the bound too.
+    if not left <= right:
         raise ConvergenceError(
-            f"time-map inversion did not settle in {_NEWTON_CAP} Newton steps "
+            "time-map inversion did not settle in its Newton step: "
+            f"max|d|**3 (10 max tan(p)**2 + 2) = {left:.3e} > 6 eps min p = {right:.3e} "
             f"(a={a!r}, n_samples={n_samples}, worst step {worst:.3e})",
             mu=sol.mu,
             a=a,
-            iterations=_NEWTON_CAP,
             last=worst,
         )
 
@@ -470,10 +432,9 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
         raise ConvergenceError(
             "time-map inversion produced a non-monotone first half period: "
             f"q1 does not fall at sample {int(falls.argmin()) + 1} "
-            f"(a={a!r}, n_samples={n_samples}, iterations={steps})",
+            f"(a={a!r}, n_samples={n_samples})",
             mu=sol.mu,
             a=a,
-            iterations=steps,
         )
 
     q1.setflags(write=False)

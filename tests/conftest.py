@@ -50,11 +50,11 @@ def broken_varpi(monkeypatch):
 
 @pytest.fixture
 def unsettled_rebuild(monkeypatch):
-    """Seed every rebuild at its cells' midpoints and allow one Newton step.
+    """Seed every rebuild at its cells' midpoints.
 
-    One step from the Hermite seed settles every sample at every sample
-    count; one step from a midpoint does not, so the rebuild must report
-    its failure to converge.
+    The one Newton step from the Hermite seed settles every sample at every
+    sample count; one step from a midpoint does not, so the rebuild must
+    report its failure to converge.
     """
     hermite = orbit._hermite_seed
 
@@ -64,4 +64,3 @@ def unsettled_rebuild(monkeypatch):
         return ends, rest
 
     monkeypatch.setattr(orbit, "_hermite_seed", midpoint)
-    monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -249,20 +250,24 @@ def test_reconstruct_closed_form_at_zero_a(sol_mu2):
     assert np.max(np.abs(traj.q1[: n // 2 + 1] - expected)) <= 1e-14 * sol.q1max
 
 
-def test_reconstruct_newton_cap_reports_context(sol_mu2, unsettled_rebuild):
-    # One Newton step from a cell's midpoint is too few; the error names
-    # the orbit and the step, in its message and in its fields.
+def test_reconstruct_unsettled_reports_context(sol_mu2, unsettled_rebuild):
+    # One Newton step from a cell's midpoint fails the settle bound; the
+    # error names the orbit, the step and both sides of the bound, in its
+    # message and in its fields.
     with pytest.raises(ConvergenceError, match=r"a=-.*n_samples=64, worst step") as info:
         reconstruct(sol_mu2, 64)
     exc = info.value
     assert exc.mu == sol_mu2.mu
     assert exc.a == sol_mu2.q1antimax / sol_mu2.q1max
-    assert exc.iterations == 1
+    assert exc.iterations is None
     assert 0.0 < exc.last < math.pi / 64
     assert f"worst step {exc.last:.3e}" in str(exc)
+    sides = re.search(r"\+ 2\) = (\S+) > 6 eps min p = (\S+) ", str(exc))
+    left, right = float(sides[1]), float(sides[2])
+    assert left > right > 0.0
 
 
-def test_settle_bound_dominates_error_coefficient(monkeypatch, sol_mu2, unsettled_rebuild):
+def test_settle_bound_dominates_error_coefficient():
     # For q in [0, 1], 10 tan**2 + 2 is at least the error coefficient
     # tan**2 (7 q + 3) + 1 + q: the difference is (1 - q) (7 tan**2 + 1),
     # checked in exact rationals.
@@ -272,65 +277,53 @@ def test_settle_bound_dominates_error_coefficient(monkeypatch, sol_mu2, unsettle
             coefficient = tan2 * (7 * q + 3) + 1 + q
             bound = 10 * tan2 + 2
             assert bound - coefficient == (1 - q) * (7 * tan2 + 1) >= 0, (q, tan2)
-    # One step from a cell's midpoint fails the bound, so the per-sample
-    # test decides, and finds samples unsettled.
-    calls = []
-    per_sample = orbit._settled
-
-    def counted(*args):
-        calls.append(per_sample(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(orbit, "_settled", counted)
-    with pytest.raises(ConvergenceError):
-        reconstruct(sol_mu2, 64)
-    assert len(calls) == 1 and not calls[0].all()
 
 
 def test_settle_bound_decides_from_hermite_seed(monkeypatch):
-    # From the Hermite seed the one-reduction bound settles every sample at
-    # once (at most 0.004 of its limit at n = 512), so the per-sample test
-    # never runs.
-    def refuse(*args):
-        raise AssertionError("the per-sample settle test ran")
+    # From the Hermite seed the one corrected Newton step settles every
+    # sample over the whole charge range, with the settle bound's left
+    # side at most 0.05 of its right: at the benchmark's sample count,
+    # at the smaller counts that share its grid, at 4096, and at 2**20
+    # at both ends of the range of b.
+    ratios = []
+    newton = orbit._newton
 
-    monkeypatch.setattr(orbit, "_settled", refuse)
-    for u in np.linspace(-12.0, 11.0, 47):
-        sol = solve_orbit(1.0 + 10.0**u)
+    def recorded(ends, rest, b):
+        worst, left, right = newton(ends, rest, b)
+        ratios.append(left / right)
+        return worst, left, right
+
+    monkeypatch.setattr(orbit, "_newton", recorded)
+    mus = [1.0 + 10.0**u for u in np.linspace(-12.0, 15.0, 55)] + [1e300]
+    for mu in mus:
+        sol = solve_orbit(mu)
         for n in (16, 64, 256, 512, 4096):
             reconstruct(sol, n)
+    for mu in (1.0 + 1e-12, 1e15):
+        reconstruct(solve_orbit(mu), orbit._MAX_SAMPLES)
+    assert len(ratios) == 5 * len(mus) + 2
+    assert max(ratios) <= 0.05, max(ratios)
+    for u in (-12.0, -0.5, 11.0):
+        sol = solve_orbit(1.0 + 10.0**u)
+        err = _brentq_error(sol, 512)
+        assert err <= 1e-14 * sol.q1max, f"mu={sol.mu!r}: error {err:.3e}"
 
 
 def test_reconstruct_monotonicity_failure_reports_context(monkeypatch, sol_mu2):
     # Swapped target fractions make q1 rise at sample 11; the error names
-    # the sample and the sample count, and carries the orbit and the
-    # Newton steps taken.
+    # the sample and the sample count, and carries the orbit.
     layout = orbit._layout(64)
     frac = layout.frac.copy()
     frac[[9, 10]] = frac[[10, 9]]
     monkeypatch.setattr(orbit, "_layout", lambda n: layout._replace(frac=frac))
     with pytest.raises(
-        ConvergenceError, match=r"q1 does not fall at sample 11 .*n_samples=64, iterations=1"
+        ConvergenceError, match=r"q1 does not fall at sample 11 .*n_samples=64\)"
     ) as info:
         reconstruct(sol_mu2, 64)
     exc = info.value
     assert exc.mu == sol_mu2.mu
     assert exc.a == sol_mu2.q1antimax / sol_mu2.q1max
-    assert exc.iterations == 1
-
-
-def test_reconstruct_one_newton_step_at_512(monkeypatch):
-    # From the Hermite seed one corrected Newton step settles every sample
-    # over the whole charge range: at the benchmark's sample count, at the
-    # smaller counts that share its grid, and at 4096.
-    monkeypatch.setattr(orbit, "_NEWTON_CAP", 1)
-    sols = [solve_orbit(1.0 + 10.0**u) for u in np.linspace(-12.0, 11.0, 47)]
-    for n in (16, 64, 256, 512, 4096):
-        for sol in sols:
-            reconstruct(sol, n)
-    for sol in (sols[0], sols[23], sols[-1]):
-        err = _brentq_error(sol, 512)
-        assert err <= 1e-14 * sol.q1max, f"mu={sol.mu!r}: error {err:.3e}"
+    assert exc.iterations is None
 
 
 def test_reconstruct_layout_cache(sol_mu2):

@@ -35,10 +35,12 @@ from frozenplanet import (
 from frozenplanet import quadrature
 from frozenplanet.quadrature import _time_map
 
+# B(3/4, 1/2) / 2 and B(5/4, 1/2) / 2, correctly rounded from 40-digit
+# mpmath: the moments I_1/2 and I_3/2 at a = -1.
+I_HALF_AT_MINUS_ONE = 1.1981402347355923
+I_THREE_HALF_AT_MINUS_ONE = 0.87401918476404
 # Frozen regression values (current double-precision build; independently
 # cross-checked against 30-digit arbitrary-precision evaluations).
-I_HALF_AT_MINUS_ONE = 1.1981402347355912
-I_THREE_HALF_AT_MINUS_ONE = 0.8740191847640437
 RATIO_AT_MINUS_1E6 = 0.7499999687500214
 BIG_F_AT_1_2 = 2.9179194869686507
 
@@ -251,8 +253,10 @@ def test_ratio_integrals_beta_closed_forms():
     b54 = math.gamma(1.25) * math.gamma(0.5) / math.gamma(1.75)
     assert abs(i_half - 0.5 * b34) <= 1e-10
     assert abs(i_three_half - 0.5 * b54) <= 1e-10
-    assert_allclose(i_half, I_HALF_AT_MINUS_ONE, rtol=1e-12)
-    assert_allclose(i_three_half, I_THREE_HALF_AT_MINUS_ONE, rtol=1e-12)
+    assert abs(i_half - I_HALF_AT_MINUS_ONE) <= np.spacing(I_HALF_AT_MINUS_ONE)
+    assert abs(i_three_half - I_THREE_HALF_AT_MINUS_ONE) <= np.spacing(
+        I_THREE_HALF_AT_MINUS_ONE
+    )
 
 
 def test_ratio_integrals_deep_well_limit():
