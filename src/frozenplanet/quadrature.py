@@ -63,38 +63,45 @@ _SERIES_TERMS = 34
 _SERIES_CUT = 0.02 * 2.0**-53
 
 
-def _series_coefficients(k: float, first: float) -> tuple[float, ...]:
-    """(1/2)_j / j! * M_j for j <= _SERIES_TERMS, lowest j first.
+def _series_ratios(k: float, terms: int) -> list[tuple[int, int]]:
+    """(1/2)_j / j! * M_j / M_0 for j < ``terms`` (at least 2), as exact integer pairs.
 
-    M_j = int_0^1 r**k (r - 1/2)**j (1 - r)**(-1/2) dr and ``first`` is
-    M_0 = B(k + 1, 1/2).  Integrating d/dr [r**(k+1) (1 - r)**(1/2)
-    (r - 1/2)**j] over [0, 1], which gives zero, and writing every power of
-    r and 1 - r about 1/2 gives the three-term recurrence
+    M_j = int_0^1 r**k (r - 1/2)**j (1 - r)**(-1/2) dr.  Integrating
+    d/dr [r**(k+1) (1 - r)**(1/2) (r - 1/2)**j] over [0, 1], which gives
+    zero, and writing every power of r and 1 - r about 1/2 gives the
+    three-term recurrence
 
         (4k + 4j + 6) M_{j+1} = (2k + 1) M_j + j M_{j-1}.
 
     For k in {1/2, 3/2} its coefficients are integers, so M_j / M_0 =
     num_j / den_j with num_0 = den_0 = 1, num_1 = 2k + 1, den_1 = 4k + 6,
     den_{j+1} = (4k + 4j + 6) den_j and num_{j+1} = (2k + 1) num_j +
-    j (4k + 4j + 2) num_{j-1}, held exactly as Python integers.  With
-    (1/2)_j / j! = C(2j, j) / 4**j the whole ratio is one integer quotient,
-    which Python rounds correctly, so each coefficient carries the rounding
-    of that quotient, of M_0 and of one product: within 1.3 units of a
-    40-digit evaluation for every j.  The same recurrence in floats, whose
-    positive terms never cancel, lets the roundings of its steps add up to
-    4.5 units in M_24 (k = 3/2); the binomial sum over B(k + i + 1, 1/2)
-    that expands (r - 1/2)**j directly would cancel instead, its terms
-    reaching (3/2)**j M_0 against M_j ~ 2**-j M_0.  The last coefficient,
-    j = 34, is only read as the first omitted term at b = 1.
+    j (4k + 4j + 2) num_{j-1}, held exactly as Python integers; with
+    (1/2)_j / j! = C(2j, j) / 4**j each pair is (C(2j, j) num_j, 4**j den_j).
     """
     h = int(2.0 * k) + 1  # 2k + 1
     num, den = [1, h], [1, 2 * h + 4]
-    for j in range(1, _SERIES_TERMS):
+    for j in range(1, terms - 1):
         num.append(h * num[j] + j * (2 * h + 4 * j) * num[j - 1])
         den.append((2 * h + 4 * j + 4) * den[j])
-    return tuple(
-        first * (math.comb(2 * j, j) * n / (4**j * d)) for j, (n, d) in enumerate(zip(num, den))
-    )
+    return [(math.comb(2 * j, j) * n, 4**j * d) for j, (n, d) in enumerate(zip(num, den))]
+
+
+def _series_coefficients(k: float, first: float) -> tuple[float, ...]:
+    """(1/2)_j / j! * M_j for j <= _SERIES_TERMS, lowest j first.
+
+    ``first`` is M_0 = B(k + 1, 1/2), and each ratio to it is one integer
+    quotient of :func:`_series_ratios`, which Python rounds correctly, so
+    each coefficient carries the rounding of that quotient, of M_0 and of
+    one product: within 1.3 units of a 40-digit evaluation for every j.
+    The same recurrence in floats, whose positive terms never cancel, lets
+    the roundings of its steps add up to 4.5 units in M_24 (k = 3/2); the
+    binomial sum over B(k + i + 1, 1/2) that expands (r - 1/2)**j directly
+    would cancel instead, its terms reaching (3/2)**j M_0 against
+    M_j ~ 2**-j M_0.  The last coefficient, j = 34, is only read as the
+    first omitted term at b = 1.
+    """
+    return tuple(first * (n / d) for n, d in _series_ratios(k, _SERIES_TERMS + 1))
 
 
 # Pairs (I_{1/2} coefficient, I_{3/2} coefficient), from B(3/2, 1/2) = pi/2

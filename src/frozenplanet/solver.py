@@ -10,7 +10,12 @@ sigma_plus = sigma at the mean x = (2 - s) / gamma**2 with
 s = (sigma**2 - 4 (gamma + 1)**2) / (2 sigma).  At x_l, where
 sigma_plus = 3 (1 + tol), and at x_r, where sigma_plus = (8/3) (1 - tol),
 this gives F - 2 > 2 tol at every x <= x_l and F - 2 < -2 tol at every
-x >= x_r.  The window (x_l, x_r) therefore brackets the root, and a trial
+x >= x_r.  Below mu = 16 the window narrows further wherever the moments'
+argument b is at least 1, which covers every root below the critical
+charge mu*: there R is a power series in t = 1 / (b + 1/2) <= 2/3 whose
+Taylor polynomials of degree 9 and 8 bound it from below and above, and
+a few Newton steps find the sigma_plus at which each bound makes F - 2 =
++-2 tol.  The window (x_l, x_r) therefore brackets the root, and a trial
 point outside it takes the branch its F value would give without a call.
 
 The solve bisects [0, top], where top is the least power of two at or
@@ -25,10 +30,12 @@ construction, up to the rounding of F: at tol = 1e-14 the acceptance
 band is about 22 rounding units of F wide, and one unit at its edge can
 accept a point for one double and pass it for the next; the two means
 then differ by less than tol relative.  Over the charges 1 + 10**u, u in
-[-12, 11], a solve makes about 20 F calls and never more than 32.  Close
-to the ionization threshold the root nears 3/4 = 0.11 in binary, an
-early midpoint: for u <= -9 a solve takes at most 5 calls, and for
-u <= -10.5 it accepts 3/4 after one.
+[-12, 11], a solve makes 14 F calls on average and never more than 32:
+up to mu*, where the series bounds hold, 1.9 on average and at most 13
+(one at mu = 2), and above it 30, the bisection's depth inside the
+constant bounds' window.  Close to the ionization threshold the root
+nears 3/4 = 0.11 in binary, an early midpoint: for u <= -9 a solve takes
+at most 3 calls, and for u <= -10.5 it accepts 3/4 after one.
 
 Each trial point inside the window is evaluated once, through the kernel
 ``quadrature._shape`` that :func:`big_f` wraps.  The kernel returns F
@@ -37,7 +44,7 @@ used, and the solve keeps those of the accepted point: q1max =
 sigma_plus qbar1 / 2, q1antimax = sigma_minus qbar1 / 2 and the period
 eta follow from them by the arithmetic of ``q1_extrema`` and ``period``,
 to the same doubles.  A solve therefore computes no moment pair beyond
-those of its F evaluations (29 at mu = 2) and calls none of ``big_f``,
+those of its F evaluations (one at mu = 2) and calls none of ``big_f``,
 ``period`` or ``q1_extrema``.
 
 qbar1 grows like 1.33 mu and x_r like 1.42 mu, so x_r passes 2**1023
@@ -114,12 +121,99 @@ def _failure(
     )
 
 
+# Taylor coefficients c_0..c_9 of R = I_{3/2} / I_{1/2} in t = 1 / (b + 1/2),
+# each an exact double (see ``_decided_window``).
+_R_TAYLOR = (
+    3 / 4, -1 / 32, 1 / 512, -1 / 512, 9 / 2**15,
+    -129 / 2**19, 783 / 2**24, -2607 / 2**26, 9357 / 2**30, -59061 / 2**33,
+)
+# Horner order, highest term first: T_8 bounds R from above, T_9 from below.
+_R_ABOVE = _R_TAYLOR[8::-1]
+_R_BELOW = _R_TAYLOR[::-1]
+# Relative margin on the targets of the series bounds, for the rounding of
+# their evaluation and of the mean at the end found.
+_BOUND_MARGIN = 64 * 2.0**-53
+_NEWTON_STEPS = 3
+
+
+def _series_bound(sigma: float, coefficients: tuple[float, ...], gp1_sq4: float) -> float:
+    """sigma * T(t) with t = sigma**2 / (gp1_sq4 + sigma**2 / 2), T given by ``coefficients``."""
+    sq = sigma * sigma
+    t = sq / (gp1_sq4 + 0.5 * sq)
+    p = 0.0
+    for c in coefficients:
+        p = p * t + c
+    return sigma * p
+
+
+def _series_end(coefficients: tuple[float, ...], target: float, gp1_sq4: float) -> float:
+    """A sigma with sigma * T(t(sigma)) = target to within a few rounding units.
+
+    Newton's method from sigma = target / (3/4), where T is near 3/4; with
+    sigma dt/dsigma = t (2 - t) the derivative is T + t (2 - t) T'.  Three
+    steps land within two doubles of the root for every gamma > 1/3 and
+    tol the window takes; near the ionization threshold, where t is below
+    rounding, the first step is already zero and ends the search.
+    """
+    sigma = target / 0.75
+    for _ in range(_NEWTON_STEPS):
+        sq = sigma * sigma
+        t = sq / (gp1_sq4 + 0.5 * sq)
+        p = dp = 0.0
+        for c in coefficients:
+            dp = dp * t + p
+            p = p * t + c
+        step = (sigma * p - target) / (p + t * (2.0 - t) * dp)
+        if step == 0.0:
+            break
+        sigma -= step
+    return sigma
+
+
 def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
     """(x_l, x_r): F - 2 > 2 tol at every x <= x_l and < -2 tol at every x >= x_r.
 
-    They are the means at which sigma_plus = 3 (1 + tol) and (8/3) (1 - tol)
-    (see the module docstring).  Where gamma**2 nears the underflow, from
-    mu of about 1.3e308 on, both overflow to infinity.
+    F = sigma R grows with sigma = sigma_plus, which falls as x grows.  The
+    constant bounds 2/3 < R < 3/4 give the means at which sigma = 3 (1 +
+    tol) and (8/3) (1 - tol) (see the module docstring).  Where gamma**2
+    nears the underflow, from mu of about 1.3e308 on, both overflow to
+    infinity.
+
+    Where the moments' argument b = -a is at least 1, sigma is at most
+    2 (gamma + 1), since sigma_plus sigma_minus = -4 (gamma + 1)**2 gives
+    b = 4 (gamma + 1)**2 / sigma**2.  There R is a power series in t =
+    1 / (b + 1/2) = sigma**2 / (4 (gamma + 1)**2 + sigma**2 / 2) <= 2/3,
+    the quotient of the moments' centred series (see
+    :mod:`frozenplanet.quadrature`), in which their scale (b + 1/2)**(-1/2)
+    cancels and the ratio of their leading terms is 3/4.  Its coefficients
+    c_n, the power-series division of those series' exact rational
+    coefficients, are dyadic.  For n <= 150 they alternate in sign and
+    |c_{n+1} / c_n| <= 3/2 (checked in exact rationals), so for t <= 2/3
+    the terms |c_n| t**n do not grow, and the sum of those from n = 9 to
+    150 lies between its first two partial sums.  These are c_9 t**9 and
+    (c_9 + c_10 t) t**9, both negative, and with c_10 / c_9 = -0.25 the
+    sum is at least 0.83 |c_9| t**9 in size; likewise the sum from n = 10
+    to 150 is positive and, with c_11 / c_10 = -0.76, at least
+    0.49 c_10 t**10.  Past n = 150: |r - 1/2| <= 1/2 gives |M_j| <= 2**-j
+    M_0, and (1/2)_j / j! <= 1/2 for j >= 1, so on |t| = 1 each series
+    differs from its leading term by at most half of it.  R is then
+    analytic on |t| <= 1 with |R| <= (3/4) (3/2) / (1/2) = 9/4, Cauchy's
+    estimate gives |c_n| <= 9/4, and the terms past n = 150 sum to at most
+    7 t**151, below 2e-24 t**10, far inside both margins.  So the Taylor
+    polynomials T_9 and T_8 bracket R:
+
+        T_9(t) <= R(t) <= T_8(t)  for 0 <= t <= 2/3.
+
+    Where 2 (gamma + 1) > 8/3 (mu < 16), Newton's method finds sigma_r
+    with sigma T_8(t) = 2 (1 - tol) (1 - m) and sigma_l with sigma T_9(t) =
+    2 (1 + tol) (1 + m), m = 64 rounding units, and each is stepped one
+    double at a time until its bound, evaluated again, meets its target:
+    m covers the rounding of that evaluation and of the mean at the end.
+    An end is kept where sigma <= 2 (gamma + 1), so that t <= 2/3 there.
+    Since F grows with sigma, F < 2 (1 - tol) at every sigma <= sigma_r
+    and F > 2 (1 + tol) at every sigma >= sigma_l, and the kept ends narrow
+    the window to their means.  Where 2 (gamma + 1) <= 8/3, every sigma of
+    the series domain lies right of x_r already.
     """
     gp1_sq4 = 4.0 * (gamma + 1.0) ** 2
     gamma_sq = gamma * gamma
@@ -129,6 +223,21 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
 
     x_l = mean_at(3.0 * (1.0 + tol))
     x_r = mean_at(8.0 / 3.0 * (1.0 - tol))
+    edge = 2.0 * (gamma + 1.0)
+    if edge <= 8.0 / 3.0:
+        return x_l, x_r
+    target = 2.0 * (1.0 - tol) * (1.0 - _BOUND_MARGIN)
+    sigma_r = _series_end(_R_ABOVE, target, gp1_sq4)
+    while _series_bound(sigma_r, _R_ABOVE, gp1_sq4) > target:
+        sigma_r = math.nextafter(sigma_r, 0.0)
+    if sigma_r <= edge:
+        x_r = min(x_r, mean_at(sigma_r))
+    target = 2.0 * (1.0 + tol) * (1.0 + _BOUND_MARGIN)
+    sigma_l = _series_end(_R_BELOW, target, gp1_sq4)
+    while _series_bound(sigma_l, _R_BELOW, gp1_sq4) < target:
+        sigma_l = math.nextafter(sigma_l, math.inf)
+    if sigma_l <= edge:
+        x_l = max(x_l, mean_at(sigma_l))
     return x_l, x_r
 
 
@@ -141,9 +250,12 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     a midpoint's residual meets ``tol``: all charges share one dyadic tree
     of trial points, which keeps qbar1 non-decreasing in mu.  F is called
     only at trial points strictly inside (x_l, x_r); outside it the sign of
-    F - 2 is known and the branch is taken without a call.  A solve makes
-    about 20 F calls at the default ``tol`` over mu = 1 + 10**u, u in
-    [-12, 11], and never more than 32, each one call of the kernel
+    F - 2 is known and the branch is taken without a call.  Where the
+    root's moment argument b is at least 1 (mu <= mu*), the window is
+    bounded by the Taylor polynomials of I_{3/2} / I_{1/2} in 1 / (b + 1/2)
+    and is narrow: at the default ``tol`` a solve there makes 1.9 F calls
+    on average over mu = 1 + 10**u, u in [-12, 11], and one at mu = 2;
+    above mu* it makes 30, never more than 32, each one call of the kernel
     ``quadrature._shape``.  The swing (q1max, q1antimax) and the period eta
     are formed from the sigma pair and I_{1/2} of the accepted evaluation,
     bit-identical to ``q1_extrema`` and ``period`` at the solved mean, so
@@ -159,6 +271,9 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     if not 1e-14 <= tol <= 1e-6:
         raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
     gamma = gamma_of_mu(mu)
+    # Once accepted, a NumPy scalar charge becomes a plain float, and so
+    # does every field and message that carries it.
+    mu, gamma = float(mu), float(gamma)
     # F - 2 > 0 at every x <= x_l and < 0 at every x >= x_r; only points
     # strictly between are evaluated.
     x_l, x_r = _decided_window(gamma, tol)

@@ -265,6 +265,9 @@ def test_reconstruct_unsettled_reports_context(sol_mu2, unsettled_rebuild):
     sides = re.search(r"\+ 2\) = (\S+) > 6 eps min p = (\S+) ", str(exc))
     left, right = float(sides[1]), float(sides[2])
     assert left > right > 0.0
+    # A NumPy scalar charge reaches the message as a plain float.
+    with pytest.raises(ConvergenceError, match=r"\(a=-2\.2496000007193842e\+24, n_samples=64,"):
+        reconstruct(solve_orbit(np.float64(1.0 + 1e-12)), 64)
 
 
 def test_settle_bound_dominates_error_coefficient():

@@ -1,7 +1,10 @@
 """Tests for the fixed-point solve of the orbit shape equation F(gamma, x) = 2."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,29 +181,35 @@ def test_solve_orbit_failures_carry_context(monkeypatch):
         solve_orbit(1.7e308)
     assert (info.value.last, info.value.iterations) == (2.0**1023, 0)
 
+    # Above mu* the window is the constant bounds' one, and the bisection
+    # evaluates the midpoints inside it until the interval collapses; at
+    # mu = 2 the series bounds narrow it to 3e-13 relative, so every
+    # midpoint before the collapse is decided and F is called once, to
+    # report the residual at the last.
     monkeypatch.setattr(solver, "_WIDTH_STOP", 1e-3)
-    with pytest.raises(ConvergenceError, match="bisection interval collapsed") as info:
-        solve_orbit(2.0, tol=1e-14)
-    exc = info.value
-    assert exc.mu == 2.0
-    assert abs(exc.last - QBAR1_MU2) <= 1e-2
-    assert (exc.decided, exc.evaluated, exc.iterations) == (3, 9, 9)
-    assert exc.window == solver._decided_window(gamma_of_mu(2.0), 1e-14)
-    assert exc.a < 0.0
+    for mu, qbar1, counts in ((20.0, 22.1, (2, 10, 10)), (2.0, QBAR1_MU2, (12, 0, 1))):
+        with pytest.raises(ConvergenceError, match="bisection interval collapsed") as info:
+            solve_orbit(mu, tol=1e-14)
+        exc = info.value
+        assert exc.mu == mu
+        assert abs(exc.last - qbar1) <= 1e-2 * qbar1
+        assert (exc.decided, exc.evaluated, exc.iterations) == counts
+        assert exc.window == solver._decided_window(gamma_of_mu(mu), 1e-14)
+        assert exc.a < 0.0
 
     # The interval collapses at x = 1.75 >= x_r, a midpoint the window
     # decided: the error still reports the residual F makes there, and
-    # counts that call (the one midpoint before it, x = 1.5, was evaluated).
+    # counts that call.
     monkeypatch.setattr(solver, "_WIDTH_STOP", 0.3)
     gamma = gamma_of_mu(2.0)
     assert 1.75 >= solver._decided_window(gamma, 1e-10)[1]
     with pytest.raises(ConvergenceError, match="bisection interval collapsed") as info:
         solve_orbit(2.0)
     exc = info.value
-    assert (exc.last, exc.iterations) == (1.75, 2)
-    # Midpoints 1 and 1.75 were decided, 1.5 evaluated; the report call at
-    # 1.75 counts in iterations only.
-    assert (exc.decided, exc.evaluated) == (2, 1)
+    assert (exc.last, exc.iterations) == (1.75, 1)
+    # Midpoints 1, 1.5 and 1.75 were decided; the report call at 1.75
+    # counts in iterations only.
+    assert (exc.decided, exc.evaluated) == (3, 0)
     assert f"residual={big_f(gamma, 1.75) - 2.0!r})" in str(exc)
     monkeypatch.undo()
 
@@ -222,6 +231,18 @@ def test_solve_orbit_period_overflow():
     assert math.isfinite(exc.last) and exc.last > 5e307
     assert exc.iterations == 30
     assert -1.0 < exc.a < 0.0
+
+
+def test_solve_orbit_numpy_charge_gives_floats():
+    # A NumPy scalar charge is accepted as its float: every field is a
+    # plain float and the solution equals that of the float charge, while
+    # a string is still refused by gamma_of_mu.
+    mu = 1.0 + 1e-12
+    sol = solve_orbit(np.float64(mu))
+    assert all(type(getattr(sol, f.name)) is float for f in dataclasses.fields(sol))
+    assert sol == solve_orbit(mu)
+    with pytest.raises(TypeError):
+        solve_orbit("2")
 
 
 def test_solve_orbit_rejects_unbound_charge():
@@ -347,15 +368,18 @@ def test_closed_form_start_keeps_every_orbit():
     # each point the solver skips with the branch F gives there, so every
     # field is bit-identical: over the whole solvable range, on the
     # benchmark's range (which holds u in [-9, -3], where x_r lies close to
-    # the root) and on consecutive doubles next to the ionization
-    # threshold, and the period overflow at mu = 5e307 matches in type,
-    # message, last estimate and a.
+    # the root), on consecutive doubles next to the ionization threshold
+    # and around the charges where the series bounds switch (mu = 9, where
+    # sigma_plus = 3 meets t = 2/3; mu*, where the root's b is 1; mu = 16,
+    # from which the constant bounds alone serve), and the period overflow
+    # at mu = 5e307 matches in type, message, last estimate and a.
     charges = [1.0 + d for d in np.geomspace(1e-12, 4.9e307, 80)]
     charges += [1.0 + 10.0**u for u in np.linspace(-12.0, 11.0, 2000)]
-    mu = 1.0 + 1e-12
-    for _ in range(2000):
-        mu = math.nextafter(mu, 2.0)
-        charges.append(mu)
+    charges += _consecutive_doubles(1.0 + 1e-12, 2000)[1:]
+    for mu in (9.0, critical_mu(), 16.0):
+        for _ in range(100):
+            mu = math.nextafter(mu, 0.0)
+        charges += _consecutive_doubles(mu, 200)
     charges.append(5e307)
     for tol in (1e-14, 1e-10, 1e-6):
         for mu in charges:
@@ -406,8 +430,10 @@ def test_qbar1_non_decreasing_in_mu():
     # threshold, consecutive doubles around each charge where top switches
     # (x_r crossing 1, 2 and 4), consecutive doubles around the charges
     # where the root's b crosses the moments' series switch at b = 1 (the
-    # touch point mu*) and their step from 14 to 11 terms at b = 16, and
-    # sorted log-uniform charges.  At
+    # touch point mu*, where the series bounds of the window end too) and
+    # their step from 14 to 11 terms at b = 16, around mu = 9 and 16, where
+    # the window's series bounds meet sigma_plus = 3 at t = 2/3 and stop,
+    # and sorted log-uniform charges.  At
     # tol = 1e-14 the acceptance band |F - 2| <= tol is about 22 rounding
     # units of F wide, and at a point on that band's edge one rounding unit
     # can accept the point for one double and pass it for the next.  Such a
@@ -418,7 +444,7 @@ def test_qbar1_non_decreasing_in_mu():
     for tol, allowed in ((1e-10, 0.0), (1e-14, 2e-14)):
         sets = [_consecutive_doubles(1.0 + 1e-12, 2000), random_charges]
         centres = [_charge_where_x_r_reaches(x, tol) for x in (1.0, 2.0, 4.0)]
-        centres += [critical_mu(), _charge_where_root_b_is(16.0)]
+        centres += [critical_mu(), _charge_where_root_b_is(16.0), 9.0, 16.0]
         for mu in centres:
             for _ in range(200):
                 mu = math.nextafter(mu, 0.0)
@@ -449,12 +475,65 @@ def test_decided_window_premise(u, log_tol):
     assert x_l < solve_orbit(mu, tol).qbar1 < x_r
 
 
+def _ratio_taylor(terms):
+    """c_0..c_{terms-1} of R(t) = I_{3/2} / I_{1/2} in t = 1 / (b + 1/2), exactly.
+
+    Each moment is (b + 1/2)**(-1/2) M_0 sum_j q_j (-t)**j with q_j the
+    exact rationals of ``quadrature._series_ratios`` (q_0 = 1), so R is
+    B(5/2, 1/2) / B(3/2, 1/2) = 3/4 times the power-series quotient.
+    """
+    half, three_half = (
+        [Fraction(n, d) for n, d in quadrature._series_ratios(k, terms)] for k in (0.5, 1.5)
+    )
+    quotient = []
+    for n in range(terms):
+        quotient.append(three_half[n] - sum(quotient[i] * half[n - i] for i in range(n)))
+    return [Fraction(3, 4) * (-1) ** n * q for n, q in enumerate(quotient)]
+
+
+def test_series_bracket_certificate():
+    # The window's series bounds rest on the exact coefficients of R for
+    # n <= 150: the solver's are the first ten, each dyadic coefficient
+    # alternates in sign, and |c_{n+1} / c_n| <= 3/2, so the terms do not
+    # grow for t <= 2/3 (see solver._decided_window for the tail past 150).
+    c = _ratio_taylor(151)
+    assert [Fraction(x) for x in solver._R_TAYLOR] == c[:10]
+    for n, cn in enumerate(c):
+        assert (cn > 0) == (n % 2 == 0), n
+        assert cn.denominator & (cn.denominator - 1) == 0, n
+        assert abs(cn) <= Fraction(9, 4), n
+    assert all(abs(c[n + 1]) <= Fraction(3, 2) * abs(c[n]) for n in range(150))
+    assert max(abs(c[n + 1] / c[n]) for n in range(9, 150)) <= Fraction(76, 100)
+    assert abs(c[10] / c[9]) <= Fraction(1, 4) + Fraction(1, 100)
+    # Against 40-digit moments (the 2F1 form) at log-spaced t in (0, 2/3],
+    # down to where T_8 - R, about 7e-6 t**9, is still 1e7 times the
+    # working precision: T_8 - R and R - T_9 lie within the margins the
+    # docstring derives, at least 0.83 |c_9| t**9 and 0.49 c_10 t**10.
+    with mpmath.workdps(40):
+        half = mpmath.mpf(1) / 2
+        coefficients = [mpmath.mpf(x.numerator) / x.denominator for x in c[:11]]
+        ts = [mpmath.mpf(2) / 3] + [mpmath.mpf(10) ** e for e in np.linspace(-3.0, -0.18, 200)]
+        for t in ts:
+            z = -1 / (1 / t - half)
+            ratio = mpmath.mpf(3) / 4 * (
+                mpmath.hyp2f1(half, 5 * half, 3, z) / mpmath.hyp2f1(half, 3 * half, 2, z)
+            )
+            t_8 = mpmath.fsum(cn * t**n for n, cn in enumerate(coefficients[:9]))
+            t_9 = t_8 + coefficients[9] * t**9
+            above = (t_8 - ratio) / (-coefficients[9] * t**9)
+            below = (ratio - t_9) / (coefficients[10] * t**10)
+            assert 0.83 <= above <= 1.0, (t, above)
+            assert 0.49 <= below <= 1.0, (t, below)
+
+
 def test_solve_orbit_f_calls(monkeypatch):
     # The bracket [0, top] comes from the closed-form bound x_r, so the
     # count does not grow with the charge (a doubling from x = 1 makes 71
     # at mu = 1e11 and 1,030 at 1e300), and the window (x_l, x_r) decides
-    # every trial point outside it without a call.  Next to the ionization
-    # threshold the root nears 3/4, an early dyadic midpoint.
+    # every trial point outside it without a call.  Up to mu* the series
+    # bounds of R narrow the window, to one call at mu = 2; above it the
+    # window and the counts are those of the constant bounds.  Next to the
+    # ionization threshold the root nears 3/4, an early dyadic midpoint.
     # Each evaluated point is one call of the kernel that big_f wraps, and
     # every moment pair belongs to one: the swing and the period come from
     # the accepted point, with no big_f, period or q1_extrema call.
@@ -479,7 +558,7 @@ def test_solve_orbit_f_calls(monkeypatch):
         (solver, "big_f"), (quadrature, "big_f"), (quadrature, "period"), (model, "q1_extrema"),
     ):
         monkeypatch.setattr(module, name, forbidden)
-    for mu, expected in ((2.0, 29), (1e11, 32), (1e300, 31)):
+    for mu, expected in ((2.0, 1), (1e11, 32), (1e300, 31)):
         calls.clear()
         moment_calls.clear()
         solve_orbit(mu)
@@ -492,8 +571,13 @@ def test_solve_orbit_f_calls(monkeypatch):
         counts.append(len(calls))
     counts = np.array(counts)
     assert counts.max() <= 32
-    assert counts.mean() <= 20.5
-    assert counts[us <= -9.0].max() <= 5
+    assert counts.mean() <= 14.0
+    below = 1.0 + 10.0**us <= critical_mu()
+    assert counts[below].mean() <= 2.0
+    assert counts[below].max() <= 13
+    assert round(counts[~below].mean(), 2) == 30.0
+    assert counts[~below].max() == 32
+    assert counts[us <= -9.0].max() <= 3
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
