@@ -10,11 +10,11 @@ sigma_plus = sigma at the mean x = (2 - s) / gamma**2 with
 s = (sigma**2 - 4 (gamma + 1)**2) / (2 sigma).  At x_l, where
 sigma_plus = 3 (1 + tol), and at x_r, where sigma_plus = (8/3) (1 - tol),
 this gives F - 2 > 2 tol at every x <= x_l and F - 2 < -2 tol at every
-x >= x_r.  Below mu = 16 the window narrows further wherever the moments'
-argument b is at least 1, which covers every root below the critical
-charge mu*: there R is a power series in t = 1 / (b + 1/2) <= 2/3 whose
-Taylor polynomials of degree 9 and 8 bound it from below and above, and
-a few Newton steps find the sigma_plus at which each bound makes F - 2 =
+x >= x_r.  The window narrows further wherever the moments' argument b
+is at least 1, which covers every root up to the critical charge mu*:
+there R is a power series in t = 1 / (b + 1/2) <= 2/3 whose Taylor
+polynomials of degree 9 and 8 bound it from below and above, and two
+Newton steps find the sigma_plus at which each bound makes F - 2 =
 +-2 tol.  The window (x_l, x_r) therefore brackets the root, and a trial
 point outside it takes the branch its F value would give without a call.
 
@@ -130,40 +130,45 @@ _R_TAYLOR = (
 # Horner order, highest term first: T_8 bounds R from above, T_9 from below.
 _R_ABOVE = _R_TAYLOR[8::-1]
 _R_BELOW = _R_TAYLOR[::-1]
+# 3/4 - t/32, the first two terms, for the start of Newton's method.
+_R_LINEAR = _R_TAYLOR[1::-1]
 # Relative margin on the targets of the series bounds, for the rounding of
 # their evaluation and of the mean at the end found.
 _BOUND_MARGIN = 64 * 2.0**-53
-_NEWTON_STEPS = 3
+_NEWTON_STEPS = 2
 
 
-def _series_bound(sigma: float, coefficients: tuple[float, ...], gp1_sq4: float) -> float:
-    """sigma * T(t) with t = sigma**2 / (gp1_sq4 + sigma**2 / 2), T given by ``coefficients``."""
+def _series_bound(
+    sigma: float, coefficients: tuple[float, ...], gp1_sq4: float
+) -> tuple[float, float]:
+    """(sigma T(t), its derivative in sigma), t = sigma**2 / (gp1_sq4 + sigma**2 / 2).
+
+    T is the polynomial given by ``coefficients``; with sigma dt/dsigma =
+    t (2 - t) the derivative is T + t (2 - t) T'.
+    """
     sq = sigma * sigma
     t = sq / (gp1_sq4 + 0.5 * sq)
-    p = 0.0
+    p = dp = 0.0
     for c in coefficients:
+        dp = dp * t + p
         p = p * t + c
-    return sigma * p
+    return sigma * p, p + t * (2.0 - t) * dp
 
 
-def _series_end(coefficients: tuple[float, ...], target: float, gp1_sq4: float) -> float:
+def _series_end(
+    coefficients: tuple[float, ...], target: float, gp1_sq4: float, sigma: float
+) -> float:
     """A sigma with sigma * T(t(sigma)) = target to within a few rounding units.
 
-    Newton's method from sigma = target / (3/4), where T is near 3/4; with
-    sigma dt/dsigma = t (2 - t) the derivative is T + t (2 - t) T'.  Three
-    steps land within two doubles of the root for every gamma > 1/3 and
-    tol the window takes; near the ionization threshold, where t is below
-    rounding, the first step is already zero and ends the search.
+    Newton's method from ``sigma``, which must lie within about 1e-3 of the
+    root, relative: two steps then land within two doubles of it for every
+    gamma > 1/3 and tol the window takes.  Near the ionization threshold,
+    where t is below rounding, the first step is already zero and ends the
+    search.
     """
-    sigma = target / 0.75
     for _ in range(_NEWTON_STEPS):
-        sq = sigma * sigma
-        t = sq / (gp1_sq4 + 0.5 * sq)
-        p = dp = 0.0
-        for c in coefficients:
-            dp = dp * t + p
-            p = p * t + c
-        step = (sigma * p - target) / (p + t * (2.0 - t) * dp)
+        value, slope = _series_bound(sigma, coefficients, gp1_sq4)
+        step = (value - target) / slope
         if step == 0.0:
             break
         sigma -= step
@@ -204,16 +209,21 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
 
         T_9(t) <= R(t) <= T_8(t)  for 0 <= t <= 2/3.
 
-    Where 2 (gamma + 1) > 8/3 (mu < 16), Newton's method finds sigma_r
-    with sigma T_8(t) = 2 (1 - tol) (1 - m) and sigma_l with sigma T_9(t) =
-    2 (1 + tol) (1 + m), m = 64 rounding units, and each is stepped one
-    double at a time until its bound, evaluated again, meets its target:
-    m covers the rounding of that evaluation and of the mean at the end.
-    An end is kept where sigma <= 2 (gamma + 1), so that t <= 2/3 there.
-    Since F grows with sigma, F < 2 (1 - tol) at every sigma <= sigma_r
-    and F > 2 (1 + tol) at every sigma >= sigma_l, and the kept ends narrow
-    the window to their means.  Where 2 (gamma + 1) <= 8/3, every sigma of
-    the series domain lies right of x_r already.
+    The upper end sigma_r, with sigma T_8(t) = 2 (1 - tol) (1 - m), lies
+    left of the lower one sigma_l, with sigma T_9(t) = 2 (1 + tol) (1 + m),
+    m = 64 rounding units, since T_9 < T_8.  Newton's method finds each,
+    sigma_r from where the series' first two terms meet its target and
+    sigma_l from sigma_r, and steps it one double at a time until its
+    bound, evaluated again, meets its target: m covers the rounding of
+    that evaluation and of the mean at the end.  Only ends in the series
+    domain sigma <= edge = 2 (gamma + 1) count.  sigma_r starts from at
+    most edge and steps down, and sigma_l is kept where it ends at or
+    below edge.  Above mu*, where the root's b is below 1, both ends lie
+    past edge, and the search stops before any Newton step where its start
+    does; that choice only saves work, as the two rules above keep every
+    end in the domain.  Since F grows with sigma, F < 2 (1 - tol) at every
+    sigma <= sigma_r and F > 2 (1 + tol) at every sigma >= sigma_l, and the
+    ends narrow the window to their means.
     """
     gp1_sq4 = 4.0 * (gamma + 1.0) ** 2
     gamma_sq = gamma * gamma
@@ -224,17 +234,20 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
     x_l = mean_at(3.0 * (1.0 + tol))
     x_r = mean_at(8.0 / 3.0 * (1.0 - tol))
     edge = 2.0 * (gamma + 1.0)
-    if edge <= 8.0 / 3.0:
-        return x_l, x_r
     target = 2.0 * (1.0 - tol) * (1.0 - _BOUND_MARGIN)
-    sigma_r = _series_end(_R_ABOVE, target, gp1_sq4)
-    while _series_bound(sigma_r, _R_ABOVE, gp1_sq4) > target:
+    # Where the first two terms, 3/4 - t/32 with t taken at sigma =
+    # target / (3/4), meet the target: within 7e-4 of sigma_r, relative.
+    start = target / 0.75
+    start *= target / _series_bound(start, _R_LINEAR, gp1_sq4)[0]
+    if start > edge:
+        return x_l, x_r
+    sigma_r = min(_series_end(_R_ABOVE, target, gp1_sq4, start), edge)
+    while _series_bound(sigma_r, _R_ABOVE, gp1_sq4)[0] > target:
         sigma_r = math.nextafter(sigma_r, 0.0)
-    if sigma_r <= edge:
-        x_r = min(x_r, mean_at(sigma_r))
+    x_r = min(x_r, mean_at(sigma_r))
     target = 2.0 * (1.0 + tol) * (1.0 + _BOUND_MARGIN)
-    sigma_l = _series_end(_R_BELOW, target, gp1_sq4)
-    while _series_bound(sigma_l, _R_BELOW, gp1_sq4) < target:
+    sigma_l = _series_end(_R_BELOW, target, gp1_sq4, sigma_r)
+    while _series_bound(sigma_l, _R_BELOW, gp1_sq4)[0] < target:
         sigma_l = math.nextafter(sigma_l, math.inf)
     if sigma_l <= edge:
         x_l = max(x_l, mean_at(sigma_l))
