@@ -13,10 +13,13 @@ this gives F - 2 > 2 tol at every x <= x_l and F - 2 < -2 tol at every
 x >= x_r.  The window narrows further wherever the moments' argument b
 is at least 1, which covers every root up to the critical charge mu*:
 there R is a power series in t = 1 / (b + 1/2) <= 2/3 whose Taylor
-polynomials of degree 9 and 8 bound it from below and above, and two
-Newton steps find the sigma_plus at which each bound makes F - 2 =
-+-2 tol.  The window (x_l, x_r) therefore brackets the root, and a trial
-point outside it takes the branch its F value would give without a call.
+polynomials of even degree N and N + 1 bound it from above and below,
+with N chosen from t so that the two lie within tol / 32 of each other,
+and two Newton steps find the sigma_plus at which each bound makes F - 2 =
++-(tol + E).  E = 1e-14 is the difference between computed and exact F
+that the window tolerates.  The window (x_l, x_r) therefore brackets the
+root, and a trial point outside it takes the branch its F value would
+give without a call.
 
 The solve bisects [0, top], where top is the least power of two at or
 above x_r: each pass halves the step, tries mid = lo + step and moves lo
@@ -29,13 +32,17 @@ their roots, so the solved qbar1 is non-decreasing in mu by
 construction, up to the rounding of F: at tol = 1e-14 the acceptance
 band is about 22 rounding units of F wide, and one unit at its edge can
 accept a point for one double and pass it for the next; the two means
-then differ by less than tol relative.  Over the charges 1 + 10**u, u in
-[-12, 11], a solve makes 14 F calls on average and never more than 32:
-up to mu*, where the series bounds hold, 1.9 on average and at most 13
-(one at mu = 2), and above it 30, the bisection's depth inside the
-constant bounds' window.  Close to the ionization threshold the root
-nears 3/4 = 0.11 in binary, an early midpoint: for u <= -9 a solve takes
-at most 3 calls, and for u <= -10.5 it accepts 3/4 after one.
+then differ by less than tol relative.  The passes before the first
+trial point inside the window are all decided, and the solve skips them:
+it starts at that point, the dyadic of fewest bits in the window.  Over
+the charges 1 + 10**u, u in [-12, 11], a solve makes 13.5 F calls on
+average and never more than 32: up to mu*, where the series bounds hold,
+1.003 on average and at most 2 (one at mu = 2), and above it 30, the
+bisection's depth inside the constant bounds' window.  At tol = 1e-14,
+where the window is about twice as wide as the acceptance band, the
+solves up to mu* make 1.98 calls on average and at most 3.  Close to the
+ionization threshold the root nears 3/4 = 0.11 in binary, an early
+midpoint: for u <= -10.5 a solve accepts 3/4 after one call.
 
 Each trial point inside the window is evaluated once, through the kernel
 ``quadrature._shape`` that :func:`big_f` wraps.  The kernel returns F
@@ -107,11 +114,11 @@ def _failure(
 
     ``window`` is the closed-form window (x_l, x_r).  ``steps`` holds the
     bisection's first and current step, both powers of two, so the loop
-    has tried log2(first / current) midpoints, read off their exponents;
-    ``evaluated`` of them were evaluated and the rest decided by the
-    window.  ``evals`` counts every F call made, one more than
-    ``evaluated`` where F was called at a decided midpoint to report its
-    residual.
+    has passed log2(first / current) midpoints, read off their exponents
+    and skipped ones included; ``evaluated`` of them were evaluated and
+    the rest decided by the window.  ``evals`` counts every F call made,
+    one more than ``evaluated`` where F was called at a decided midpoint
+    to report its residual.
     """
     plus, minus = sigma_pair(gamma, x)
     trials = math.frexp(steps[0])[1] - math.frexp(steps[1])[1]
@@ -121,17 +128,29 @@ def _failure(
     )
 
 
-# Taylor coefficients c_0..c_9 of R = I_{3/2} / I_{1/2} in t = 1 / (b + 1/2),
-# each an exact double (see ``_decided_window``).
+# Taylor coefficients c_0..c_23 of R = I_{3/2} / I_{1/2} in t = 1 / (b + 1/2),
+# each an exact double, the last ones that are (see ``_decided_window``).
 _R_TAYLOR = (
-    3 / 4, -1 / 32, 1 / 512, -1 / 512, 9 / 2**15,
-    -129 / 2**19, 783 / 2**24, -2607 / 2**26, 9357 / 2**30, -59061 / 2**33,
+    3 / 4, -1 / 32, 1 / 512, -1 / 512, 9 / 2**15, -129 / 2**19, 783 / 2**24,
+    -2607 / 2**26, 9357 / 2**30, -59061 / 2**33, 236721 / 2**37, -358467 / 2**38,
+    6221643 / 2**44, -145857981 / 2**49, 2689049739 / 2**55, -7669490331 / 2**57,
+    37078279731 / 2**61, -206741119113 / 2**64, 1039166938863 / 2**68,
+    -2841224990067 / 2**70, 29504366579529 / 2**75, -317273052097809 / 2**79,
+    3386684165878593 / 2**84, -8970734044357137 / 2**86,
 )
-# Horner order, highest term first: T_8 bounds R from above, T_9 from below.
-_R_ABOVE = _R_TAYLOR[8::-1]
-_R_BELOW = _R_TAYLOR[::-1]
+# One entry per even degree N = 2, 4, ..., 22: the gap |c_{N+1}| between the
+# bounds T_N >= R >= T_{N+1}, and both in Horner order, highest term first.
+_R_BOUNDS = tuple(
+    (-_R_TAYLOR[n + 1], _R_TAYLOR[n::-1], _R_TAYLOR[n + 1::-1]) for n in range(2, 23, 2)
+)
 # 3/4 - t/32, the first two terms, for the start of Newton's method.
 _R_LINEAR = _R_TAYLOR[1::-1]
+# The window's degree is the least whose gap |c_{N+1}| t**(N+1) at the
+# Newton start is at most this share of tol.
+_GAP_SHARE = 1 / 32
+# The difference between computed and exact F that the window's decided
+# points tolerate: its ends put F - 2 at +-(tol + _F_ROUNDING).
+_F_ROUNDING = 1e-14
 # Relative margin on the targets of the series bounds, for the rounding of
 # their evaluation and of the mean at the end found.
 _BOUND_MARGIN = 64 * 2.0**-53
@@ -175,14 +194,32 @@ def _series_end(
     return sigma
 
 
-def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
-    """(x_l, x_r): F - 2 > 2 tol at every x <= x_l and < -2 tol at every x >= x_r.
+def _series_bounds(t: float, tol: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(T_N, T_{N+1}) in Horner order for the least even N in 2..22 whose gap fits at t.
 
-    F = sigma R grows with sigma = sigma_plus, which falls as x grows.  The
-    constant bounds 2/3 < R < 3/4 give the means at which sigma = 3 (1 +
-    tol) and (8/3) (1 - tol) (see the module docstring).  Where gamma**2
-    nears the underflow, from mu of about 1.3e308 on, both overflow to
-    infinity.
+    The gap |c_{N+1}| t**(N+1) is the distance T_N - T_{N+1} between the
+    bounds, and it fits where it is at most _GAP_SHARE tol; where no degree
+    fits, N = 22.
+    """
+    power, most = t * t * t, _GAP_SHARE * tol
+    for gap, above, below in _R_BOUNDS:
+        if gap * power <= most:
+            break
+        power *= t * t
+    return above, below
+
+
+def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
+    """(x_l, x_r): F - 2 > tol + E at every x <= x_l and < -(tol + E) at every x >= x_r.
+
+    E = _F_ROUNDING bounds the difference between computed and exact F
+    there, so a trial point outside the window computes |F - 2| > tol and
+    takes the branch the window gives it.  F = sigma R grows with sigma =
+    sigma_plus, which falls as x grows.  The constant bounds 2/3 < R < 3/4
+    give the means at which sigma = 3 (1 + tol) and (8/3) (1 - tol), where
+    F - 2 lies beyond +-2 tol (see the module docstring), as far out as
+    +-(tol + E) since tol >= 1e-14 = E.  Where gamma**2 nears the
+    underflow, from mu of about 1.3e308 on, both overflow to infinity.
 
     Where the moments' argument b = -a is at least 1, sigma is at most
     2 (gamma + 1), since sigma_plus sigma_minus = -4 (gamma + 1)**2 gives
@@ -192,38 +229,71 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
     :mod:`frozenplanet.quadrature`), in which their scale (b + 1/2)**(-1/2)
     cancels and the ratio of their leading terms is 3/4.  Its coefficients
     c_n, the power-series division of those series' exact rational
-    coefficients, are dyadic.  For n <= 150 they alternate in sign and
-    |c_{n+1} / c_n| <= 3/2 (checked in exact rationals), so for t <= 2/3
-    the terms |c_n| t**n do not grow, and the sum of those from n = 9 to
-    150 lies between its first two partial sums.  These are c_9 t**9 and
-    (c_9 + c_10 t) t**9, both negative, and with c_10 / c_9 = -0.25 the
-    sum is at least 0.83 |c_9| t**9 in size; likewise the sum from n = 10
-    to 150 is positive and, with c_11 / c_10 = -0.76, at least
-    0.49 c_10 t**10.  Past n = 150: |r - 1/2| <= 1/2 gives |M_j| <= 2**-j
-    M_0, and (1/2)_j / j! <= 1/2 for j >= 1, so on |t| = 1 each series
-    differs from its leading term by at most half of it.  R is then
-    analytic on |t| <= 1 with |R| <= (3/4) (3/2) / (1/2) = 9/4, Cauchy's
-    estimate gives |c_n| <= 9/4, and the terms past n = 150 sum to at most
-    7 t**151, below 2e-24 t**10, far inside both margins.  So the Taylor
-    polynomials T_9 and T_8 bracket R:
+    coefficients, are dyadic; c_0..c_23 are exact doubles, and c_24 is
+    not.  For n <= 150 they alternate in sign and |c_{n+1}| <= |c_n|
+    (checked in exact rationals), so for t <= 1 the terms |c_n| t**n do not
+    grow.  Take an even N in 2..22.  The sum of the terms from n = N + 1
+    to 150 then lies between its first two partial sums, c_{N+1} t**(N+1)
+    and (c_{N+1} + c_{N+2} t) t**(N+1), both negative for t <= 2/3, and
+    with |c_{N+2} / c_{N+1}| <= 0.35 it is at least 0.76 |c_{N+1}|
+    t**(N+1) in size.  Likewise the sum from n = N + 2 to 150 is positive
+    and, with |c_{N+3} / c_{N+2}| <= 0.9 (0.896 at N = 2, falling to 0.654
+    at N = 22), at least 0.40 c_{N+2} t**(N+2).  Past n = 150: |r - 1/2|
+    <= 1/2 gives |M_j| <= 2**-j M_0, and (1/2)_j / j! <= 1/2 for j >= 1, so
+    on |t| = 1 each series differs from its leading term by at most half of
+    it.  R is then analytic on |t| <= 1 with |R| <= (3/4) (3/2) / (1/2) =
+    9/4, Cauchy's estimate gives |c_n| <= 9/4, and the terms past n = 150
+    sum to at most 7 t**151 <= 4e-22 t**(N+2), far inside both margins:
+    c_{N+2} >= c_24 > 3.9e-11.  So the Taylor polynomials T_N and T_{N+1}
+    bracket R:
 
-        T_9(t) <= R(t) <= T_8(t)  for 0 <= t <= 2/3.
+        T_{N+1}(t) <= R(t) <= T_N(t)  for 0 <= t <= 2/3 and even N in 2..22.
 
-    The upper end sigma_r, with sigma T_8(t) = 2 (1 - tol) (1 - m), lies
-    left of the lower one sigma_l, with sigma T_9(t) = 2 (1 + tol) (1 + m),
-    m = 64 rounding units, since T_9 < T_8.  Newton's method finds each,
-    sigma_r from where the series' first two terms meet its target and
-    sigma_l from sigma_r, and steps it one double at a time until its
-    bound, evaluated again, meets its target: m covers the rounding of
-    that evaluation and of the mean at the end.  Only ends in the series
-    domain sigma <= edge = 2 (gamma + 1) count.  sigma_r starts from at
-    most edge and steps down, and sigma_l is kept where it ends at or
-    below edge.  Above mu*, where the root's b is below 1, both ends lie
-    past edge, and the search stops before any Newton step where its start
+    The window takes the least N whose gap T_N - T_{N+1} = |c_{N+1}|
+    t**(N+1), at t of the start of Newton's method, is at most tol / 32
+    (``_series_bounds``), or 22 where none is.  As sigma < 3.2 there, F - 2
+    spans at most 2 (tol + E) + 0.1 tol across the window, with the
+    margins below.
+
+    The upper end sigma_r, with sigma T_N(t) = (2 - tol - E) (1 - m), lies
+    left of the lower one sigma_l, with sigma T_{N+1}(t) = (2 + tol + E)
+    (1 + m), m = 64 u and u = 2**-53, since T_{N+1} < T_N.  Newton's method
+    finds each, sigma_r from where the series' first two terms meet its
+    target and sigma_l from sigma_r, and steps it one double at a time
+    until its bound, evaluated again, meets its target.  m covers every
+    rounding from that evaluation to the mean at the end, each a relative
+    error, to first order in u, for the bound's degree n <= 23:
+
+    - t is formed within 6 u (three roundings in 4 (gamma + 1)**2, one
+      each in sigma**2, the sum and the quotient), which moves T(t) by at
+      most 0.2 u, since t |T'(t)| <= 0.029 T(t) for t <= 2/3;
+    - Horner's rule errs by at most gamma_2n sum |c_k| t**k, gamma_2n =
+      2 n u / (1 - 2 n u) (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., section 5.1), and sum |c_k| t**k <= 1.06 T(t)
+      for t <= 2/3: 2.12 n u;
+    - the product by sigma, u; the target, 2 u, as 1 - m and 1 + m are
+      exact;
+    - the mean: s = (sigma**2 - 4 (gamma + 1)**2) / (2 sigma) errs by at
+      most (2 b + (b - 1) / 2) sigma u, which is at most 5 u (2 - s), 2 - s
+      = 2 + sigma (b - 1) / 2, for b >= 1 and sigma < 5, and 2 - s,
+      gamma**2 and the quotient add u each: 8 u.  Every end has 2.6 <
+      sigma < 3.2, since 2/3 < T < 3/4, so the exact sigma_plus at the mean
+      found moves by no more, as |d log sigma / d log x| = (4 / sigma + b -
+      1) / (b + 1) <= 1 for sigma >= 2, and sigma T(t(sigma)) grows like
+      sigma**k with k = 1 + t (2 - t) T'(t) / T(t) in (0.96, 1], so its
+      value moves by no more either.
+
+    In all (2.12 n + 11.2) u, at most 60 u at n = 23: inside m at every
+    degree.  Only ends in the series domain sigma <= edge = 2 (gamma + 1)
+    count.  sigma_r starts from at most edge and steps down, and sigma_l
+    is kept where it ends at or below edge; the rounding of edge lets t
+    pass 2/3 by a few units there, which the non-growing terms leave room
+    for.  Above mu*, where the root's b is below 1, both ends lie past
+    edge, and the search stops before any Newton step where its start
     does; that choice only saves work, as the two rules above keep every
-    end in the domain.  Since F grows with sigma, F < 2 (1 - tol) at every
-    sigma <= sigma_r and F > 2 (1 + tol) at every sigma >= sigma_l, and the
-    ends narrow the window to their means.
+    end in the domain.  Since F grows with sigma, F < 2 - tol - E at every
+    sigma <= sigma_r and F > 2 + tol + E at every sigma >= sigma_l, and
+    the ends narrow the window to their means.
     """
     gp1_sq4 = 4.0 * (gamma + 1.0) ** 2
     gamma_sq = gamma * gamma
@@ -234,24 +304,57 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
     x_l = mean_at(3.0 * (1.0 + tol))
     x_r = mean_at(8.0 / 3.0 * (1.0 - tol))
     edge = 2.0 * (gamma + 1.0)
-    target = 2.0 * (1.0 - tol) * (1.0 - _BOUND_MARGIN)
+    reach = tol + _F_ROUNDING
+    target = (2.0 - reach) * (1.0 - _BOUND_MARGIN)
     # Where the first two terms, 3/4 - t/32 with t taken at sigma =
     # target / (3/4), meet the target: within 7e-4 of sigma_r, relative.
     start = target / 0.75
     start *= target / _series_bound(start, _R_LINEAR, gp1_sq4)[0]
     if start > edge:
         return x_l, x_r
-    sigma_r = min(_series_end(_R_ABOVE, target, gp1_sq4, start), edge)
-    while _series_bound(sigma_r, _R_ABOVE, gp1_sq4)[0] > target:
+    sq = start * start
+    above, below = _series_bounds(sq / (gp1_sq4 + 0.5 * sq), tol)
+    sigma_r = min(_series_end(above, target, gp1_sq4, start), edge)
+    while _series_bound(sigma_r, above, gp1_sq4)[0] > target:
         sigma_r = math.nextafter(sigma_r, 0.0)
     x_r = min(x_r, mean_at(sigma_r))
-    target = 2.0 * (1.0 + tol) * (1.0 + _BOUND_MARGIN)
-    sigma_l = _series_end(_R_BELOW, target, gp1_sq4, sigma_r)
-    while _series_bound(sigma_l, _R_BELOW, gp1_sq4)[0] < target:
+    target = (2.0 + reach) * (1.0 + _BOUND_MARGIN)
+    sigma_l = _series_end(below, target, gp1_sq4, sigma_r)
+    while _series_bound(sigma_l, below, gp1_sq4)[0] < target:
         sigma_l = math.nextafter(sigma_l, math.inf)
     if sigma_l <= edge:
         x_l = max(x_l, mean_at(sigma_l))
     return x_l, x_r
+
+
+def _first_undecided(x_l: float, x_r: float, top: float) -> tuple[float, float]:
+    """(lo, step) of the bisection of [0, top] just before its first trial point in (x_l, x_r).
+
+    That point is the dyadic of fewest bits strictly inside the window.
+    Every pass before it is decided and takes the branch that keeps the
+    window in [lo, lo + 2 step], so the bisection interval there is the
+    least one of the tree that holds the window, and the point its middle.
+    With u = top / 2**53, the spacing of the doubles in [top / 2, top),
+    the trial points n u strictly inside are the integers n with left < n
+    <= right, left = floor(x_l / u) and right = ceil(x_r / u) - 1; the one
+    with the most trailing zero bits is right cleared below the highest
+    bit in which it differs from left.  Where no such n exists, or where
+    the collapse check could fire at a skipped pass, the result is (0, top)
+    and the bisection walks every pass from the start.  The check fires at
+    a pass once 2 step < _WIDTH_STOP mid, and then at every later pass,
+    since step halves while the next mid is at least half of this one; the
+    last skipped pass tried mid - step or mid + step.
+    """
+    shift = 54 - math.frexp(top)[1]
+    left = math.floor(math.ldexp(x_l, shift))
+    right = math.ceil(math.ldexp(x_r, shift)) - 1
+    if left < right:
+        bits = (left ^ right).bit_length() - 1
+        step = math.ldexp(1.0, bits - shift)
+        mid = math.ldexp(float(right >> bits << bits), -shift)
+        if not 4.0 * step < _WIDTH_STOP * (mid + step):
+            return mid - step, 2.0 * step
+    return 0.0, top
 
 
 def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
@@ -263,16 +366,17 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     a midpoint's residual meets ``tol``: all charges share one dyadic tree
     of trial points, which keeps qbar1 non-decreasing in mu.  F is called
     only at trial points strictly inside (x_l, x_r); outside it the sign of
-    F - 2 is known and the branch is taken without a call.  Where the
-    root's moment argument b is at least 1 (mu <= mu*), the window is
-    bounded by the Taylor polynomials of I_{3/2} / I_{1/2} in 1 / (b + 1/2)
-    and is narrow: at the default ``tol`` a solve there makes 1.9 F calls
-    on average over mu = 1 + 10**u, u in [-12, 11], and one at mu = 2;
-    above mu* it makes 30, never more than 32, each one call of the kernel
-    ``quadrature._shape``.  The swing (q1max, q1antimax) and the period eta
-    are formed from the sigma pair and I_{1/2} of the accepted evaluation,
-    bit-identical to ``q1_extrema`` and ``period`` at the solved mean, so
-    no moment pair is computed after the root is found.
+    F - 2 is known and the branch is taken without a call, and the passes
+    before the first point inside are skipped.  Where the root's moment
+    argument b is at least 1 (mu <= mu*), the window is bounded by the
+    Taylor polynomials of I_{3/2} / I_{1/2} in 1 / (b + 1/2) and is
+    narrow: at the default ``tol`` a solve there makes 1.003 F calls on
+    average over mu = 1 + 10**u, u in [-12, 11], at most 2, and one at
+    mu = 2; above mu* it makes 30, never more than 32, each one call of the
+    kernel ``quadrature._shape``.  The swing (q1max, q1antimax) and the
+    period eta are formed from the sigma pair and I_{1/2} of the accepted
+    evaluation, bit-identical to ``q1_extrema`` and ``period`` at the
+    solved mean, so no moment pair is computed after the root is found.
     :class:`ConvergenceError` is raised when x_r exceeds 2**1023 (from mu
     of about 6.34e307), when the relative interval width falls below 1e-14
     before the residual meets ``tol``, or when the period of the solved
@@ -298,7 +402,8 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     # Bisect [0, top], top the least power of two at or above x_r.
     mantissa, exponent = math.frexp(x_r)
     top = math.ldexp(0.5 if mantissa == 0.5 else 1.0, exponent)
-    lo, step = 0.0, top
+    # Skip the decided passes before the first trial point in the window.
+    lo, step = _first_undecided(x_l, x_r, top)
     evals = 0
     while True:
         step *= 0.5

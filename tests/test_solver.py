@@ -364,7 +364,7 @@ def test_closed_form_start_keeps_every_orbit():
     # The solve bisects [0, top], top the least power of two at or above
     # x_r.  The reference bisects [0, 2**(k+1)], and 2**(k+1) > 2 root > x_r,
     # so 2**(k+1) >= top.  Its midpoints from 2**k down to top lie at or
-    # right of x_r, where F - 2 < -2 tol, so it goes left at each and then
+    # right of x_r, where F - 2 < -tol, so it goes left at each and then
     # tries the solver's midpoints in order.  The window (x_l, x_r) decides
     # each point the solver skips with the branch F gives there, so every
     # field is bit-identical: over the whole solvable range, on the
@@ -406,8 +406,15 @@ def test_series_ends_settle_within_few_doubles(monkeypatch):
     # The window steps each series end one double at a time from where
     # Newton's method leaves it, and that walk is short only because two
     # Newton steps land within two doubles of the end: over the sweep's
-    # charges and tols neither walk takes more than 2 steps.
-    gammas = [gamma_of_mu(mu) for mu in _sweep_charges()]
+    # charges and tols, and over consecutive doubles around each charge
+    # where the bounds' degree steps up, neither walk takes more than 2
+    # steps.
+    charges = {tol: _sweep_charges() for tol in _SWEEP_TOLS}
+    for tol in _SWEEP_TOLS:
+        for mu in _degree_switches(monkeypatch, tol):
+            for _ in range(20):
+                mu = math.nextafter(mu, 0.0)
+            charges[tol] += _consecutive_doubles(mu, 40)
     directions = []
     nextafter = math.nextafter
 
@@ -418,13 +425,54 @@ def test_series_ends_settle_within_few_doubles(monkeypatch):
     monkeypatch.setattr(solver.math, "nextafter", counted)
     most = {0.0: 0, math.inf: 0}
     for tol in _SWEEP_TOLS:
-        for gamma in gammas:
+        for mu in charges[tol]:
             directions.clear()
-            solver._decided_window(gamma, tol)
+            solver._decided_window(gamma_of_mu(mu), tol)
             for direction in most:
                 most[direction] = max(most[direction], directions.count(direction))
     monkeypatch.undo()
     assert max(most.values()) <= 2, most
+
+
+def _degree_switches(monkeypatch, tol):
+    """The least double charges below mu* at which the window's series degree steps up.
+
+    The degree grows with t at the start of Newton's method, and so with
+    mu; each step is bisected between neighbours of a grid in log(mu - 1)
+    whose degrees differ.
+    """
+    picked = []
+    series_bounds = solver._series_bounds
+
+    def recorded(t, tol):
+        bounds = series_bounds(t, tol)
+        picked.append(len(bounds[0]) - 1)
+        return bounds
+
+    monkeypatch.setattr(solver, "_series_bounds", recorded)
+
+    def degree(mu):
+        picked.clear()
+        solver._decided_window(gamma_of_mu(mu), tol)
+        return picked[-1] if picked else 0
+
+    grid = [1.0 + 10.0**u for u in np.linspace(-12.0, math.log10(critical_mu() - 1.0), 400)]
+    degrees = [degree(mu) for mu in grid]
+    switches = []
+    for lo, hi, d_lo, d_hi in zip(grid, grid[1:], degrees, degrees[1:]):
+        if 0 < d_lo < d_hi:
+            while math.nextafter(lo, hi) < hi:
+                mid = 0.5 * (lo + hi)
+                if degree(mid) > d_lo:
+                    hi = mid
+                else:
+                    lo = mid
+            switches.append(hi)
+    monkeypatch.setattr(solver, "_series_bounds", series_bounds)
+    # The grid meets every degree from 2 up, so each step is one of 2.
+    seen = sorted(set(degrees) - {0})
+    assert seen == list(range(2, seen[-1] + 1, 2)) and len(switches) == len(seen) - 1
+    return switches
 
 
 def _consecutive_doubles(mu, n):
@@ -455,6 +503,55 @@ def _charge_where_root_b_is(b):
     where gamma + 1 = sqrt(b) I_{1/2}(-b) / I_{3/2}(-b)."""
     i_half, i_three_half = ratio_integrals(-b)
     return mu_of_gamma(math.sqrt(b) * i_half / i_three_half - 1.0)
+
+
+def _walk_to_window(x_l, x_r, top):
+    """(lo, step) before the bisection's first trial point in (x_l, x_r), or None.
+
+    The passes of ``solve_orbit`` with every point decided, walked one by
+    one; None where the interval collapses first.
+    """
+    lo, step = 0.0, top
+    while True:
+        mid = lo + 0.5 * step
+        if x_l < mid < x_r:
+            return lo, step
+        step *= 0.5
+        if 2.0 * step < solver._WIDTH_STOP * mid:
+            return None
+        if mid <= x_l:
+            lo = mid
+
+
+def test_first_undecided_matches_the_walk():
+    # The solve skips the passes before its first trial point inside the
+    # window, and starts from the state that walking them leaves; where the
+    # interval could collapse at a skipped pass it walks them instead.
+    # Windows of random width and place, with ends on trial points, at top
+    # and around top / 2, an empty one, and the windows of the sweep's
+    # charges, where every jump is taken.
+    rng = np.random.default_rng(1)
+    cases = []
+    for exponent in (-3, 0, 1, 40, 1000):
+        top = 2.0**exponent
+        for _ in range(300):
+            x_r = top * rng.uniform(0.5, 1.0)
+            cases.append((x_r * (1.0 - 10.0 ** rng.uniform(-15.5, -0.5)), x_r, top))
+        point = top * 0.6875
+        cases += [(point, top, top), (0.25 * top, 0.5 * top, top), (0.4 * top, 0.6 * top, top)]
+        cases += [(point, math.nextafter(point, math.inf), top), (0.9 * top, 0.8 * top, top)]
+        cases += [(math.nextafter(point, 0.0), math.nextafter(point, math.inf), top)]
+    for x_l, x_r, top in cases:
+        walked = _walk_to_window(x_l, x_r, top)
+        jumped = solver._first_undecided(x_l, x_r, top)
+        assert jumped in (walked, (0.0, top)), (x_l, x_r, top)
+    for tol in _SWEEP_TOLS:
+        for mu in _sweep_charges()[::10]:
+            x_l, x_r = solver._decided_window(gamma_of_mu(mu), tol)
+            if x_r <= 2.0**1023:
+                mantissa, exponent = math.frexp(x_r)
+                top = math.ldexp(0.5 if mantissa == 0.5 else 1.0, exponent)
+                assert solver._first_undecided(x_l, x_r, top) == _walk_to_window(x_l, x_r, top)
 
 
 def test_qbar1_non_decreasing_in_mu():
@@ -510,6 +607,48 @@ def test_decided_window_premise(u, log_tol):
     assert x_l < solve_orbit(mu, tol).qbar1 < x_r
 
 
+def _exact_big_f(gamma, x):
+    """F at the doubles gamma and x in 40-digit arithmetic, for b = -a >= 1.
+
+    sigma_plus from the quadratic of ``model.sigma_pair`` (through the
+    product of the roots where s < 0, which cancels nothing), and R in the
+    2F1 form of ``test_series_bracket_certificate`` at z = -1 / b.
+    """
+    with mpmath.workdps(40):
+        gamma, x, half = mpmath.mpf(gamma), mpmath.mpf(x), mpmath.mpf(1) / 2
+        s = 2 - gamma**2 * x
+        product = 4 * (gamma + 1) ** 2
+        w = mpmath.sqrt(s**2 + product)
+        plus = s + w if s >= 0 else product / (w - s)
+        z = -(plus**2) / product
+        ratio = mpmath.mpf(3) / 4 * (
+            mpmath.hyp2f1(half, 5 * half, 3, z) / mpmath.hyp2f1(half, 3 * half, 2, z)
+        )
+        return plus * ratio
+
+
+def test_big_f_rounding_near_root():
+    # The window decides a trial point outside it from exact F, which lies
+    # beyond 2 +- (tol + E) there, E = solver._F_ROUNDING; the point then
+    # takes the branch its evaluation would give as long as computed F is
+    # within E of exact F.  Below mu*, at the root, at qbar1 (1 +- 1e-9)
+    # and at both window ends at tol = 1e-10 and 1e-14, computed F lies
+    # within E / 4 of 40-digit F (8.9e-16 at worst, 4 units of 2**-52).
+    worst = 0.0
+    for u in np.linspace(-12.0, math.log10(critical_mu() - 1.0), 90):
+        mu = 1.0 + 10.0**u
+        gamma = gamma_of_mu(mu)
+        qbar1 = solve_orbit(mu).qbar1
+        xs = [qbar1, qbar1 * (1.0 - 1e-9), qbar1 * (1.0 + 1e-9)]
+        for tol in (1e-10, 1e-14):
+            xs += solver._decided_window(gamma, tol)
+        for x in xs:
+            error = abs(big_f(gamma, x) - _exact_big_f(gamma, x))
+            assert error <= solver._F_ROUNDING / 4, (mu, x, float(error))
+            worst = max(worst, float(error))
+    assert worst > 0.0
+
+
 def _ratio_taylor(terms):
     """c_0..c_{terms-1} of R(t) = I_{3/2} / I_{1/2} in t = 1 / (b + 1/2), exactly.
 
@@ -528,37 +667,55 @@ def _ratio_taylor(terms):
 
 def test_series_bracket_certificate():
     # The window's series bounds rest on the exact coefficients of R for
-    # n <= 150: the solver's are the first ten, each dyadic coefficient
-    # alternates in sign, and |c_{n+1} / c_n| <= 3/2, so the terms do not
-    # grow for t <= 2/3 (see solver._decided_window for the tail past 150).
+    # n <= 150: the solver's are c_0..c_23, each an exact double, and c_24
+    # is none; each dyadic coefficient alternates in sign and |c_{n+1}| <=
+    # |c_n|, so the terms do not grow for t <= 1 (see solver._decided_window
+    # for the tail past 150).
     c = _ratio_taylor(151)
-    assert [Fraction(x) for x in solver._R_TAYLOR] == c[:10]
+    assert [Fraction(x) for x in solver._R_TAYLOR] == c[:24]
+    assert Fraction(float(c[24])) != c[24]
     for n, cn in enumerate(c):
         assert (cn > 0) == (n % 2 == 0), n
         assert cn.denominator & (cn.denominator - 1) == 0, n
         assert abs(cn) <= Fraction(9, 4), n
-    assert all(abs(c[n + 1]) <= Fraction(3, 2) * abs(c[n]) for n in range(150))
-    assert max(abs(c[n + 1] / c[n]) for n in range(9, 150)) <= Fraction(76, 100)
-    assert abs(c[10] / c[9]) <= Fraction(1, 4) + Fraction(1, 100)
-    # Against 40-digit moments (the 2F1 form) at log-spaced t in (0, 2/3],
-    # down to where T_8 - R, about 7e-6 t**9, is still 1e7 times the
-    # working precision: T_8 - R and R - T_9 lie within the margins the
-    # docstring derives, at least 0.83 |c_9| t**9 and 0.49 c_10 t**10.
+    assert all(abs(c[n + 1]) <= abs(c[n]) for n in range(150))
+    degrees = range(2, 23, 2)
+    assert [(gap, len(above), len(below)) for gap, above, below in solver._R_BOUNDS] == [
+        (-float(c[n + 1]), n + 1, n + 2) for n in degrees
+    ]
+    # The ratios behind the docstring's margins, at least 0.76 |c_{N+1}|
+    # t**(N+1) and 0.40 c_{N+2} t**(N+2) for t <= 2/3.
+    assert max(abs(c[n + 2] / c[n + 1]) for n in degrees) <= Fraction(35, 100)
+    assert max(abs(c[n + 3] / c[n + 2]) for n in degrees) <= Fraction(9, 10)
+    # Against 40-digit moments (the 2F1 form) at log-spaced t over each
+    # degree's range, from where the degree two below stops fitting at
+    # tol = 1e-14 (1e-3 for N = 2, where T_2 - R is still 1e21 times the
+    # working precision) up to t = 2/3: T_N - R and R - T_{N+1}, over the
+    # first term each omits, lie between the Leibniz margins 1 - (2/3)
+    # |c_{N+2} / c_{N+1}| and 1 - (2/3) |c_{N+3} / c_{N+2}| and 1.
     with mpmath.workdps(40):
         half = mpmath.mpf(1) / 2
-        coefficients = [mpmath.mpf(x.numerator) / x.denominator for x in c[:11]]
-        ts = [mpmath.mpf(2) / 3] + [mpmath.mpf(10) ** e for e in np.linspace(-3.0, -0.18, 200)]
-        for t in ts:
-            z = -1 / (1 / t - half)
-            ratio = mpmath.mpf(3) / 4 * (
-                mpmath.hyp2f1(half, 5 * half, 3, z) / mpmath.hyp2f1(half, 3 * half, 2, z)
-            )
-            t_8 = mpmath.fsum(cn * t**n for n, cn in enumerate(coefficients[:9]))
-            t_9 = t_8 + coefficients[9] * t**9
-            above = (t_8 - ratio) / (-coefficients[9] * t**9)
-            below = (ratio - t_9) / (coefficients[10] * t**10)
-            assert 0.83 <= above <= 1.0, (t, above)
-            assert 0.49 <= below <= 1.0, (t, below)
+        coefficients = [mpmath.mpf(x.numerator) / x.denominator for x in c[:26]]
+        for n in degrees:
+            if n == 2:
+                t_min = 1e-3
+            else:
+                t_min = (solver._GAP_SHARE * 1e-14 / abs(float(c[n - 1]))) ** (1.0 / (n - 1))
+            ts = [mpmath.mpf(2) / 3]
+            ts += [mpmath.mpf(t) for t in np.geomspace(t_min, 2.0 / 3.0, 20, endpoint=False)]
+            margins = [1 - abs(c[n + 2] / c[n + 1]) * Fraction(2, 3)]
+            margins.append(1 - abs(c[n + 3] / c[n + 2]) * Fraction(2, 3))
+            for t in ts:
+                z = -1 / (1 / t - half)
+                ratio = mpmath.mpf(3) / 4 * (
+                    mpmath.hyp2f1(half, 5 * half, 3, z) / mpmath.hyp2f1(half, 3 * half, 2, z)
+                )
+                t_n = mpmath.fsum(cn * t**k for k, cn in enumerate(coefficients[: n + 1]))
+                t_n1 = t_n + coefficients[n + 1] * t ** (n + 1)
+                above = (t_n - ratio) / (-coefficients[n + 1] * t ** (n + 1))
+                below = (ratio - t_n1) / (coefficients[n + 2] * t ** (n + 2))
+                assert float(margins[0]) <= above <= 1.0, (n, t, above)
+                assert float(margins[1]) <= below <= 1.0, (n, t, below)
 
 
 def test_solve_orbit_f_calls(monkeypatch):
@@ -566,9 +723,11 @@ def test_solve_orbit_f_calls(monkeypatch):
     # count does not grow with the charge (a doubling from x = 1 makes 71
     # at mu = 1e11 and 1,030 at 1e300), and the window (x_l, x_r) decides
     # every trial point outside it without a call.  Up to mu* the series
-    # bounds of R narrow the window, to one call at mu = 2; above it the
-    # window and the counts are those of the constant bounds.  Next to the
-    # ionization threshold the root nears 3/4, an early dyadic midpoint.
+    # bounds of R narrow the window to little more than the acceptance
+    # band, and the solve starts at the first trial point inside it: one
+    # call at mu = 2, and at most 2 at the default tol; at tol = 1e-14 the
+    # window is about twice the band, and at most 3.  Above mu* the window
+    # and the counts are those of the constant bounds.
     # Each evaluated point is one call of the kernel that big_f wraps, and
     # every moment pair belongs to one: the swing and the period come from
     # the accepted point, with no big_f, period or q1_extrema call.
@@ -599,20 +758,27 @@ def test_solve_orbit_f_calls(monkeypatch):
         solve_orbit(mu)
         assert len(calls) == len(moment_calls) == expected, mu
     us = np.linspace(-12.0, 11.0, 2301)
-    counts = []
-    for u in us:
-        calls.clear()
-        solve_orbit(1.0 + 10.0**u)
-        counts.append(len(calls))
-    counts = np.array(counts)
-    assert counts.max() <= 32
-    assert counts.mean() <= 14.0
     below = 1.0 + 10.0**us <= critical_mu()
-    assert counts[below].mean() <= 2.0
-    assert counts[below].max() <= 13
-    assert round(counts[~below].mean(), 2) == 30.0
-    assert counts[~below].max() == 32
-    assert counts[us <= -9.0].max() <= 3
+    counts = {}
+    for tol in (1e-10, 1e-14):
+        counts[tol] = []
+        for u in us:
+            calls.clear()
+            solve_orbit(1.0 + 10.0**u, tol)
+            counts[tol].append(len(calls))
+    counts = {tol: np.array(c) for tol, c in counts.items()}
+    default = counts[1e-10]
+    assert default.max() <= 32
+    assert default.mean() <= 13.5
+    assert default[below].mean() <= 1.05
+    assert default[below].max() <= 2
+    assert round(default[~below].mean(), 2) == 30.0
+    assert default[~below].max() == 32
+    assert default[us <= -9.0].max() == 1
+    finest = counts[1e-14]
+    assert finest[below].mean() <= 2.0
+    assert finest[below].max() <= 4
+    assert round(finest[~below].mean(), 2) == 43.29
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
