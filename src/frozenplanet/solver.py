@@ -15,11 +15,13 @@ is at least 1, which covers every root up to the critical charge mu*:
 there R is a power series in t = 1 / (b + 1/2) <= 2/3 whose Taylor
 polynomials of even degree N and N + 1 bound it from above and below,
 with N chosen from t so that the two lie within tol / 32 of each other,
-and two Newton steps find the sigma_plus at which each bound makes F - 2 =
-+-(tol + E).  E = 1e-14 is the difference between computed and exact F
-that the window tolerates.  The window (x_l, x_r) therefore brackets the
-root, and a trial point outside it takes the branch its F value would
-give without a call.
+and Newton's method finds the sigma_plus at which each bound makes F - 2 =
++-(tol + E): for the upper bound from where its first two terms meet the
+target, and for the lower one from the upper end's last pass, since
+T_{N+1} = T_N + c_{N+1} t**(N+1).  E = 1e-14 is the difference between
+computed and exact F that the window tolerates.  The window (x_l, x_r)
+therefore brackets the root, and a trial point outside it takes the
+branch its F value would give without a call.
 
 The solve bisects [0, top], where top is the least power of two at or
 above x_r: each pass halves the step, tries mid = lo + step and moves lo
@@ -143,8 +145,6 @@ _R_TAYLOR = (
 _R_BOUNDS = tuple(
     (-_R_TAYLOR[n + 1], _R_TAYLOR[n::-1], _R_TAYLOR[n + 1::-1]) for n in range(2, 23, 2)
 )
-# 3/4 - t/32, the first two terms, for the start of Newton's method.
-_R_LINEAR = _R_TAYLOR[1::-1]
 # The window's degree is the least whose gap |c_{N+1}| t**(N+1) at the
 # Newton start is at most this share of tol.
 _GAP_SHARE = 1 / 32
@@ -154,44 +154,44 @@ _F_ROUNDING = 1e-14
 # Relative margin on the targets of the series bounds, for the rounding of
 # their evaluation and of the mean at the end found.
 _BOUND_MARGIN = 64 * 2.0**-53
-_NEWTON_STEPS = 2
-
-
-def _series_bound(
-    sigma: float, coefficients: tuple[float, ...], gp1_sq4: float
-) -> tuple[float, float]:
-    """(sigma T(t), its derivative in sigma), t = sigma**2 / (gp1_sq4 + sigma**2 / 2).
-
-    T is the polynomial given by ``coefficients``; with sigma dt/dsigma =
-    t (2 - t) the derivative is T + t (2 - t) T'.
-    """
-    sq = sigma * sigma
-    t = sq / (gp1_sq4 + 0.5 * sq)
-    p = dp = 0.0
-    for c in coefficients:
-        dp = dp * t + p
-        p = p * t + c
-    return sigma * p, p + t * (2.0 - t) * dp
+# A Newton step for a series end of at most this share of sigma is the last:
+# the step after it would be below rounding (see ``_decided_window``).
+_LAST_STEP = 2.0**-26
 
 
 def _series_end(
-    coefficients: tuple[float, ...], target: float, gp1_sq4: float, sigma: float
-) -> float:
-    """A sigma with sigma * T(t(sigma)) = target to within a few rounding units.
+    coefficients: tuple[float, ...], target: float, gp1_sq4: float, sigma: float, steps: int
+) -> tuple[float, float, float, float]:
+    """(sigma, t, sigma T(t), its derivative in sigma) at a certified end of sigma T = target.
 
-    Newton's method from ``sigma``, which must lie within about 1e-3 of the
-    root, relative: two steps then land within two doubles of it for every
-    gamma > 1/3 and tol the window takes.  Near the ionization threshold,
-    where t is below rounding, the first step is already zero and ends the
-    search.
+    T is the polynomial given by ``coefficients``, t = sigma**2 / (gp1_sq4 +
+    sigma**2 / 2), and with sigma dt/dsigma = t (2 - t) the derivative is
+    T + t (2 - t) T'.  Each pass evaluates both by Horner's rule and takes
+    a Newton step while ``steps`` remain and the step is nonzero; then it
+    steps sigma one double at a time until sigma T lies on the certified
+    side of the target: at or below it for the upper end, whose target is
+    below 2, and at or above it for the lower end.  A step of at most
+    _LAST_STEP sigma is the last.  The values returned are those of the
+    certifying pass.
     """
-    for _ in range(_NEWTON_STEPS):
-        value, slope = _series_bound(sigma, coefficients, gp1_sq4)
-        step = (value - target) / slope
-        if step == 0.0:
-            break
-        sigma -= step
-    return sigma
+    upper = target < 2.0
+    while True:
+        sq = sigma * sigma
+        t = sq / (gp1_sq4 + 0.5 * sq)
+        p = dp = 0.0
+        for c in coefficients:
+            dp = dp * t + p
+            p = p * t + c
+        value, slope = sigma * p, p + t * (2.0 - t) * dp
+        if steps:
+            step = (value - target) / slope
+            if step != 0.0:
+                steps = steps - 1 if abs(step) > _LAST_STEP * sigma else 0
+                sigma -= step
+                continue
+        if value <= target if upper else value >= target:
+            return sigma, t, value, slope
+        sigma = math.nextafter(sigma, 0.0 if upper else math.inf)
 
 
 def _series_bounds(t: float, tol: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -257,12 +257,27 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
 
     The upper end sigma_r, with sigma T_N(t) = (2 - tol - E) (1 - m), lies
     left of the lower one sigma_l, with sigma T_{N+1}(t) = (2 + tol + E)
-    (1 + m), m = 64 u and u = 2**-53, since T_{N+1} < T_N.  Newton's method
-    finds each, sigma_r from where the series' first two terms meet its
-    target and sigma_l from sigma_r, and steps it one double at a time
-    until its bound, evaluated again, meets its target.  m covers every
-    rounding from that evaluation to the mean at the end, each a relative
-    error, to first order in u, for the bound's degree n <= 23:
+    (1 + m), m = 64 u and u = 2**-53, since T_{N+1} < T_N.  One call of
+    ``_series_end`` finds each: Newton's method, then a walk one double at
+    a time until its bound, evaluated again, meets its target.  sigma_r
+    starts where the series' first two terms meet its target, within 7e-4
+    of it, and takes at most two Newton steps.  sigma_l starts from the
+    pass that certified sigma_r: T_{N+1}(t) = T_N(t) + c_{N+1} t**(N+1),
+    so that pass's sigma T_N and its slope, with the one term and its
+    slope added, give sigma T_{N+1} and its slope at sigma_r, and one
+    Newton step from there lands next to sigma_l.  That sum only seeds
+    Newton's method; the pass that certifies sigma_l evaluates T_{N+1} by
+    Horner's rule.  A Newton step s of at most 2**-26 sigma is the last
+    one: sigma T(t(sigma)) grows like sigma**k, k in (0.96, 1] (below), so
+    the next step would be about |k - 1| / 2 (s / sigma)**2 <= 0.02 *
+    2**-52 of sigma, below rounding.  So sigma_l takes a second step only
+    where its seed step is longer, as at tol = 1e-6, where the ends lie
+    about 2 tol apart, and sigma_r its second only where its first step
+    is longer too; where t is below rounding, near the ionization
+    threshold, the first step is zero, and that pass certifies the end.
+    m covers every rounding from the certifying evaluation to the mean at
+    the end, each a relative error, to first order in u, for the bound's
+    degree n <= 23:
 
     - t is formed within 6 u (three roundings in 4 (gamma + 1)**2, one
       each in sigma**2, the sum and the quotient), which moves T(t) by at
@@ -285,7 +300,8 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
 
     In all (2.12 n + 11.2) u, at most 60 u at n = 23: inside m at every
     degree.  Only ends in the series domain sigma <= edge = 2 (gamma + 1)
-    count.  sigma_r starts from at most edge and steps down, and sigma_l
+    count.  sigma_r is found again from edge, with no Newton step, where
+    its search ends past edge, and then steps down from there, and sigma_l
     is kept where it ends at or below edge; the rounding of edge lets t
     pass 2/3 by a few units there, which the non-growing terms leave room
     for.  Above mu*, where the root's b is below 1, both ends lie past
@@ -297,33 +313,36 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
     """
     gp1_sq4 = 4.0 * (gamma + 1.0) ** 2
     gamma_sq = gamma * gamma
-
-    def mean_at(sigma: float) -> float:
-        return (2.0 - (sigma * sigma - gp1_sq4) / (2.0 * sigma)) / gamma_sq
-
-    x_l = mean_at(3.0 * (1.0 + tol))
-    x_r = mean_at(8.0 / 3.0 * (1.0 - tol))
+    sigma = 3.0 * (1.0 + tol)
+    x_l = (2.0 - (sigma * sigma - gp1_sq4) / (2.0 * sigma)) / gamma_sq
+    sigma = 8.0 / 3.0 * (1.0 - tol)
+    x_r = (2.0 - (sigma * sigma - gp1_sq4) / (2.0 * sigma)) / gamma_sq
     edge = 2.0 * (gamma + 1.0)
     reach = tol + _F_ROUNDING
     target = (2.0 - reach) * (1.0 - _BOUND_MARGIN)
     # Where the first two terms, 3/4 - t/32 with t taken at sigma =
     # target / (3/4), meet the target: within 7e-4 of sigma_r, relative.
-    start = target / 0.75
-    start *= target / _series_bound(start, _R_LINEAR, gp1_sq4)[0]
+    sigma = target / 0.75
+    sq = sigma * sigma
+    start = target / (0.75 - sq / (gp1_sq4 + 0.5 * sq) / 32.0)
     if start > edge:
         return x_l, x_r
     sq = start * start
     above, below = _series_bounds(sq / (gp1_sq4 + 0.5 * sq), tol)
-    sigma_r = min(_series_end(above, target, gp1_sq4, start), edge)
-    while _series_bound(sigma_r, above, gp1_sq4)[0] > target:
-        sigma_r = math.nextafter(sigma_r, 0.0)
-    x_r = min(x_r, mean_at(sigma_r))
+    sigma, t, value, slope = _series_end(above, target, gp1_sq4, start, 2)
+    if sigma > edge:
+        sigma, t, value, slope = _series_end(above, target, gp1_sq4, edge, 0)
+    x_r = min(x_r, (2.0 - (sigma * sigma - gp1_sq4) / (2.0 * sigma)) / gamma_sq)
+    # sigma T_{N+1} and its slope from this pass's T_N, which lacks only
+    # the term c_{N+1} t**(N+1), seed one Newton step to the lower end.
     target = (2.0 + reach) * (1.0 + _BOUND_MARGIN)
-    sigma_l = _series_end(below, target, gp1_sq4, sigma_r)
-    while _series_bound(sigma_l, below, gp1_sq4)[0] < target:
-        sigma_l = math.nextafter(sigma_l, math.inf)
-    if sigma_l <= edge:
-        x_l = max(x_l, mean_at(sigma_l))
+    n = len(above)
+    term = below[0] * t**n
+    step = (value + sigma * term - target) / (slope + term * (1.0 + n * (2.0 - t)))
+    steps = 1 if abs(step) > _LAST_STEP * sigma else 0
+    sigma = _series_end(below, target, gp1_sq4, sigma - step, steps)[0]
+    if sigma <= edge:
+        x_l = max(x_l, (2.0 - (sigma * sigma - gp1_sq4) / (2.0 * sigma)) / gamma_sq)
     return x_l, x_r
 
 

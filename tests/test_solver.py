@@ -404,13 +404,18 @@ def _sweep_charges():
 
 def test_series_ends_settle_within_few_doubles(monkeypatch):
     # The window steps each series end one double at a time from where
-    # Newton's method leaves it, and that walk is short only because two
-    # Newton steps land within two doubles of the end: over the sweep's
-    # charges and tols, and over consecutive doubles around each charge
-    # where the bounds' degree steps up, neither walk takes more than 2
-    # steps.
-    charges = {tol: _sweep_charges() for tol in _SWEEP_TOLS}
-    for tol in _SWEEP_TOLS:
+    # Newton's method leaves it, and that walk is short only because the
+    # Newton steps land within two doubles of the end: at most two from the
+    # linear start for the upper end, and for the lower end one seeded from
+    # the upper end's last pass, plus one more where that step exceeds
+    # 2**-26 sigma.  Over the sweep's charges and tols, over consecutive
+    # doubles around each charge where the bounds' degree steps up, and at
+    # tols on both sides of the lower end's second step (1e-8, where no
+    # lower end takes it, and 3e-8, where every one does), neither walk
+    # takes more than 2 steps.
+    tols = _SWEEP_TOLS + (1e-8, 3e-8)
+    charges = {tol: _sweep_charges() for tol in tols}
+    for tol in tols:
         for mu in _degree_switches(monkeypatch, tol):
             for _ in range(20):
                 mu = math.nextafter(mu, 0.0)
@@ -422,14 +427,26 @@ def test_series_ends_settle_within_few_doubles(monkeypatch):
         directions.append(y)
         return nextafter(x, y)
 
+    lower_steps = set()
+    series_end = solver._series_end
+
+    def recorded(coefficients, target, gp1_sq4, sigma, steps):
+        if target > 2.0:
+            lower_steps.add(steps)
+        return series_end(coefficients, target, gp1_sq4, sigma, steps)
+
     monkeypatch.setattr(solver.math, "nextafter", counted)
+    monkeypatch.setattr(solver, "_series_end", recorded)
     most = {0.0: 0, math.inf: 0}
-    for tol in _SWEEP_TOLS:
+    for tol in tols:
+        lower_steps.clear()
         for mu in charges[tol]:
             directions.clear()
             solver._decided_window(gamma_of_mu(mu), tol)
             for direction in most:
                 most[direction] = max(most[direction], directions.count(direction))
+        if tol in (1e-8, 3e-8):
+            assert lower_steps == {1e-8: {0}, 3e-8: {1}}[tol], tol
     monkeypatch.undo()
     assert max(most.values()) <= 2, most
 
@@ -716,6 +733,51 @@ def test_series_bracket_certificate():
                 below = (ratio - t_n1) / (coefficients[n + 2] * t ** (n + 2))
                 assert float(margins[0]) <= above <= 1.0, (n, t, above)
                 assert float(margins[1]) <= below <= 1.0, (n, t, below)
+
+
+def test_decided_window_passes(monkeypatch):
+    # Below mu* each end of the window costs one call of the series helper,
+    # and the lower end starts from the upper end's last pass, so a window
+    # takes few full-degree Horner passes: 3.11 on average at the default
+    # tol over 2,000 charges from 1 + 1e-12 to mu* (two Newton steps and a
+    # check at each end made 6.04), 2.76 at 1e-14 and 2.93 at 1e-6, and
+    # never more than 6, or 7 at 1e-6, where the lower end takes a second
+    # Newton step.  Each pass iterates one of the bound tuples that
+    # _series_bounds hands out.
+    passes = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            passes.append(self)
+            return super().__iter__()
+
+    series_bounds, series_end = solver._series_bounds, solver._series_end
+    helper_calls = []
+
+    def counted_end(*args):
+        helper_calls.append(args[1])
+        return series_end(*args)
+
+    monkeypatch.setattr(
+        solver, "_series_bounds", lambda t, tol: tuple(map(Counted, series_bounds(t, tol)))
+    )
+    monkeypatch.setattr(solver, "_series_end", counted_end)
+    charges = (1.0 + np.geomspace(1e-12, critical_mu() - 1.0, 2000)).tolist()
+    counts = {}
+    for tol in _SWEEP_TOLS:
+        counts[tol] = []
+        for mu in charges:
+            passes.clear()
+            helper_calls.clear()
+            solver._decided_window(gamma_of_mu(mu), tol)
+            assert len(helper_calls) == 2 and helper_calls[0] < 2.0 < helper_calls[1], (mu, tol)
+            counts[tol].append(len(passes))
+    counts = {tol: np.array(c) for tol, c in counts.items()}
+    assert counts[1e-10].mean() <= 3.2
+    assert counts[1e-14].mean() <= 2.9
+    assert counts[1e-6].mean() <= 3.0
+    assert counts[1e-10].max() <= 6 and counts[1e-14].max() <= 6
+    assert counts[1e-6].max() <= 7
 
 
 def test_solve_orbit_f_calls(monkeypatch):
