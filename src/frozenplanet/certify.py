@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .intersect import (
+    _TOUCH_TOL,
     IntersectionClass,
     classify,
     classify_kappa,
@@ -67,11 +68,13 @@ def check_anchor_f_value() -> CheckResult:
 
 
 def check_lemniscate_routes() -> CheckResult:
-    """Defining integral vs Gamma closed form, and the coarse printed value."""
+    """Defining integral vs Gamma closed form, the frozen reference, and the
+    coarse printed value."""
     by_gamma = _varpi_gamma()
     by_integral = _varpi_integral()
     route_err = _rel(by_integral, by_gamma)
-    ok = route_err <= 1e-10 and abs(by_integral - 2.62) <= 0.01
+    ref_err = _rel(lemniscate_constant(), _VARPI_REF)
+    ok = route_err <= 1e-10 and ref_err <= 1e-12 and abs(by_integral - 2.62) <= 0.01
     return CheckResult(
         "lemniscate_routes",
         ok,
@@ -122,7 +125,8 @@ def check_quadrature_anchors() -> CheckResult:
 
 
 def check_threshold_value() -> CheckResult:
-    """Critical charge by direct formula vs the gamma route, and its magnitude."""
+    """Critical charge by direct formula vs the gamma route, the frozen
+    references of mu* and gamma*, and the magnitude of mu*."""
     varpi = lemniscate_constant()
     v2 = varpi * varpi
     direct = (3.0 * math.pi / (3.0 * math.pi - v2)) ** 2
@@ -131,7 +135,7 @@ def check_threshold_value() -> CheckResult:
     e_route = _rel(routed, direct)
     e_inv = _rel(1.0 / (gstar + 1.0), v2 / (3.0 * math.pi))
     e_print = _rel(routed, _MU_STAR_PRINTED)
-    e_gold = _rel(routed, _MU_STAR_REF)
+    e_gold = max(_rel(routed, _MU_STAR_REF), _rel(gstar, _GAMMA_STAR_REF))
     ok = e_route <= 1e-12 and e_inv <= 1e-12 and e_print <= 5e-3 and e_gold <= 1e-12
     return CheckResult(
         "threshold_value",
@@ -213,7 +217,7 @@ def check_classification_grid() -> CheckResult:
     verdicts = []
     for mu in mus:
         sol = solve_orbit(float(mu), tol=1e-10)
-        if abs(sol.kappa) > 1e-9 and (sol.kappa > 0.0) != (sol.q1max > sol.qbar2):
+        if abs(sol.kappa) > _TOUCH_TOL and (sol.kappa > 0.0) != (sol.q1max > sol.qbar2):
             return CheckResult(
                 "classification_grid",
                 False,
@@ -251,10 +255,10 @@ def _fd_second_derivative_defect(traj: Trajectory, lo: float, hi: float) -> floa
     j = np.arange(1, n)
     mask = (traj.t[j] >= lo) & (traj.t[j] <= hi)
     j = j[mask]
-    q = traj.q1
+    q, orbit = traj.q1, traj.orbit
     fd = (q[j + 1] - 2.0 * q[j] + q[j - 1]) * float(n) ** 2
-    rhs = -(traj.eta**2) * (
-        traj.mu / q[j] ** 2 + 1.0 / (traj.gamma**2 * traj.qbar1**2)
+    rhs = -(orbit.eta**2) * (
+        orbit.mu / q[j] ** 2 + 1.0 / (orbit.gamma**2 * orbit.qbar1**2)
     )
     return float(np.max(np.abs(fd / rhs - 1.0)))
 

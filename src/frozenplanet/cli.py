@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,10 +28,9 @@ from .orbit import energy_residual, mean_residual, reconstruct
 from .solver import solve_orbit
 from .specialfn import lemniscate_constant
 
-_DEFAULT_TOL = 1e-10
-_DEFAULT_SAMPLES = 512
 _CONFIG_ENV = "FROZEN_PLANET_CONFIG"
-_CONFIG_KEYS = ("tol", "samples")
+# Each config key with its type and built-in default.
+_CONFIG_KEYS = {"tol": (float, 1e-10), "samples": (int, 512)}
 
 _SCAN_HEADER = "mu,gamma,qbar1,qbar2,kappa,q1max,q1antimax,eta,class"
 # Largest scan --steps accepted.  A scan holds its CSV rows until the last
@@ -42,14 +40,6 @@ _SCAN_HEADER = "mu,gamma,qbar1,qbar2,kappa,q1max,q1antimax,eta,class"
 _MAX_STEPS = 2**19
 # Trajectory rows formatted per block of CSV text.
 _CSV_BLOCK = 2**16
-
-
-@dataclass(frozen=True)
-class Settings:
-    """Fully resolved run configuration."""
-
-    tol: float
-    samples: int
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -75,26 +65,25 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve_settings(args: argparse.Namespace) -> Settings:
-    file_cfg: dict[str, str] = {}
-    cfg_path = os.environ.get(_CONFIG_ENV)
-    if cfg_path:
-        file_cfg = _parse_config_file(cfg_path)
+def _fill_config(args: argparse.Namespace) -> None:
+    """Set ``args.tol`` and ``args.samples`` where no flag gave them.
 
-    def pick(flag_value, key, cast, default):
-        if flag_value is not None:
-            return flag_value
+    Each comes from the config file named by ``FROZEN_PLANET_CONFIG`` if it
+    holds the key, else from the built-in default.  The file is parsed for
+    every subcommand, also for those without these flags.
+    """
+    cfg_path = os.environ.get(_CONFIG_ENV)
+    file_cfg = _parse_config_file(cfg_path) if cfg_path else {}
+    for key, (cast, default) in _CONFIG_KEYS.items():
+        if getattr(args, key, None) is not None:
+            continue
+        value = default
         if key in file_cfg:
             try:
-                return cast(file_cfg[key])
+                value = cast(file_cfg[key])
             except ValueError as exc:
                 raise DomainError(f"invalid config value for {key}: {exc}") from exc
-        return default
-
-    return Settings(
-        tol=pick(getattr(args, "tol", None), "tol", float, _DEFAULT_TOL),
-        samples=pick(getattr(args, "samples", None), "samples", int, _DEFAULT_SAMPLES),
-    )
+        setattr(args, key, value)
 
 
 def _manifest(command: str, parameters: dict, wall_time: float) -> dict:
@@ -162,18 +151,18 @@ def _emit_sidecar_manifest(manifest: dict, out_path: str | None) -> None:
         _write_file(str(out_path) + ".manifest.json", [text])
 
 
-def _cmd_solve(args: argparse.Namespace, settings: Settings) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
     start = time.perf_counter()
-    sol = solve_orbit(args.mu, tol=settings.tol)
-    traj = reconstruct(sol, settings.samples)
+    sol = solve_orbit(args.mu, tol=args.tol)
+    traj = reconstruct(sol, args.samples)
     residual_mean = mean_residual(traj)
     residual_energy = energy_residual(traj)
     manifest = _manifest(
         "solve",
         {
             "mu": args.mu,
-            "tol": settings.tol,
-            "samples": settings.samples,
+            "tol": args.tol,
+            "samples": args.samples,
             "format": args.format,
         },
         time.perf_counter() - start,
@@ -196,17 +185,17 @@ def _cmd_solve(args: argparse.Namespace, settings: Settings) -> int:
                     "energy": residual_energy,
                 },
             },
-            "trajectory": {"q2": traj.q2_const, "t": "@t@", "q1": "@q1@"},
+            "trajectory": {"q2": sol.qbar2, "t": "@t@", "q1": "@q1@"},
         }
         text = json.dumps(payload, indent=2) + "\n"
         _emit(_splice_arrays(text, {"@t@": traj.t, "@q1@": traj.q1}), args.out)
     else:
-        _emit(_trajectory_csv(traj.t, traj.q1, traj.q2_const), args.out)
+        _emit(_trajectory_csv(traj.t, traj.q1, sol.qbar2), args.out)
         _emit_sidecar_manifest(manifest, args.out)
     return 0
 
 
-def _cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
+def _cmd_scan(args: argparse.Namespace) -> int:
     for flag, value in (("--mu-min", args.mu_min), ("--mu-max", args.mu_max)):
         if not math.isfinite(value):
             raise DomainError(f"scan requires a finite {flag}, got {value!r}")
@@ -219,7 +208,7 @@ def _cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
     start = time.perf_counter()
     lines = [_SCAN_HEADER + "\n"]
     for mu in np.linspace(args.mu_min, args.mu_max, args.steps):
-        sol = solve_orbit(float(mu), tol=settings.tol)
+        sol = solve_orbit(float(mu), tol=args.tol)
         verdict = classify_kappa(sol.kappa)
         lines.append(
             f"{sol.mu!r},{sol.gamma!r},{sol.qbar1!r},{sol.qbar2!r},"
@@ -232,7 +221,7 @@ def _cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
             "mu_min": args.mu_min,
             "mu_max": args.mu_max,
             "steps": args.steps,
-            "tol": settings.tol,
+            "tol": args.tol,
         },
         time.perf_counter() - start,
     )
@@ -241,7 +230,7 @@ def _cmd_scan(args: argparse.Namespace, settings: Settings) -> int:
     return 0
 
 
-def _cmd_threshold(args: argparse.Namespace, settings: Settings) -> int:
+def _cmd_threshold(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     varpi = lemniscate_constant()
     payload_body = {
@@ -256,11 +245,11 @@ def _cmd_threshold(args: argparse.Namespace, settings: Settings) -> int:
     }
     manifest = _manifest("threshold", {}, time.perf_counter() - start)
     payload = {"manifest": manifest, **payload_body}
-    _emit([json.dumps(payload, indent=2) + "\n"], getattr(args, "out", None))
+    _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, settings: Settings) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     results = run_suite(args.level)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -334,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        settings = _resolve_settings(args)
-        return args.func(args, settings)
+        _fill_config(args)
+        return args.func(args)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -14,12 +14,22 @@ import math
 from .errors import DomainError
 
 
+def _to_float(value: float, name: str) -> float:
+    """``value + 0.0``: a NumPy scalar keeps its type and a string raises
+    TypeError, but an int beyond the double range raises DomainError."""
+    try:
+        return value + 0.0
+    except OverflowError:
+        raise DomainError(f"{name} lies beyond the double range; it must be finite") from None
+
+
 def gamma_of_mu(mu: float) -> float:
     """Gap ratio gamma = (1 + sqrt(mu)) / (mu - 1) for nucleus charge mu > 1.
 
     Decreasing in mu; below mu = 1 the outer electron is not bound and no
     periodic orbit exists.  A non-finite mu is rejected.
     """
+    mu = _to_float(mu, "the nucleus charge mu")
     if not math.isfinite(mu):
         raise DomainError(f"mu={mu!r}: the nucleus charge must be a finite number")
     if mu <= 1.0:
@@ -36,6 +46,7 @@ def mu_of_gamma(gamma: float) -> float:
     Defined for finite gamma > 0, where it is the exact inverse (the map
     is singular at gamma = 0 and loses its meaning for negative gamma).
     """
+    gamma = _to_float(gamma, "mu_of_gamma's gamma")
     if not 0.0 < gamma < math.inf:
         raise DomainError(f"mu_of_gamma requires a finite gamma > 0, got {gamma!r}")
     r = (gamma + 1.0) / gamma

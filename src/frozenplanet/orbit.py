@@ -338,26 +338,14 @@ class Trajectory:
     """Sampled period of the regularized orbit on a uniform scaled-time grid.
 
     ``t`` holds the scaled times j / n_samples in [0, 1] and ``q1`` the inner
-    electron positions; the outer electron is constant at ``q2_const``.
-    Physical time is ``t * eta``.
+    electron positions, starting at ``orbit.q1max``; ``orbit`` is the solved
+    orbit they were rebuilt from.  The outer electron is constant at
+    ``orbit.qbar2``, and physical time is ``t * orbit.eta``.
     """
 
     t: np.ndarray
     q1: np.ndarray
-    q2_const: float
-    eta: float
-    mu: float
-    gamma: float
-
-    @property
-    def qbar1(self) -> float:
-        """Mean inner position the orbit was solved for."""
-        return self.q2_const / (self.gamma + 1.0)
-
-    @property
-    def q1max(self) -> float:
-        """Swing amplitude (first grid sample, by construction)."""
-        return float(self.q1[0])
+    orbit: OrbitSolution
 
 
 def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
@@ -439,9 +427,7 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
 
     q1.setflags(write=False)
     # A view of the cached times: its write flag cannot be set again.
-    return Trajectory(
-        t=t.view(), q1=q1, q2_const=sol.qbar2, eta=sol.eta, mu=sol.mu, gamma=sol.gamma
-    )
+    return Trajectory(t=t.view(), q1=q1, orbit=sol)
 
 
 def mean_q1(traj: Trajectory) -> float:
@@ -457,7 +443,7 @@ def mean_q1(traj: Trajectory) -> float:
     by a power of two near 1 / qbar1, which is exact and keeps them finite
     up to the largest charges.
     """
-    scale = math.ldexp(1.0, -math.frexp(traj.qbar1)[1])
+    scale = math.ldexp(1.0, -math.frexp(traj.orbit.qbar1)[1])
     q = traj.q1 * scale
     m_h = float(np.trapezoid(q, dx=1.0))
     m_2h = float(np.trapezoid(q[::2], dx=2.0))
@@ -467,7 +453,7 @@ def mean_q1(traj: Trajectory) -> float:
 
 def mean_residual(traj: Trajectory) -> float:
     """Signed defect (time mean of q1) - qbar1; near 0 for a valid orbit."""
-    return mean_q1(traj) - traj.qbar1
+    return mean_q1(traj) - traj.orbit.qbar1
 
 
 def energy_residual(traj: Trajectory) -> float:
@@ -481,14 +467,13 @@ def energy_residual(traj: Trajectory) -> float:
     which holds pointwise along the orbit, so only the mean of q1 itself
     enters and the collision costs no accuracy.
     """
-    gamma = traj.gamma
-    qbar1 = traj.qbar1
-    kappa = 2.0 / (gamma * gamma * qbar1) - 1.0
+    orbit = traj.orbit
+    gamma, qbar1 = orbit.gamma, orbit.qbar1
     mean = mean_q1(traj)
     return (
-        kappa
+        orbit.kappa
         - mean / (gamma * gamma * qbar1 * qbar1)
-        - traj.mu / traj.q2_const
+        - orbit.mu / orbit.qbar2
         + 1.0 / (gamma * qbar1)
         + 1.0
     )

@@ -68,8 +68,9 @@ def test_solve_csv_blocks_join_to_the_rows(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_CSV_BLOCK", 5)
     code, out, _ = _run(capsys, ["solve", "--mu", "2", "--samples", "16", "--format", "csv"])
     assert code == 0
-    traj = fp.reconstruct(fp.solve_orbit(2.0), 16)
-    rows = [f"{t!r},{q!r},{traj.q2_const!r}" for t, q in zip(traj.t.tolist(), traj.q1.tolist())]
+    sol = fp.solve_orbit(2.0)
+    traj = fp.reconstruct(sol, 16)
+    rows = [f"{t!r},{q!r},{sol.qbar2!r}" for t, q in zip(traj.t.tolist(), traj.q1.tolist())]
     assert out == "\n".join(["t,q1,q2", *rows]) + "\n"
 
 

@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 
 from frozenplanet import (
     DomainError,
+    classify,
+    fixpoint_residual,
     gamma_of_mu,
     kappa_of,
     mu_of_gamma,
@@ -15,6 +17,7 @@ from frozenplanet import (
     q1max_of_kappa,
     qbar2_of,
     sigma_pair,
+    solve_orbit,
 )
 
 
@@ -54,6 +57,29 @@ def test_mu_of_gamma_rejects_nonfinite():
     for gamma in (math.nan, math.inf):
         with pytest.raises(DomainError):
             mu_of_gamma(gamma)
+
+
+def test_values_beyond_double_range_raise_domain_error():
+    # An int too large for a double is a domain error in both maps and in
+    # everything that starts from gamma_of_mu, not an OverflowError.
+    for call in (
+        gamma_of_mu,
+        mu_of_gamma,
+        solve_orbit,
+        classify,
+        lambda mu: fixpoint_residual(mu, 1.0),
+    ):
+        for big in (10**400, -(10**400)):
+            with pytest.raises(DomainError, match="beyond the double range"):
+                call(big)
+    # Ints in range, floats and NumPy scalars keep their values and types;
+    # strings are still refused with TypeError.
+    assert gamma_of_mu(4) == gamma_of_mu(4.0) and mu_of_gamma(1) == 4.0
+    assert type(gamma_of_mu(np.float64(2.0))) is np.float64
+    assert gamma_of_mu(np.float64(2.0)) == gamma_of_mu(2.0)
+    for call in (gamma_of_mu, mu_of_gamma):
+        with pytest.raises(TypeError):
+            call("2")
 
 
 def test_mu_gamma_roundtrip_on_log_grid():

@@ -46,8 +46,7 @@ def test_reconstruct_anchors(traj_mu2, sol_mu2):
     assert traj_mu2.t[0] == 0.0
     assert traj_mu2.t[n // 2] == 0.5
     assert traj_mu2.t[-1] == 1.0
-    assert traj_mu2.q2_const == sol_mu2.qbar2
-    assert traj_mu2.eta == sol_mu2.eta
+    assert traj_mu2.orbit is sol_mu2
 
 
 def test_reconstruct_time_reversal_exact(traj_mu2):
@@ -72,7 +71,7 @@ def test_reconstruct_arrays_read_only(traj_mu2):
     with pytest.raises(ValueError):
         traj_mu2.t[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        traj_mu2.eta = 0.0
+        traj_mu2.orbit = None
 
 
 def test_reconstruct_deterministic(sol_mu2):
@@ -81,9 +80,21 @@ def test_reconstruct_deterministic(sol_mu2):
     assert np.array_equal(a.q1, b.q1)
 
 
-def test_trajectory_properties(traj_mu2, sol_mu2):
-    assert_allclose(traj_mu2.qbar1, sol_mu2.qbar1, rtol=1e-12)
-    assert traj_mu2.q1max == sol_mu2.q1max
+def test_trajectory_properties():
+    # A trajectory holds the solution it was rebuilt from, and the residuals
+    # read its solved values: qbar2 / (gamma + 1) is one rounding off the
+    # solved mean qbar1 at 18 of these charges, and so would move them.
+    assert [f.name for f in dataclasses.fields(orbit.Trajectory)] == ["t", "q1", "orbit"]
+    for u in np.linspace(-12.0, 15.0, 271):
+        sol = solve_orbit(1.0 + 10.0**u)
+        traj = reconstruct(sol, 512)
+        assert traj.orbit is sol
+        assert traj.q1[0] == sol.q1max
+        mean = mean_q1(traj)
+        assert mean_residual(traj) == mean - sol.qbar1
+        g, x = sol.gamma, sol.qbar1
+        energy = sol.kappa - mean / (g * g * x * x) - sol.mu / sol.qbar2 + 1.0 / (g * x) + 1.0
+        assert energy_residual(traj) == energy, u
 
 
 def test_mean_residual_small(sol_mu2, traj_mu2):
@@ -143,8 +154,8 @@ def test_motion_law_second_order(sol_mu2):
         j = j[mask]
         q = traj.q1
         fd = (q[j + 1] - 2.0 * q[j] + q[j - 1]) * float(n) ** 2
-        rhs = -(traj.eta**2) * (
-            traj.mu / q[j] ** 2 + 1.0 / (traj.gamma**2 * traj.qbar1**2)
+        rhs = -(sol_mu2.eta**2) * (
+            sol_mu2.mu / q[j] ** 2 + 1.0 / (sol_mu2.gamma**2 * sol_mu2.qbar1**2)
         )
         return float(np.max(np.abs(fd / rhs - 1.0)))
 
@@ -166,9 +177,9 @@ def test_kappa_conserved_along_orbit(sol_mu2, sol_mu4):
         q = traj.q1
         v = (q[j + 1] - q[j - 1]) * (n / 2.0)
         kappa_t = (
-            v * v / (2.0 * traj.eta**2)
+            v * v / (2.0 * sol.eta**2)
             - sol.mu / q[j]
-            + q[j] / (traj.gamma**2 * traj.qbar1**2)
+            + q[j] / (sol.gamma**2 * sol.qbar1**2)
         )
         drift = np.max(np.abs(kappa_t - sol.kappa)) / abs(sol.kappa)
         assert drift <= 1e-4
@@ -179,7 +190,7 @@ def test_reconstruct_above_threshold_amplitude():
     # position; reconstruction itself is unaffected by the crossing.
     sol = solve_orbit(20.0)
     traj = reconstruct(sol, 64)
-    assert traj.q1[0] > traj.q2_const
+    assert traj.q1[0] > sol.qbar2
 
 
 def _brentq_error(sol, n):
