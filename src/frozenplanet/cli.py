@@ -104,11 +104,24 @@ def _write_file(path: str, parts: Iterable[str]) -> None:
 
 
 def _emit(parts: Iterable[str], out_path: str | None) -> None:
-    """Write the text pieces ``parts``, in order, to stdout or ``out_path``."""
-    if out_path in (None, "-"):
-        sys.stdout.writelines(parts)
-    else:
+    """Write the text pieces ``parts``, in order, to stdout or ``out_path``.
+
+    A standard output closed by its reader, as by ``| head``, is an
+    unwritable output: stdout is pointed at the null device, so that the
+    interpreter's last flush of what is still buffered writes nothing, and
+    the write raises DomainError.
+    """
+    if out_path not in (None, "-"):
         _write_file(out_path, parts)
+        return
+    try:
+        sys.stdout.writelines(parts)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise DomainError(f"cannot write to standard output: {exc}") from None
 
 
 def _splice_arrays(text: str, arrays: dict[str, np.ndarray]) -> list[str]:
@@ -252,11 +265,12 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = run_suite(args.level)
     width = max(len(r.name) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        sys.stdout.write(f"[{status}] {r.name:<{width}}  {r.detail}\n")
+    lines = [
+        f"[{'PASS' if r.passed else 'FAIL'}] {r.name:<{width}}  {r.detail}\n" for r in results
+    ]
     n_pass = sum(r.passed for r in results)
-    sys.stdout.write(f"passed {n_pass}/{len(results)} ({args.level} suite)\n")
+    lines.append(f"passed {n_pass}/{len(results)} ({args.level} suite)\n")
+    _emit(lines, None)
     return 0 if n_pass == len(results) else 1
 
 

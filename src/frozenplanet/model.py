@@ -67,13 +67,16 @@ def kappa_of(gamma: float, qbar1: float) -> float:
 
     Its sign decides whether the inner electron's swing reaches past the
     outer electron (kappa > 0), exactly touches it (kappa = 0), or stays
-    short (kappa < 0).
+    short (kappa < 0).  Where gamma**2 * qbar1 underflows to 0 or 2 over it
+    overflows, kappa is inf, as qbar2_of and mu_of_gamma give inf where
+    their values overflow.
     """
     if not (math.isfinite(gamma) and gamma != 0.0):
         raise DomainError(f"kappa_of requires a finite gamma != 0, got {gamma!r}")
     if not 0.0 < qbar1 < math.inf:
         raise DomainError(f"kappa_of requires a finite qbar1 > 0, got {qbar1!r}")
-    return 2.0 / (gamma * gamma * qbar1) - 1.0
+    denominator = gamma * gamma * qbar1
+    return 2.0 / denominator - 1.0 if denominator > 0.0 else math.inf
 
 
 def sigma_pair(gamma: float, x: float) -> tuple[float, float]:

@@ -117,15 +117,15 @@ b in [0, 1e300].  So one step settles every sample, and a rebuild whose
 step fails the bound raises ConvergenceError instead of stepping again.
 
 The arrays that depend on n alone (the grid angles, the cos**2 table,
-the Gauss weights scaled by the cell width, the target fractions k/n
-and the times) are built once per sample count and kept, read-only, for
-the last few counts up to 2**14 samples; a larger count builds them
-afresh and drops them when it returns.  They hold 4.5 floats, 36 bytes,
-per sample: 2.5 in the cos**2 table, 0.5 each in the grid and the
-fractions, 1 in the times.  A rebuild peaks in its Newton step at 12.5
-floats per sample, 105 MB at 2**20 samples: the block's 19 rows of
-n/2 samples (9.5), the ends, the rests and the step (2), and the times
-(1); the rest of an uncached layout is freed before Newton starts.
+the Gauss weights scaled by the cell width, and the times j/n, whose
+entries 1 .. n/2 - 1 are the targets' fractions) are built once per
+sample count and kept, read-only, for the last few counts up to 2**14
+samples; a larger count builds them afresh and drops them when it
+returns.  They hold 4 floats, 32 bytes, per sample: 2.5 in the cos**2
+table, 0.5 in the grid, 1 in the times.  A rebuild peaks in its Newton
+step at 12.5 floats per sample, 105 MB at 2**20 samples: the block's 19
+rows of n/2 samples (9.5), the ends, the rests and the step (2), and the
+times (1); the rest of an uncached layout is freed before Newton starts.
 """
 
 from __future__ import annotations
@@ -143,11 +143,11 @@ from .solver import OrbitSolution
 
 _EPS = float(np.finfo(float).eps)
 # Largest n_samples accepted: a rebuild peaks at 12.5 floats per sample
-# (105 MB at 2**20; module docstring), and its layout holds 4.5 (36 bytes
+# (105 MB at 2**20; module docstring), and its layout holds 4 (32 bytes
 # per sample).
 _MAX_SAMPLES = 2**20
 # Layouts are cached for up to this many samples, four at a time: at most
-# 4 * 36 * 2**14 bytes, about 2.4 MB.
+# 4 * 32 * 2**14 bytes, about 2.1 MB.
 _CACHED_SAMPLES = 2**14
 # Fewest cells of the angle grid, so that no cell is wider than pi/512.
 # There the 4-point rule's strip bound (w / (4 y))**8, with y = 0.665 below
@@ -180,7 +180,6 @@ class _Layout(NamedTuple):
     grid: np.ndarray  # the cells + 1 cell ends; the last is pi / 2
     cc: np.ndarray  # cos**2 at each cell's 4 Gauss nodes and its start, (5, cells)
     weights: np.ndarray  # the Gauss weights times the cell width
-    frac: np.ndarray  # target fractions k / n, k = 1 .. half - 1
     t: np.ndarray  # scaled times j / n, j = 0 .. n
 
 
@@ -198,7 +197,6 @@ def _build_layout(n_samples: int) -> _Layout:
         grid=grid,
         cc=cc,
         weights=_GL_WEIGHTS * w,
-        frac=np.arange(1, half) / n_samples,
         t=np.arange(n_samples + 1) / n_samples,
     )
     for arr in layout:
@@ -379,7 +377,7 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     if not -math.inf < a <= 0.0:
         raise DomainError(f"invalid orbit: q1antimax/q1max = {a!r} is not finite and <= 0")
     half = n_samples // 2
-    grid, cc, weights, frac, t = _layout(n_samples)
+    grid, cc, weights, t = _layout(n_samples)
     h_grid, slope = _grid_values(a, cc, weights)
     # Frees an uncached layout's cos**2 table (2.5 floats per sample).
     del cc
@@ -387,11 +385,11 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
     # exact where the last cell's Gauss rule is poor, at tiny b.
     g_full = 0.5 * ratio_integrals(a)[0]
     h_grid[-1] = g_full
-    target = frac * (2.0 * g_full)
+    # The times 1/n .. (half - 1)/n are the targets' fractions of 2 G(1).
+    target = t[1:half] * (2.0 * g_full)
     ends, rest = _hermite_seed(grid, h_grid, slope, target)
-    # Newton needs none of these; an uncached layout's grid and fractions
-    # go with them.
-    del h_grid, slope, target, grid, frac
+    # Newton needs none of these; an uncached layout's grid goes with them.
+    del h_grid, slope, target, grid
     worst, left, right = _newton(ends, rest, -a)
     # Written so that a NaN side fails the bound too.
     if not left <= right:

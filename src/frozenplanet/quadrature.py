@@ -180,16 +180,17 @@ def _shape(gamma: float, x: float) -> tuple[float, float, float, float]:
     The one evaluation of the shape functional F = sigma_plus * I_{3/2} /
     I_{1/2}, with a = sigma_minus / sigma_plus.  :func:`big_f` returns its
     F and :func:`period` its sigma_plus and I_{1/2}, after checks of their
-    own; the orbit solve calls it at each trial point it cannot decide in
-    closed form and keeps the pair and the moment of the accepted point
-    for the period and the swing.  Rounding can push a to a tiny positive
-    value where it vanishes analytically (gamma = -1, x < 2); such values
-    are clamped to 0.  Where a overflows to -inf, b = -a exceeds every
-    double and the series gives I_{3/2} / I_{1/2} = 3/4 and I_{1/2} =
-    (pi / 2) / sqrt(b) to far below rounding; plus * minus =
-    -4 (gamma + 1)**2 gives sqrt(b) = |minus| / (2 |gamma + 1|) without
-    the overflow.  Raises
-    :class:`DomainError` unless x >= 0 and sigma_plus > 0, naming a
+    own; the orbit solve calls it at each trial point inside its window
+    and keeps the accepted point's pair and moment.  a is never positive:
+    ``sigma_pair`` forms sigma_minus as -4 (gamma + 1)**2 / sigma_plus or
+    as s - w, w = hypot(s, 2 (gamma + 1)) >= |s|, so sigma_minus <= 0 <=
+    sigma_plus by sign rules alone; a is -0.0 where it vanishes (gamma =
+    -1, x < 2), and NaN from an overflow fails the checks here or in
+    :func:`ratio_integrals`.  Where a overflows to -inf, b = -a exceeds
+    every double and the series gives I_{3/2} / I_{1/2} = 3/4 and I_{1/2}
+    = (pi / 2) / sqrt(b) to far below rounding; plus * minus = -4 (gamma +
+    1)**2 gives sqrt(b) = |minus| / (2 |gamma + 1|) without the overflow.
+    Raises :class:`DomainError` unless x >= 0 and sigma_plus > 0, naming a
     non-finite argument first.
     """
     plus, minus = sigma_pair(gamma, x)
@@ -204,9 +205,7 @@ def _shape(gamma: float, x: float) -> tuple[float, float, float, float]:
             f"shape functional undefined where sigma_plus <= 0 (gamma={gamma!r}, x={x!r})"
         )
     a = minus / plus
-    if a > 0.0:
-        a = 0.0
-    elif a == -math.inf:
+    if a == -math.inf:
         return 0.75 * plus, plus, minus, math.pi * abs(gamma + 1.0) / abs(minus)
     i_half, i_three_half = ratio_integrals(a)
     return plus * i_three_half / i_half, plus, minus, i_half
@@ -224,8 +223,8 @@ def big_f(gamma: float, x: float) -> float:
     gamma > 0 the map x -> F(gamma, x) is strictly decreasing from a value
     >= 8/3 at x = 0 towards 0, and the mean position of the periodic orbit
     is the unique x solving F(gamma, x) = 2.  Requires a finite gamma, a
-    finite x >= 0 and sigma_plus > 0 there.  The checks, the clamp of a
-    and the case where a overflows all live in the kernel ``_shape``.
+    finite x >= 0 and sigma_plus > 0 there.  The checks and the case
+    where a overflows live in the kernel ``_shape``.
     """
     return _shape(gamma, x)[0]
 

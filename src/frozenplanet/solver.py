@@ -110,22 +110,20 @@ def _failure(
     window: tuple[float, float],
     steps: tuple[float, float],
     evaluated: int,
-    evals: int,
 ) -> ConvergenceError:
     """A solver failure at the last estimate x of the orbit mean.
 
     ``window`` is the closed-form window (x_l, x_r).  ``steps`` holds the
     bisection's first and current step, both powers of two, so the loop
     has passed log2(first / current) midpoints, read off their exponents
-    and skipped ones included; ``evaluated`` of them were evaluated and
-    the rest decided by the window.  ``evals`` counts every F call made,
-    one more than ``evaluated`` where F was called at a decided midpoint
-    to report its residual.
+    and skipped ones included; ``evaluated`` of them were evaluated, one F
+    call each, and the rest decided by the window.  ``a`` is sigma_minus /
+    sigma_plus at x, never positive (see ``quadrature._shape``).
     """
     plus, minus = sigma_pair(gamma, x)
     trials = math.frexp(steps[0])[1] - math.frexp(steps[1])[1]
     return ConvergenceError(
-        message, mu=mu, a=min(minus / plus, 0.0), iterations=evals, last=x,
+        message, mu=mu, a=minus / plus, iterations=evaluated, last=x,
         window=window, decided=trials - evaluated, evaluated=evaluated,
     )
 
@@ -309,7 +307,10 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
     does; that choice only saves work, as the two rules above keep every
     end in the domain.  Since F grows with sigma, F < 2 - tol - E at every
     sigma <= sigma_r and F > 2 + tol + E at every sigma >= sigma_l, and
-    the ends narrow the window to their means.
+    the ends narrow the window to their means.  sigma_l always does, as the
+    odd partial sums of the series rise: T_{N+1} >= T_1 = 3/4 - t/32 >=
+    0.729, so sigma_l < 2.75 < 3 (1 + tol).  The mean at sigma_r can lie
+    right of the constant x_r, near the threshold at tol below 2.4e-14.
     """
     gp1_sq4 = 4.0 * (gamma + 1.0) ** 2
     gamma_sq = gamma * gamma
@@ -342,7 +343,7 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
     steps = 1 if abs(step) > _LAST_STEP * sigma else 0
     sigma = _series_end(below, target, gp1_sq4, sigma - step, steps)[0]
     if sigma <= edge:
-        x_l = max(x_l, (2.0 - (sigma * sigma - gp1_sq4) / (2.0 * sigma)) / gamma_sq)
+        x_l = (2.0 - (sigma * sigma - gp1_sq4) / (2.0 * sigma)) / gamma_sq
     return x_l, x_r
 
 
@@ -357,52 +358,54 @@ def _first_undecided(x_l: float, x_r: float, top: float) -> tuple[float, float]:
     the trial points n u strictly inside are the integers n with left < n
     <= right, left = floor(x_l / u) and right = ceil(x_r / u) - 1; the one
     with the most trailing zero bits is right cleared below the highest
-    bit in which it differs from left.  Where no such n exists, or where
-    the collapse check could fire at a skipped pass, the result is (0, top)
-    and the bisection walks every pass from the start.  The check fires at
-    a pass once 2 step < _WIDTH_STOP mid, and then at every later pass,
-    since step halves while the next mid is at least half of this one; the
-    last skipped pass tried mid - step or mid + step.
+    bit in which it differs from left.
+
+    Such a point exists, and the collapse check 2 step < _WIDTH_STOP mid
+    fires at no skipped pass, as the window is wide: log(x_r / x_l) >=
+    tol + E >= 2e-14, E = _F_ROUNDING.  Each end lies where exact F - 2 is
+    beyond +-(tol + E) (see ``_decided_window``), and |d log F / d log x|
+    <= 1 across the window: F = sigma R falls with x, d log sigma / d log x
+    is in [-1, 0] where sigma >= 2, and R = I_{3/2} / I_{1/2} rises with x,
+    as b = 4 (gamma + 1)**2 / sigma**2 does.  For R is the mean of r under
+    the weight r**(1/2) ((1 - r) (r + b))**(-1/2), whose log has the
+    b-derivative -1 / (2 (r + b)), rising with r: dR/db >= 0 by Chebyshev's
+    inequality.  So log(x_r / x_l) >= log((2 + tol + E) / (2 - tol - E)) >=
+    tol + E, and x_r - x_l > 1.99e-14 x_r holds 90 trial points or more.
+    The interval [mid - step, mid + step] returned holds the window, and
+    mid + step <= 2 mid < 2 x_r, so 4 step >= 2 (x_r - x_l) > _WIDTH_STOP
+    (mid + step): the check fails at the last skipped pass, which tried
+    mid +- step with twice this step, and so at every earlier one, as once
+    it fires it fires at every later pass (step halves, and the next mid
+    is at least half of this one).
     """
     shift = 54 - math.frexp(top)[1]
     left = math.floor(math.ldexp(x_l, shift))
     right = math.ceil(math.ldexp(x_r, shift)) - 1
-    if left < right:
-        bits = (left ^ right).bit_length() - 1
-        step = math.ldexp(1.0, bits - shift)
-        mid = math.ldexp(float(right >> bits << bits), -shift)
-        if not 4.0 * step < _WIDTH_STOP * (mid + step):
-            return mid - step, 2.0 * step
-    return 0.0, top
+    bits = (left ^ right).bit_length() - 1
+    step = math.ldexp(1.0, bits - shift)
+    mid = math.ldexp(float(right >> bits << bits), -shift)
+    return mid - step, 2.0 * step
 
 
 def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     """Solve F(gamma(mu), x) = 2 for the orbit mean and assemble the orbit.
 
-    ``tol`` bounds the accepted |F - 2| and must lie in [1e-14, 1e-6].
-    The closed-form window (x_l, x_r) brackets the root, and the solve
-    bisects [0, top], top the least power of two at or above x_r, until
-    a midpoint's residual meets ``tol``: all charges share one dyadic tree
-    of trial points, which keeps qbar1 non-decreasing in mu.  F is called
-    only at trial points strictly inside (x_l, x_r); outside it the sign of
-    F - 2 is known and the branch is taken without a call, and the passes
-    before the first point inside are skipped.  Where the root's moment
-    argument b is at least 1 (mu <= mu*), the window is bounded by the
-    Taylor polynomials of I_{3/2} / I_{1/2} in 1 / (b + 1/2) and is
-    narrow: at the default ``tol`` a solve there makes 1.003 F calls on
-    average over mu = 1 + 10**u, u in [-12, 11], at most 2, and one at
-    mu = 2; above mu* it makes 30, never more than 32, each one call of the
-    kernel ``quadrature._shape``.  The swing (q1max, q1antimax) and the
-    period eta are formed from the sigma pair and I_{1/2} of the accepted
-    evaluation, bit-identical to ``q1_extrema`` and ``period`` at the
-    solved mean, so no moment pair is computed after the root is found.
-    :class:`ConvergenceError` is raised when x_r exceeds 2**1023 (from mu
-    of about 6.34e307), when the relative interval width falls below 1e-14
-    before the residual meets ``tol``, or when the period of the solved
-    orbit is not finite (it exceeds the largest double from mu of about
-    4.95e307).  Its ``iterations`` counts the F calls made; ``window``
-    holds (x_l, x_r), and ``decided`` and ``evaluated`` split the midpoints
-    tried by whether the window or an F call took their branch.
+    ``tol`` bounds the accepted |F - 2| and must lie in [1e-14, 1e-6].  The
+    solve bisects [0, top], top the least power of two at or above x_r,
+    calls F, through the kernel ``quadrature._shape``, only at trial points
+    strictly inside the window (x_l, x_r), skips the passes before the
+    first of them, and takes the swing and the period from the accepted
+    evaluation (see the module docstring).  :class:`ConvergenceError` is
+    raised when x_r exceeds 2**1023 (from mu of about 6.34e307), when the
+    relative interval width falls below 1e-14 before the residual meets
+    ``tol``, or when the period is not finite (from mu of about 4.95e307).
+    Its ``iterations`` counts the F calls made; ``window`` holds (x_l,
+    x_r), and ``decided`` and ``evaluated`` split the midpoints tried by
+    whether the window or an F call took their branch.  A collapse comes
+    only at an evaluated midpoint, whose residual the error reports: then
+    2 step < _WIDTH_STOP mid, so mid is within 5e-15 of the root, which [lo,
+    lo + 2 step] holds, and each window end more than 0.99e-14 from it,
+    relative: log(1 + (tol + E) / 2) or more (see ``_first_undecided``).
     """
     if not 1e-14 <= tol <= 1e-6:
         raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
@@ -416,19 +419,19 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     if not x_r <= _X_TOP:
         raise _failure(
             f"bracket for the orbit mean overflowed past 2**1023 for mu={mu!r}",
-            mu, gamma, _X_TOP, (x_l, x_r), (_X_TOP, _X_TOP), 0, 0,
+            mu, gamma, _X_TOP, (x_l, x_r), (_X_TOP, _X_TOP), 0,
         )
     # Bisect [0, top], top the least power of two at or above x_r.
     mantissa, exponent = math.frexp(x_r)
     top = math.ldexp(0.5 if mantissa == 0.5 else 1.0, exponent)
     # Skip the decided passes before the first trial point in the window.
     lo, step = _first_undecided(x_l, x_r, top)
-    evals = 0
+    evaluated = 0
     while True:
         step *= 0.5
         mid = lo + step
         if x_l < mid < x_r:
-            evals += 1
+            evaluated += 1
             f, plus, minus, i_half = _shape(gamma, mid)
             f_mid = f - 2.0
             if abs(f_mid) <= tol:
@@ -436,14 +439,10 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
         else:
             f_mid = math.inf if mid <= x_l else -math.inf
         if 2.0 * step < _WIDTH_STOP * mid:
-            reported = math.isinf(f_mid)
-            if reported:
-                # Report the residual F gives at a decided midpoint.
-                f_mid = _shape(gamma, mid)[0] - 2.0
             raise _failure(
                 f"bisection interval collapsed before reaching tol={tol:g} "
                 f"(mu={mu!r}, residual={f_mid!r})",
-                mu, gamma, mid, (x_l, x_r), (top, step), evals, evals + reported,
+                mu, gamma, mid, (x_l, x_r), (top, step), evaluated,
             )
         if f_mid > 0.0:
             lo = mid
@@ -456,7 +455,7 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     if not math.isfinite(eta):
         raise _failure(
             f"period of the orbit overflowed for mu={mu!r} (orbit mean {qbar1!r})",
-            mu, gamma, qbar1, (x_l, x_r), (top, step), evals, evals,
+            mu, gamma, qbar1, (x_l, x_r), (top, step), evaluated,
         )
     return OrbitSolution(
         mu=mu,

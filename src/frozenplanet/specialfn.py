@@ -36,15 +36,21 @@ def beta_fn(a: float, b: float) -> float:
     """Beta function B(a, b) = Gamma(a) Gamma(b) / Gamma(a + b) for finite a, b > 0.
 
     The larger of Gamma(a) and Gamma(b) is divided by Gamma(a + b) before
-    the product is formed, so a finite B does not overflow on the way:
-    beta_fn(1e-300, 171.0) is about 1e300.  Raises :class:`DomainError`
-    wherever one of the three Gamma values overflows, as for a + b above
-    about 171.62, and where B itself overflows.
+    the product is formed, as beta_fn(1e-300, 171.0), about 1e300, needs;
+    where that quotient overflows, which takes Gamma(a + b) < 1, the
+    smaller is divided instead, as beta_fn(6e-309, 1.5), about 1.67e308,
+    needs.  Every Gamma value is at least 0.885, so the smaller quotient
+    overflows only where B does, and a finite B does not overflow on the
+    way.  Raises :class:`DomainError` wherever one of the three Gamma
+    values overflows, as for a + b above about 171.62, and where B itself
+    overflows.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise DomainError(f"beta_fn requires finite a, b > 0, got a={a!r}, b={b!r}")
     small, large = sorted((gamma_fn(a), gamma_fn(b)))
-    result = large / gamma_fn(a + b) * small
+    whole = gamma_fn(a + b)
+    ratio = large / whole
+    result = ratio * small if ratio < math.inf else small / whole * large
     if math.isinf(result):
         raise DomainError(f"beta_fn({a!r}, {b!r}) overflows a double")
     return result

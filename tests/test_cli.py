@@ -1,5 +1,6 @@
 """Tests for the command-line interface (in-process via ``main``)."""
 
+import dataclasses
 import importlib.metadata
 import json
 import os
@@ -272,6 +273,48 @@ def test_verify_fast(capsys):
     assert "[PASS]" in out
     assert "[FAIL]" not in out
     assert re.search(r"passed (\d+)/\1 \(fast suite\)", out)
+
+
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    # A failed certificate prints its [FAIL] line and the count of those
+    # passed, and exits 1, the code kept for a failed verification.
+    run_suite = cli.run_suite
+
+    def first_fails(level):
+        results = run_suite(level)
+        results[0] = dataclasses.replace(results[0], passed=False)
+        return results
+
+    monkeypatch.setattr(cli, "run_suite", first_fails)
+    code, out, err = _run(capsys, ["verify", "fast"])
+    lines = out.splitlines()
+    n = len(lines) - 1
+    assert (code, err) == (1, "")
+    assert lines[0].startswith("[FAIL] ")
+    assert all(line.startswith("[PASS] ") for line in lines[1:-1])
+    assert lines[-1] == f"passed {n - 1}/{n} (fast suite)"
+
+
+def test_closed_stdout_exit_code():
+    # A reader that closes the pipe early, as `| head -c 50` does, leaves
+    # an unwritable standard output: exit 2 with one error line, and no
+    # traceback from the interpreter's last flush either.  The JSON payload
+    # of 65,536 samples, about 2.6 MB, outgrows the pipe's buffer, so the
+    # solve is still writing when the pipe closes.
+    launcher = "from frozenplanet.cli import entry; entry()"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", launcher, "solve", "--mu", "2", "--samples", "65536"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert head.startswith(b"{")
+    assert err.startswith("error: cannot write to standard output: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path, monkeypatch):

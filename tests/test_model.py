@@ -125,6 +125,16 @@ def test_kappa_of_rejects_nonfinite():
             kappa_of(gamma, qbar1)
 
 
+def test_kappa_of_infinite_where_its_denominator_vanishes():
+    # gamma**2 * qbar1 underflows to 0 at gamma = 1e-200, and at qbar1 =
+    # 1e-320 it is so small that 2 over it overflows: kappa is inf at both,
+    # as qbar2_of and mu_of_gamma give inf where their values overflow.
+    for gamma, qbar1 in ((1e-200, 1.0), (-1e-200, 1.0), (5e-324, 5e-324), (1.0, 1e-320)):
+        assert kappa_of(gamma, qbar1) == math.inf, (gamma, qbar1)
+    assert qbar2_of(1e308, 10.0) == math.inf
+    assert mu_of_gamma(5e-324) == math.inf
+
+
 def test_sigma_pair_product_identity():
     # sigma_plus * sigma_minus = -4 (gamma + 1)^2 exactly, by construction.
     rng = np.random.default_rng(101)
@@ -145,6 +155,26 @@ def test_sigma_pair_at_anchor():
     plus, minus = sigma_pair(-1.0, 0.0)
     assert plus == pytest.approx(4.0, abs=1e-15)
     assert minus == pytest.approx(0.0, abs=1e-15)
+
+
+def test_sigma_pair_signs_at_every_magnitude():
+    # quadrature._shape divides sigma_minus by sigma_plus with no clamp of
+    # the quotient to a <= 0: sigma_pair gives sigma_minus <= 0 <=
+    # sigma_plus by sign rules alone, at every finite (gamma, x).  Random
+    # magnitudes from the subnormals to 1e308 with random signs, and every
+    # pair of edge values.  Where gamma**2 x or (gamma + 1)**2 overflows, a
+    # value can be NaN, which has no sign and which _shape rejects.
+    rng = np.random.default_rng(29)
+    size = 100_000
+    values = 10.0 ** rng.uniform(-323.5, 308.2, size=(2, size))
+    values *= rng.choice([-1.0, 1.0], size=(2, size))
+    cases = list(zip(values[0].tolist(), values[1].tolist()))
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300]
+    edges += [1.0, -1.0, 2.0, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+    cases += [(gamma, x) for gamma in edges for x in edges]
+    for gamma, x in cases:
+        plus, minus = sigma_pair(gamma, x)
+        assert not (minus > 0.0 or plus < 0.0), (gamma, x, plus, minus)
 
 
 def test_q1_extrema_factorization():

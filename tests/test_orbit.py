@@ -324,12 +324,13 @@ def test_settle_bound_decides_from_hermite_seed(monkeypatch):
 
 
 def test_reconstruct_monotonicity_failure_reports_context(monkeypatch, sol_mu2):
-    # Swapped target fractions make q1 rise at sample 11; the error names
-    # the sample and the sample count, and carries the orbit.
+    # Swapped target fractions, the times 10/n and 11/n, make q1 rise at
+    # sample 11; the error names the sample and the sample count, and
+    # carries the orbit.
     layout = orbit._layout(64)
-    frac = layout.frac.copy()
-    frac[[9, 10]] = frac[[10, 9]]
-    monkeypatch.setattr(orbit, "_layout", lambda n: layout._replace(frac=frac))
+    t = layout.t.copy()
+    t[[10, 11]] = t[[11, 10]]
+    monkeypatch.setattr(orbit, "_layout", lambda n: layout._replace(t=t))
     with pytest.raises(
         ConvergenceError, match=r"q1 does not fall at sample 11 .*n_samples=64\)"
     ) as info:
@@ -342,7 +343,13 @@ def test_reconstruct_monotonicity_failure_reports_context(monkeypatch, sol_mu2):
 
 def test_reconstruct_layout_cache(sol_mu2):
     # Rebuilds with the arrays that depend on n alone taken from the cache
-    # equal rebuilds that build them afresh, whatever n came before.
+    # equal rebuilds that build them afresh, whatever n came before.  A
+    # layout holds 32 bytes per sample, and the times also give the
+    # targets' fractions k / n.
+    n = orbit._CACHED_SAMPLES
+    layout = orbit._layout(n)
+    assert sum(arr.nbytes for arr in layout) <= 32 * n + 64
+    assert np.array_equal(layout.t[1 : n // 2], np.arange(1, n // 2) / n)
     for n in (16, 512, 4096, 16):
         traj = reconstruct(sol_mu2, n)
         for arr in orbit._layout(n):

@@ -183,12 +183,13 @@ def test_solve_orbit_failures_carry_context(monkeypatch):
 
     # Above mu* the window is the constant bounds' one, and the bisection
     # evaluates the midpoints inside it until the interval collapses; at
-    # mu = 2 the series bounds narrow it to 3e-13 relative, so every
-    # midpoint before the collapse is decided and F is called once, to
-    # report the residual at the last.  The collapse at 1e-3 relative width
-    # leaves the last estimate within 1e-3 of the root, relative.
+    # mu = 2 the series bounds narrow it to 3e-13 relative, and the solve
+    # jumps past 43 decided midpoints to the first one inside it, whose
+    # evaluation is the last.  The collapse at 1e-3 relative width leaves
+    # the last estimate within 1e-3 of the root, relative.  A collapse comes
+    # at an evaluated midpoint, and the error reports F's residual there.
     monkeypatch.setattr(solver, "_WIDTH_STOP", 1e-3)
-    for mu, qbar1, counts in ((20.0, 22.096, (2, 10, 10)), (2.0, QBAR1_MU2, (12, 0, 1))):
+    for mu, qbar1, counts in ((20.0, 22.096, (2, 10, 10)), (2.0, QBAR1_MU2, (43, 1, 1))):
         with pytest.raises(ConvergenceError, match="bisection interval collapsed") as info:
             solve_orbit(mu, tol=1e-14)
         exc = info.value
@@ -196,22 +197,9 @@ def test_solve_orbit_failures_carry_context(monkeypatch):
         assert abs(exc.last - qbar1) <= 1e-3 * qbar1
         assert (exc.decided, exc.evaluated, exc.iterations) == counts
         assert exc.window == solver._decided_window(gamma_of_mu(mu), 1e-14)
+        assert exc.window[0] < exc.last < exc.window[1]
+        assert f"residual={big_f(gamma_of_mu(mu), exc.last) - 2.0!r})" in str(exc)
         assert exc.a < 0.0
-
-    # The interval collapses at x = 1.75 >= x_r, a midpoint the window
-    # decided: the error still reports the residual F makes there, and
-    # counts that call.
-    monkeypatch.setattr(solver, "_WIDTH_STOP", 0.3)
-    gamma = gamma_of_mu(2.0)
-    assert 1.75 >= solver._decided_window(gamma, 1e-10)[1]
-    with pytest.raises(ConvergenceError, match="bisection interval collapsed") as info:
-        solve_orbit(2.0)
-    exc = info.value
-    assert (exc.last, exc.iterations) == (1.75, 1)
-    # Midpoints 1, 1.5 and 1.75 were decided; the report call at 1.75
-    # counts in iterations only.
-    assert (exc.decided, exc.evaluated) == (3, 0)
-    assert f"residual={big_f(gamma, 1.75) - 2.0!r})" in str(exc)
     monkeypatch.undo()
 
     # Raise sites that know none of the numbers leave them unset.
@@ -542,33 +530,74 @@ def _walk_to_window(x_l, x_r, top):
 
 def test_first_undecided_matches_the_walk():
     # The solve skips the passes before its first trial point inside the
-    # window, and starts from the state that walking them leaves; where the
-    # interval could collapse at a skipped pass it walks them instead.
-    # Windows of random width and place, with ends on trial points, at top
-    # and around top / 2, an empty one, and the windows of the sweep's
-    # charges, where every jump is taken.
+    # window, and starts from the state that walking them leaves.  Every
+    # window is at least 2e-14 wide, relative (test_decided_window_is_wide),
+    # so the walk always reaches such a point before the interval could
+    # collapse.  Windows of random width from 2e-14 relative up and of
+    # random place, with ends on trial points, at top and around top / 2,
+    # and the windows of the sweep's charges.
     rng = np.random.default_rng(1)
     cases = []
     for exponent in (-3, 0, 1, 40, 1000):
         top = 2.0**exponent
         for _ in range(300):
             x_r = top * rng.uniform(0.5, 1.0)
-            cases.append((x_r * (1.0 - 10.0 ** rng.uniform(-15.5, -0.5)), x_r, top))
+            width = 10.0 ** rng.uniform(math.log10(2e-14), -0.5)
+            cases.append((x_r * (1.0 - width), x_r, top))
         point = top * 0.6875
         cases += [(point, top, top), (0.25 * top, 0.5 * top, top), (0.4 * top, 0.6 * top, top)]
-        cases += [(point, math.nextafter(point, math.inf), top), (0.9 * top, 0.8 * top, top)]
-        cases += [(math.nextafter(point, 0.0), math.nextafter(point, math.inf), top)]
-    for x_l, x_r, top in cases:
-        walked = _walk_to_window(x_l, x_r, top)
-        jumped = solver._first_undecided(x_l, x_r, top)
-        assert jumped in (walked, (0.0, top)), (x_l, x_r, top)
     for tol in _SWEEP_TOLS:
         for mu in _sweep_charges()[::10]:
             x_l, x_r = solver._decided_window(gamma_of_mu(mu), tol)
             if x_r <= 2.0**1023:
                 mantissa, exponent = math.frexp(x_r)
-                top = math.ldexp(0.5 if mantissa == 0.5 else 1.0, exponent)
-                assert solver._first_undecided(x_l, x_r, top) == _walk_to_window(x_l, x_r, top)
+                cases.append((x_l, x_r, math.ldexp(0.5 if mantissa == 0.5 else 1.0, exponent)))
+    for x_l, x_r, top in cases:
+        walked = _walk_to_window(x_l, x_r, top)
+        assert walked is not None, (x_l, x_r, top)
+        assert solver._first_undecided(x_l, x_r, top) == walked, (x_l, x_r, top)
+
+
+_WINDOW_TOLS = (1e-14, 1e-12, 1e-10, 1e-8, 1e-6)
+
+
+def test_decided_window_is_wide():
+    # The premise of the solve's jump to its first undecided point and of
+    # its collapses coming at evaluated points: F - 2 lies beyond +-(tol +
+    # E) at the window's ends, and |d log F / d log x| <= 1 between them,
+    # so log(x_r / x_l) >= tol + E (see solver._first_undecided).  Over the
+    # sweep's charges the least ratio of the two is about 1.34 at tol =
+    # 1e-14 and 1 + 1.4e-8 at 1e-6, where the series ends lie closest.
+    for tol in _WINDOW_TOLS:
+        ratios = []
+        for mu in _sweep_charges():
+            x_l, x_r = solver._decided_window(gamma_of_mu(mu), tol)
+            ratios.append(math.log1p((x_r - x_l) / x_l) / (tol + solver._F_ROUNDING))
+        assert min(ratios) >= 1.0, (tol, min(ratios))
+
+
+def _constant_window_left(gamma, tol):
+    """x_l of the constant bounds, where sigma_plus = 3 (1 + tol), as the solver forms it."""
+    sigma = 3.0 * (1.0 + tol)
+    return (2.0 - (sigma * sigma - 4.0 * (gamma + 1.0) ** 2) / (2.0 * sigma)) / (gamma * gamma)
+
+
+def test_series_lower_end_right_of_constant_end():
+    # Where the window's lower end comes from the series bound T_{N+1}, it
+    # replaces the constant bounds' x_l without a comparison: T_{N+1} >=
+    # T_1 >= 0.729 for t <= 2/3 puts sigma_plus there below 2.75, against
+    # 3 (1 + tol) at the constant end, so the series end lies right of it.
+    used = 0
+    for tol in _WINDOW_TOLS:
+        for mu in _sweep_charges():
+            gamma = gamma_of_mu(mu)
+            x_l = solver._decided_window(gamma, tol)[0]
+            constant = _constant_window_left(gamma, tol)
+            if x_l != constant:
+                used += 1
+                assert x_l > constant, (mu, tol)
+                assert sigma_pair(gamma, x_l)[0] < 2.75, (mu, tol)
+    assert used > 10000
 
 
 def test_qbar1_non_decreasing_in_mu():
@@ -616,11 +645,16 @@ def test_decided_window_premise(u, log_tol):
     # mu - 1 and tol log-uniform.  Left of x_l every F - 2 exceeds tol and
     # right of x_r every one falls below -tol, so a point there takes the
     # branch its evaluation would give; the root lies strictly between.
+    # The ends lie beyond +-(tol + E), E = solver._F_ROUNDING, in exact F,
+    # which test_decided_window_is_wide builds on; computed F is checked
+    # beyond +-(tol + E / 2), and over 3,000 random charges and tols it lay
+    # at least tol + 1.16 E out.
     mu, tol = 1.0 + 10.0**u, 10.0**log_tol
     gamma = gamma_of_mu(mu)
     x_l, x_r = solver._decided_window(gamma, tol)
-    assert big_f(gamma, x_l) - 2.0 > tol
-    assert big_f(gamma, x_r) - 2.0 < -tol
+    reach = tol + 0.5 * solver._F_ROUNDING
+    assert big_f(gamma, x_l) - 2.0 > reach
+    assert big_f(gamma, x_r) - 2.0 < -reach
     assert x_l < solve_orbit(mu, tol).qbar1 < x_r
 
 

@@ -121,11 +121,14 @@ def test_beta_rejects_nonfinite_and_overflow():
 
 def test_beta_finite_where_gamma_product_overflows():
     # Gamma(1e-300) * Gamma(171) is about 7e606, but B(1e-300, 171) is
-    # about 1e300: dividing before the product keeps it finite.
-    with mpmath.workdps(30):
-        expected = float(mpmath.beta(mpmath.mpf(1e-300), 171))
-    for a, b in ((1e-300, 171.0), (171.0, 1e-300)):
-        assert_allclose(beta_fn(a, b), expected, rtol=1e-14)
+    # about 1e300: dividing before the product keeps it finite.  Gamma(6e-309)
+    # / Gamma(1.5) overflows, but B(6e-309, 1.5) is about 1.67e308: there the
+    # smaller Gamma value is divided instead.
+    for pair in ((1e-300, 171.0), (6e-309, 1.5)):
+        with mpmath.workdps(30):
+            expected = float(mpmath.beta(mpmath.mpf(pair[0]), mpmath.mpf(pair[1])))
+        for a, b in (pair, pair[::-1]):
+            assert_allclose(beta_fn(a, b), expected, rtol=1e-14)
 
 
 def _assert_carlson_matches_scipy(x, y, z):
