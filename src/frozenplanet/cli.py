@@ -32,7 +32,10 @@ _CONFIG_ENV = "FROZEN_PLANET_CONFIG"
 # Each config key with its type and built-in default.
 _CONFIG_KEYS = {"tol": (float, 1e-10), "samples": (int, 512)}
 
-_SCAN_HEADER = "mu,gamma,qbar1,qbar2,kappa,q1max,q1antimax,eta,class"
+# The orbit's fields, in the order of the scan's columns and of the solve's
+# JSON solution; the scan adds the class, the solution the residuals.
+_ORBIT_FIELDS = ("mu", "gamma", "qbar1", "qbar2", "kappa", "q1max", "q1antimax", "eta")
+_SCAN_HEADER = ",".join(_ORBIT_FIELDS) + ",class"
 # Largest scan --steps accepted.  A scan holds its CSV rows until the last
 # solve, so that a failed solve writes nothing; that peaks at about 230
 # bytes per row (tracemalloc, 8,000 rows), about 120 MB at 2**19 rows, as
@@ -184,14 +187,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         payload = {
             "manifest": manifest,
             "solution": {
-                "mu": sol.mu,
-                "gamma": sol.gamma,
-                "qbar1": sol.qbar1,
-                "qbar2": sol.qbar2,
-                "kappa": sol.kappa,
-                "q1max": sol.q1max,
-                "q1antimax": sol.q1antimax,
-                "eta": sol.eta,
+                **{field: getattr(sol, field) for field in _ORBIT_FIELDS},
                 "residuals": {
                     "fixpoint": sol.fixpoint_residual,
                     "mean": residual_mean,
@@ -222,12 +218,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     lines = [_SCAN_HEADER + "\n"]
     for mu in np.linspace(args.mu_min, args.mu_max, args.steps):
         sol = solve_orbit(float(mu), tol=args.tol)
-        verdict = classify_kappa(sol.kappa)
-        lines.append(
-            f"{sol.mu!r},{sol.gamma!r},{sol.qbar1!r},{sol.qbar2!r},"
-            f"{sol.kappa!r},{sol.q1max!r},{sol.q1antimax!r},{sol.eta!r},"
-            f"{verdict.value}\n"
-        )
+        values = [repr(getattr(sol, field)) for field in _ORBIT_FIELDS]
+        lines.append(",".join(values) + f",{classify_kappa(sol.kappa).value}\n")
     manifest = _manifest(
         "scan",
         {

@@ -71,6 +71,7 @@ def classify(mu: float) -> IntersectionClass:
     integrals or the solver) raises :class:`ConvergenceError`.
     """
     sol = solve_orbit(mu)
+    mu = sol.mu  # the charge as a float, compared in double precision
     verdict = classify_kappa(sol.kappa)
 
     mu_star = critical_mu()

@@ -15,10 +15,12 @@ from .errors import DomainError
 
 
 def _to_float(value: float, name: str) -> float:
-    """``value + 0.0``: a NumPy scalar keeps its type and a string raises
-    TypeError, but an int beyond the double range raises DomainError."""
+    """``value`` as a Python float, so that what follows computes in double
+    precision whatever the input's float type.  ``value + 0.0`` comes first:
+    a string raises TypeError there, and an int beyond the double range
+    raises DomainError."""
     try:
-        return value + 0.0
+        return float(value + 0.0)
     except OverflowError:
         raise DomainError(f"{name} lies beyond the double range; it must be finite") from None
 
@@ -89,7 +91,10 @@ def sigma_pair(gamma: float, x: float) -> tuple[float, float]:
     s = 2 - gamma**2 * x is taken from the quadratic formula directly; the
     other comes from the product identity plus * minus = -4 * (gamma + 1)**2,
     so neither suffers subtractive cancellation.  Defined for all real
-    gamma, x (``plus`` only degenerates to 0 at gamma = -1, x >= 2).
+    gamma, x (``plus`` only degenerates to 0 at gamma = -1, x >= 2).  Where
+    this direct form overflows, as gamma**2 * x or (gamma + 1)**2 does
+    from |gamma| of about 1.34e154, the pair comes from ``_scaled_pair``;
+    a root beyond the double range is then inf, and one below it 0.
     """
     s = 2.0 - gamma * gamma * x
     gp1 = gamma + 1.0
@@ -100,7 +105,42 @@ def sigma_pair(gamma: float, x: float) -> tuple[float, float]:
     else:
         minus = s - w
         plus = -4.0 * gp1 * gp1 / minus
-    return plus, minus
+    if plus < math.inf and minus > -math.inf:
+        return plus, minus
+    return _scaled_pair(gamma, x)
+
+
+def _ldexp(mantissa: float, exponent: int) -> float:
+    """mantissa * 2**exponent, inf of the mantissa's sign where that overflows."""
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, mantissa)
+
+
+def _scaled_pair(gamma: float, x: float) -> tuple[float, float]:
+    """``sigma_pair``'s roots from its quadratic scaled by 2**-k.
+
+    With s = 2 - gamma**2 x and u = 2 (gamma + 1), the roots are s +- w, w =
+    hypot(s, u), and plus * minus = -u**2.  Here s and u enter as s / 2**k
+    and u / 2**k, k the larger of their binary exponents, formed from the
+    mantissas and exponents of gamma, x and gamma + 1, so neither
+    overflows.  The root whose sign matches s is 2**k times the scaled
+    one; the other is -u**2 over it, taken with the mantissa of gamma + 1
+    and its exponent apart, so that it neither overflows nor underflows
+    before its last scaling.  Non-finite arguments give a NaN, inf or 0
+    that ``quadrature._shape`` rejects, as the direct form does.
+    """
+    m_gamma, e_gamma = math.frexp(gamma)
+    m_x, e_x = math.frexp(x)
+    m_gp1, e_gp1 = math.frexp(gamma + 1.0)
+    k = max(2 * e_gamma + e_x, e_gp1 + 1)
+    s = math.ldexp(2.0, -k) - math.ldexp(m_gamma * m_gamma * m_x, 2 * e_gamma + e_x - k)
+    w = math.hypot(s, math.ldexp(m_gp1, e_gp1 + 1 - k))
+    root = s + w if s >= 0.0 else s - w
+    other = _ldexp(-4.0 * m_gp1 * m_gp1 / root, 2 * e_gp1 - k)
+    root = _ldexp(root, k)
+    return (root, other) if s >= 0.0 else (other, root)
 
 
 def q1_extrema(gamma: float, qbar1: float) -> tuple[float, float]:

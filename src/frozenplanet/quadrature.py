@@ -189,7 +189,8 @@ def _shape(gamma: float, x: float) -> tuple[float, float, float, float]:
     :func:`ratio_integrals`.  Where a overflows to -inf, b = -a exceeds
     every double and the series gives I_{3/2} / I_{1/2} = 3/4 and I_{1/2}
     = (pi / 2) / sqrt(b) to far below rounding; plus * minus = -4 (gamma +
-    1)**2 gives sqrt(b) = |minus| / (2 |gamma + 1|) without the overflow.
+    1)**2 gives sqrt(b) = 2 |gamma + 1| / plus without the overflow, and
+    without minus, which may itself be -inf.
     Raises :class:`DomainError` unless x >= 0 and sigma_plus > 0, naming a
     non-finite argument first.
     """
@@ -206,7 +207,7 @@ def _shape(gamma: float, x: float) -> tuple[float, float, float, float]:
         )
     a = minus / plus
     if a == -math.inf:
-        return 0.75 * plus, plus, minus, math.pi * abs(gamma + 1.0) / abs(minus)
+        return 0.75 * plus, plus, minus, math.pi * plus / (4.0 * abs(gamma + 1.0))
     i_half, i_three_half = ratio_integrals(a)
     return plus * i_three_half / i_half, plus, minus, i_half
 

@@ -410,9 +410,10 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
     if not 1e-14 <= tol <= 1e-6:
         raise DomainError(f"tol must lie in [1e-14, 1e-6], got {tol!r}")
     gamma = gamma_of_mu(mu)
-    # Once accepted, a NumPy scalar charge becomes a plain float, and so
-    # does every field and message that carries it.
-    mu, gamma = float(mu), float(gamma)
+    # Once accepted, a NumPy scalar charge or tol becomes a plain float, so
+    # the solve computes in double precision, and every field and message
+    # that carries them holds the float.
+    mu, tol = float(mu), float(tol)
     # F - 2 > 0 at every x <= x_l and < 0 at every x >= x_r; only points
     # strictly between are evaluated.
     x_l, x_r = _decided_window(gamma, tol)

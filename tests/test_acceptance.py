@@ -2,6 +2,8 @@
 
 Run with ``pytest -v`` (the suite prints a ``[ACCEPTANCE n]`` line per
 criterion); every criterion also asserts, so a regression fails the suite.
+Criteria 1-8 run the certificates of :mod:`frozenplanet.certify` that
+state them, here only under their time bounds; criterion 9 is the CLI.
 """
 
 import json
@@ -11,26 +13,8 @@ import time
 
 import pytest
 
-from frozenplanet import (
-    beta_fn,
-    big_f,
-    classify,
-    critical_gamma,
-    critical_mu,
-    gamma_fn,
-    lemniscate_constant,
-    mu_of_gamma,
-    ratio_integrals,
-    solve_orbit,
-    IntersectionClass,
-)
-from frozenplanet.certify import (
-    check_classification_grid,
-    check_monotone_unique_grid,
-    check_trajectory_residuals,
-)
+from frozenplanet import certify
 from frozenplanet.cli import main
-from frozenplanet.specialfn import _varpi_gamma, _varpi_integral
 
 
 @pytest.fixture
@@ -45,99 +29,62 @@ def verdict(capsys):
     return _verdict
 
 
-def test_acceptance_1_closed_form_anchor(verdict):
-    start = time.perf_counter()
-    value = big_f(-1.0, 0.0)
-    elapsed = time.perf_counter() - start
-    defect = abs(value - 8.0 / 3.0)
-    ok = defect <= 1e-10 and elapsed < 0.1
-    verdict(1, "closed-form anchor F(-1,0)=8/3", ok, f"|defect|={defect:.2e}, {elapsed:.3f}s")
+@pytest.fixture
+def certified(verdict):
+    """A criterion met when its certificates all pass within ``seconds``."""
+
+    def _certified(number, name, *checks, seconds=math.inf):
+        start = time.perf_counter()
+        results = [check() for check in checks]
+        elapsed = time.perf_counter() - start
+        ok = all(r.passed for r in results) and elapsed < seconds
+        details = "; ".join(f"{r.name}: {r.detail}" for r in results)
+        verdict(number, name, ok, f"{details}, {elapsed:.3f}s")
+
+    return _certified
 
 
-def test_acceptance_2_lemniscate_two_routes(verdict):
-    start = time.perf_counter()
-    v_int = _varpi_integral()
-    v_gam = _varpi_gamma()
-    elapsed = time.perf_counter() - start
-    rel = abs(v_int - v_gam) / abs(v_gam)
-    near_printed = abs(lemniscate_constant() - 2.62) <= 0.01
-    ok = rel <= 1e-10 and near_printed and elapsed < 0.1
-    verdict(
-        2,
-        "lemniscate constant, two routes",
-        ok,
-        f"routes rel diff={rel:.2e}, value={lemniscate_constant():.6f}, {elapsed:.3f}s",
+def test_acceptance_1_closed_form_anchor(certified):
+    certified(1, "closed-form anchor F(-1,0)=8/3", certify.check_anchor_f_value, seconds=0.1)
+
+
+def test_acceptance_2_lemniscate_two_routes(certified):
+    certified(2, "lemniscate constant, two routes", certify.check_lemniscate_routes, seconds=0.1)
+
+
+def test_acceptance_3_threshold_formula(certified):
+    certified(3, "critical charge formula", certify.check_threshold_value)
+
+
+def test_acceptance_4_touch_point(certified):
+    certified(4, "touch-point consistency", certify.check_touch_point, seconds=1.0)
+
+
+def test_acceptance_5_existence_uniqueness_grid(certified):
+    certified(
+        5, "25-charge existence/uniqueness grid", certify.check_monotone_unique_grid, seconds=10.0
     )
 
 
-def test_acceptance_3_threshold_formula(verdict):
-    v = lemniscate_constant()
-    direct = (3.0 * math.pi / (3.0 * math.pi - v * v)) ** 2
-    via_gamma = mu_of_gamma(critical_gamma())
-    rel_direct = abs(critical_mu() - direct) / direct
-    rel_route = abs(critical_mu() - via_gamma) / via_gamma
-    band = abs(critical_mu() - 13.69) / 13.69
-    ok = rel_direct <= 1e-12 and rel_route <= 1e-12 and band <= 5e-3
-    verdict(
-        3,
-        "critical charge formula",
-        ok,
-        f"mu*={critical_mu():.12f}, formula rel={rel_direct:.2e}, "
-        f"route rel={rel_route:.2e}, offset from 13.69={band:.2%}",
-    )
-
-
-def test_acceptance_4_touch_point(verdict):
-    start = time.perf_counter()
-    sol = solve_orbit(critical_mu())
-    elapsed = time.perf_counter() - start
-    target = 2.0 / critical_gamma() ** 2
-    rel_qbar1 = abs(sol.qbar1 - target) / target
-    ok = rel_qbar1 <= 1e-8 and abs(sol.kappa) <= 1e-8 and elapsed < 1.0
-    verdict(
-        4,
-        "touch-point consistency",
-        ok,
-        f"qbar1 rel={rel_qbar1:.2e}, |kappa|={abs(sol.kappa):.2e}, {elapsed:.3f}s",
-    )
-
-
-def test_acceptance_5_existence_uniqueness_grid(verdict):
-    start = time.perf_counter()
-    result = check_monotone_unique_grid()
-    elapsed = time.perf_counter() - start
-    ok = result.passed and elapsed < 10.0
-    verdict(5, "25-charge existence/uniqueness grid", ok, f"{result.detail}, {elapsed:.2f}s")
-
-
-def test_acceptance_6_classification(verdict):
-    helium_disjoint = classify(2.0) is IntersectionClass.DISJOINT
-    result = check_classification_grid()
-    ok = helium_disjoint and result.passed
-    verdict(
+def test_acceptance_6_classification(certified):
+    certified(
         6,
         "classification and threshold flip",
-        ok,
-        f"classify(2)={classify(2.0).value}, {result.detail}",
+        certify.check_classification_grid,
+        certify.check_reference_orbit,
     )
 
 
-def test_acceptance_7_trajectory_self_consistency(verdict):
-    result = check_trajectory_residuals()
-    verdict(7, "trajectory self-consistency", result.passed, result.detail)
+def test_acceptance_7_trajectory_self_consistency(certified):
+    certified(7, "trajectory self-consistency", certify.check_trajectory_residuals)
 
 
-def test_acceptance_8_special_function_identities(verdict):
-    dup = abs(gamma_fn(0.75) * gamma_fn(1.25) - math.pi / (2.0 * math.sqrt(2.0)))
-    i_half, i_three_half = ratio_integrals(-1.0)
-    d_half = abs(i_half - 0.5 * beta_fn(0.75, 0.5))
-    d_three = abs(i_three_half - 0.5 * beta_fn(1.25, 0.5))
-    ok = dup <= 1e-12 and d_half <= 1e-10 and d_three <= 1e-10
-    verdict(
+def test_acceptance_8_special_function_identities(certified):
+    certified(
         8,
         "gamma/beta identities",
-        ok,
-        f"duplication={dup:.2e}, I_half defect={d_half:.2e}, I_3half defect={d_three:.2e}",
+        certify.check_gamma_beta_identities,
+        certify.check_quadrature_anchors,
     )
 
 

@@ -295,6 +295,21 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert lines[-1] == f"passed {n - 1}/{n} (fast suite)"
 
 
+def test_verify_reports_every_check_when_a_route_breaks(capsys, broken_varpi):
+    # With the lemniscate's arc-length route broken, every check that needs
+    # the constant raises ConvergenceError; each is reported as a FAIL line
+    # naming the error, the one check without it still passes, and verify
+    # exits 1, the code of a failed verification, not 3.
+    code, out, err = _run(capsys, ["verify", "fast"])
+    lines = out.splitlines()
+    assert (code, err) == (1, "")
+    assert len(lines) == 8 and lines[-1] == "passed 1/7 (fast suite)"
+    assert lines[0].startswith("[PASS] anchor_f_value ")
+    for line in lines[1:-1]:
+        assert line.startswith("[FAIL] ") and "  ConvergenceError: " in line, line
+        assert "routes disagree" in line, line
+
+
 def test_closed_stdout_exit_code():
     # A reader that closes the pipe early, as `| head -c 50` does, leaves
     # an unwritable standard output: exit 2 with one error line, and no

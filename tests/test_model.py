@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from frozenplanet import model
 from frozenplanet import (
     DomainError,
     classify,
@@ -19,6 +21,8 @@ from frozenplanet import (
     sigma_pair,
     solve_orbit,
 )
+
+EPS = float(np.finfo(float).eps)
 
 
 def test_gamma_of_mu_at_four():
@@ -72,11 +76,14 @@ def test_values_beyond_double_range_raise_domain_error():
         for big in (10**400, -(10**400)):
             with pytest.raises(DomainError, match="beyond the double range"):
                 call(big)
-    # Ints in range, floats and NumPy scalars keep their values and types;
-    # strings are still refused with TypeError.
+    # Ints in range, floats and NumPy scalars keep their values and compute
+    # as Python floats, in double precision; strings are still refused with
+    # TypeError.
     assert gamma_of_mu(4) == gamma_of_mu(4.0) and mu_of_gamma(1) == 4.0
-    assert type(gamma_of_mu(np.float64(2.0))) is np.float64
-    assert gamma_of_mu(np.float64(2.0)) == gamma_of_mu(2.0)
+    for narrow in (np.float64(2.0), np.float32(1.7), np.float16(3.3)):
+        assert type(gamma_of_mu(narrow)) is float
+        assert gamma_of_mu(narrow) == gamma_of_mu(float(narrow))
+        assert mu_of_gamma(narrow) == mu_of_gamma(float(narrow))
     for call in (gamma_of_mu, mu_of_gamma):
         with pytest.raises(TypeError):
             call("2")
@@ -162,8 +169,8 @@ def test_sigma_pair_signs_at_every_magnitude():
     # the quotient to a <= 0: sigma_pair gives sigma_minus <= 0 <=
     # sigma_plus by sign rules alone, at every finite (gamma, x).  Random
     # magnitudes from the subnormals to 1e308 with random signs, and every
-    # pair of edge values.  Where gamma**2 x or (gamma + 1)**2 overflows, a
-    # value can be NaN, which has no sign and which _shape rejects.
+    # pair of edge values.  No value is NaN, which has no sign: where
+    # gamma**2 x or (gamma + 1)**2 overflows, the scaled form gives the pair.
     rng = np.random.default_rng(29)
     size = 100_000
     values = 10.0 ** rng.uniform(-323.5, 308.2, size=(2, size))
@@ -174,7 +181,31 @@ def test_sigma_pair_signs_at_every_magnitude():
     cases += [(gamma, x) for gamma in edges for x in edges]
     for gamma, x in cases:
         plus, minus = sigma_pair(gamma, x)
-        assert not (minus > 0.0 or plus < 0.0), (gamma, x, plus, minus)
+        assert plus >= 0.0 >= minus, (gamma, x, plus, minus)
+
+
+def test_scaled_sigma_pair_matches_40_digits_at_every_magnitude():
+    # The scaled form that sigma_pair takes where its direct form overflows
+    # gives both roots of the quadratic, rounded to doubles, within 8 units
+    # of rounding of a 40-digit evaluation wherever the root is a normal
+    # double, inf beyond the double range and 0 or a subnormal within two
+    # subnormal steps below it.
+    rng = np.random.default_rng(30)
+    size = 4000
+    values = 10.0 ** rng.uniform(-323.5, 308.2, size=(2, size))
+    values *= rng.choice([-1.0, 1.0], size=(2, size))
+    for gamma, x in zip(values[0].tolist(), values[1].tolist()):
+        with mpmath.workdps(40):
+            s = 2 - mpmath.mpf(gamma) ** 2 * x
+            u = 2 * (mpmath.mpf(gamma) + 1)
+            root = s + mpmath.sign(s) * mpmath.sqrt(s * s + u * u)
+            exact = (root, -u * u / root) if s >= 0 else (-u * u / root, root)
+        for value, reference in zip(model._scaled_pair(gamma, x), exact):
+            ref = float(reference)
+            if math.isinf(ref) or abs(ref) < 2.2250738585072014e-308:
+                assert abs(value - ref) <= 1e-323 or value == ref, (gamma, x, value, ref)
+            else:
+                assert abs(value - ref) <= 8 * EPS * abs(ref), (gamma, x, value, ref)
 
 
 def test_q1_extrema_factorization():

@@ -26,6 +26,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from frozenplanet import (
     DomainError,
     big_f,
+    fixpoint_residual,
     lemniscate_constant,
     period,
     ratio_integrals,
@@ -372,6 +373,23 @@ def test_big_f_and_period_where_the_moment_argument_overflows():
     assert big_f(1.0, 1e300) == 0.75 * sigma_pair(1.0, 1e300)[0]
 
 
+def test_big_f_and_period_where_the_sigma_pair_overflows():
+    # At gamma = 1e200, gamma**2 x and (gamma + 1)**2 overflow although the
+    # pair (2, -2e400) has a finite sigma_plus: F = 3/4 sigma_plus = 1.5 and
+    # the period pi / sqrt(2) meet their values at gamma = 1e150, where the
+    # direct form still holds.  At x = 1e308, gamma = 2, sigma_plus is about
+    # 4.5e-308, positive, so F is defined there, and so is the residual at
+    # mu = 2 (gamma = 1 + sqrt(2)), where F is about 3e-308.
+    assert big_f(1e150, 1.0) == 1.5
+    assert abs(big_f(1e200, 1.0) / big_f(1e150, 1.0) - 1.0) <= 2 * EPS
+    assert abs(period(1e150, 1.0) / (math.pi / math.sqrt(2.0)) - 1.0) <= 4 * EPS
+    assert abs(period(1e200, 1.0) / period(1e150, 1.0) - 1.0) <= 4 * EPS
+    plus = sigma_pair(2.0, 1e308)[0]
+    assert abs(plus / 4.5e-308 - 1.0) <= 4 * EPS
+    assert big_f(2.0, 1e308) == 0.75 * plus
+    assert fixpoint_residual(2.0, 1e308) == -2.0
+
+
 def test_big_f_decreasing_in_x():
     xs = np.linspace(0.1, 20.0, 20)
     vals = [big_f(1.0, float(x)) for x in xs]
@@ -400,10 +418,11 @@ def test_period_rejects_nonfinite_gamma():
 
 
 def test_period_rejects_nonpositive_sigma_plus():
-    # sigma_plus vanishes at gamma = -1, x >= 2, and is NaN where
-    # gamma**2 * qbar1 overflows; the error names sigma_plus, not the
-    # moment argument a that such a point would reach.
-    for gamma, qbar1 in ((-1.0, 2.0), (-1.0, 3.0), (1e200, 1.0)):
+    # sigma_plus vanishes at gamma = -1, x >= 2, and underflows to 0 where
+    # (gamma + 1)**2 / (gamma**2 qbar1) lies far below the subnormals; the
+    # error names sigma_plus, not the moment argument a that such a point
+    # would reach.
+    for gamma, qbar1 in ((-1.0, 2.0), (-1.0, 3.0), (-1.0 + 2.0**-52, 1e308)):
         message = f"period undefined where sigma_plus <= 0 (gamma={gamma!r})"
         with pytest.raises(DomainError, match=re.escape(message)):
             period(gamma, qbar1)

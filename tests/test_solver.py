@@ -15,6 +15,7 @@ from frozenplanet import (
     ConvergenceError,
     DomainError,
     big_f,
+    classify,
     critical_gamma,
     critical_mu,
     fixpoint_residual,
@@ -232,6 +233,21 @@ def test_solve_orbit_numpy_charge_gives_floats():
     assert sol == solve_orbit(mu)
     with pytest.raises(TypeError):
         solve_orbit("2")
+
+
+@pytest.mark.filterwarnings("error")
+def test_narrow_float_charges_and_tols_solve_in_double():
+    # A float32 or float16 charge or tol is taken as its value in double
+    # precision: the solve, the verdict and the residual equal those at
+    # float(value), with no warning, rather than running in the narrow type.
+    for mu in (np.float32(2.0), np.float32(1.7), np.float16(3.3), np.float16(13.7)):
+        sol = solve_orbit(mu)
+        assert sol == solve_orbit(float(mu)) and sol.gamma == gamma_of_mu(float(mu))
+        assert classify(mu) is classify(float(mu))
+        assert fixpoint_residual(mu, sol.qbar1) == fixpoint_residual(float(mu), sol.qbar1)
+        assert abs(fixpoint_residual(mu, sol.qbar1)) <= sol.fixpoint_residual
+    for tol in (np.float32(1e-8), np.float32(1e-12), np.float16(5e-7)):
+        assert solve_orbit(2.0, tol=tol) == solve_orbit(2.0, tol=float(tol))
 
 
 def test_solve_orbit_rejects_unbound_charge():
@@ -576,10 +592,14 @@ def test_decided_window_is_wide():
         assert min(ratios) >= 1.0, (tol, min(ratios))
 
 
-def _constant_window_left(gamma, tol):
-    """x_l of the constant bounds, where sigma_plus = 3 (1 + tol), as the solver forms it."""
-    sigma = 3.0 * (1.0 + tol)
-    return (2.0 - (sigma * sigma - 4.0 * (gamma + 1.0) ** 2) / (2.0 * sigma)) / (gamma * gamma)
+def _constant_window(gamma, tol):
+    """(x_l, x_r) of the constant bounds, where sigma_plus = 3 (1 + tol) and
+    (8/3) (1 - tol), as the solver forms them."""
+    ends = []
+    for sigma in (3.0 * (1.0 + tol), 8.0 / 3.0 * (1.0 - tol)):
+        s = (sigma * sigma - 4.0 * (gamma + 1.0) ** 2) / (2.0 * sigma)
+        ends.append((2.0 - s) / (gamma * gamma))
+    return tuple(ends)
 
 
 def test_series_lower_end_right_of_constant_end():
@@ -592,7 +612,7 @@ def test_series_lower_end_right_of_constant_end():
         for mu in _sweep_charges():
             gamma = gamma_of_mu(mu)
             x_l = solver._decided_window(gamma, tol)[0]
-            constant = _constant_window_left(gamma, tol)
+            constant = _constant_window(gamma, tol)[0]
             if x_l != constant:
                 used += 1
                 assert x_l > constant, (mu, tol)
@@ -676,6 +696,35 @@ def _exact_big_f(gamma, x):
             mpmath.hyp2f1(half, 5 * half, 3, z) / mpmath.hyp2f1(half, 3 * half, 2, z)
         )
         return plus * ratio
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    st.floats(min_value=-12.0, max_value=math.log10(critical_mu() - 1.0)),
+    st.floats(min_value=-14.0, max_value=-6.0),
+)
+def test_decided_window_premise_in_exact_f_below_threshold(u, log_tol):
+    # mu - 1 and tol log-uniform below mu*, where the window's series ends
+    # lie.  Exact (40-digit) F - 2 lies beyond +-(tol + E) at both ends, E =
+    # solver._F_ROUNDING.  A series end, one that differs from the constant
+    # bounds' end, targets sigma T = (2 +- (tol + E)) (1 +- m), m =
+    # solver._BOUND_MARGIN = 64 units, which covers the rounding of that end
+    # (60 units at most; 3.5 seen over 4,000 series ends): exact F lies past
+    # its target less m / 2.  That sees E: ends found for the reach tol
+    # alone fall short of it, lying about 1.3 E out in exact F.
+    mu, tol = 1.0 + 10.0**u, 10.0**log_tol
+    gamma = gamma_of_mu(mu)
+    reach = tol + solver._F_ROUNDING
+    margin = 0.5 * solver._BOUND_MARGIN
+    window = solver._decided_window(gamma, tol)
+    for x, constant, sign in zip(window, _constant_window(gamma, tol), (1.0, -1.0)):
+        plus, minus = sigma_pair(gamma, x)
+        if -minus < plus:
+            continue  # b < 1, a constant end next to mu*
+        exact = _exact_big_f(gamma, x)
+        assert sign * (exact - 2) > reach, (mu, tol, x)
+        if x != constant:
+            assert sign * (exact - (2 + sign * reach) * (1 + sign * margin)) >= 0, (mu, tol, x)
 
 
 def test_big_f_rounding_near_root():
