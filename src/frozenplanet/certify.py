@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import specialfn
 from .errors import ConvergenceError, DomainError
 from .intersect import (
     _TOUCH_TOL,
@@ -29,7 +30,6 @@ from .orbit import Trajectory, energy_residual, mean_residual, reconstruct
 from .quadrature import big_f, ratio_integrals, time_integral
 from .solver import solve_orbit
 from .specialfn import beta_fn, gamma_fn, lemniscate_constant
-from .specialfn import _varpi_gamma, _varpi_integral
 
 # Reference values, frozen from a 30-digit arbitrary-precision evaluation
 # of the defining formulas (two independent routes each).
@@ -70,11 +70,15 @@ def check_anchor_f_value() -> CheckResult:
 
 def check_lemniscate_routes() -> CheckResult:
     """Defining integral vs Gamma closed form, the frozen reference, and the
-    coarse printed value."""
-    by_gamma = _varpi_gamma()
-    by_integral = _varpi_integral()
+    coarse printed value.  The reference is compared with the integral
+    route, the value ``lemniscate_constant`` returns, so a broken route
+    fails here with the routes' own numbers rather than its error.  The
+    routes are read from ``specialfn`` at each call, as
+    ``lemniscate_constant`` reads them."""
+    by_gamma = specialfn._varpi_gamma()
+    by_integral = specialfn._varpi_integral()
     route_err = _rel(by_integral, by_gamma)
-    ref_err = _rel(lemniscate_constant(), _VARPI_REF)
+    ref_err = _rel(by_integral, _VARPI_REF)
     ok = route_err <= 1e-10 and ref_err <= 1e-12 and abs(by_integral - 2.62) <= 0.01
     return CheckResult(
         "lemniscate_routes",

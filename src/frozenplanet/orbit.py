@@ -139,7 +139,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .quadrature import ratio_integrals
-from .solver import OrbitSolution
+from .solver import OrbitSolution, _frozen
 
 _EPS = float(np.finfo(float).eps)
 # Largest n_samples accepted: a rebuild peaks at 12.5 floats per sample
@@ -339,6 +339,12 @@ class Trajectory:
     electron positions, starting at ``orbit.q1max``; ``orbit`` is the solved
     orbit they were rebuilt from.  The outer electron is constant at
     ``orbit.qbar2``, and physical time is ``t * orbit.eta``.
+    :func:`reconstruct` builds each instance through the private
+    constructor ``solver._frozen``, one dict write in place of the
+    generated ``__init__``'s ``object.__setattr__`` per field, as for
+    :class:`OrbitSolution`; copies, pickles, repr and
+    ``dataclasses.replace`` are those of the dataclass, and equality is
+    identity, as ``eq=False`` gives.
     """
 
     t: np.ndarray
@@ -425,7 +431,7 @@ def reconstruct(sol: OrbitSolution, n_samples: int = 512) -> Trajectory:
 
     q1.setflags(write=False)
     # A view of the cached times: its write flag cannot be set again.
-    return Trajectory(t=t.view(), q1=q1, orbit=sol)
+    return _frozen(Trajectory, {"t": t.view(), "q1": q1, "orbit": sol})
 
 
 def mean_q1(traj: Trajectory) -> float:

@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .model import sigma_pair
+from .model import _to_float, sigma_pair
 from .specialfn import carlson_rf_rd
 
 # Below this b the moments equal their b = 0 values to far below rounding
@@ -145,7 +145,14 @@ def ratio_integrals(a: float) -> tuple[float, float]:
     """(I_{1/2}(a), I_{3/2}(a)) in closed form (see the module docstring).
 
     Requires a finite a <= 0 (for a > 0 the integrand changes character).
+    ``a`` is taken as a Python float, so the moments are computed in
+    double precision whatever its float type.
     """
+    return _moments(_to_float(a, "the ratio integrals' a"))
+
+
+def _moments(a: float) -> tuple[float, float]:
+    """:func:`ratio_integrals` for a Python float ``a``, the kernel ``_shape`` calls."""
     if not -math.inf < a <= 0.0:
         raise DomainError(f"ratio integrals require a finite a <= 0, got a={a!r}")
     b = -a
@@ -186,7 +193,7 @@ def _shape(gamma: float, x: float) -> tuple[float, float, float, float]:
     as s - w, w = hypot(s, 2 (gamma + 1)) >= |s|, so sigma_minus <= 0 <=
     sigma_plus by sign rules alone; a is -0.0 where it vanishes (gamma =
     -1, x < 2), and NaN from an overflow fails the checks here or in
-    :func:`ratio_integrals`.  Where a overflows to -inf, b = -a exceeds
+    ``_moments``.  Where a overflows to -inf, b = -a exceeds
     every double and the series gives I_{3/2} / I_{1/2} = 3/4 and I_{1/2}
     = (pi / 2) / sqrt(b) to far below rounding; plus * minus = -4 (gamma +
     1)**2 gives sqrt(b) = 2 |gamma + 1| / plus without the overflow, and
@@ -208,7 +215,7 @@ def _shape(gamma: float, x: float) -> tuple[float, float, float, float]:
     a = minus / plus
     if a == -math.inf:
         return 0.75 * plus, plus, minus, math.pi * plus / (4.0 * abs(gamma + 1.0))
-    i_half, i_three_half = ratio_integrals(a)
+    i_half, i_three_half = _moments(a)
     return plus * i_three_half / i_half, plus, minus, i_half
 
 
@@ -225,9 +232,11 @@ def big_f(gamma: float, x: float) -> float:
     >= 8/3 at x = 0 towards 0, and the mean position of the periodic orbit
     is the unique x solving F(gamma, x) = 2.  Requires a finite gamma, a
     finite x >= 0 and sigma_plus > 0 there.  The checks and the case
-    where a overflows live in the kernel ``_shape``.
+    where a overflows live in the kernel ``_shape``.  Both arguments are
+    taken as Python floats, so F is computed in double precision whatever
+    their float type.
     """
-    return _shape(gamma, x)[0]
+    return _shape(_to_float(gamma, "big_f's gamma"), _to_float(x, "big_f's x"))[0]
 
 
 def period(gamma: float, qbar1: float) -> float:
@@ -237,8 +246,10 @@ def period(gamma: float, qbar1: float) -> float:
     roots, and a is their ratio; the kappa value consistent with
     (gamma, qbar1) is built into the sigma roots, so only those two
     arguments are needed.  The moment and the sigma pair come from the
-    kernel ``_shape`` at x = qbar1, the one that ``big_f`` wraps.
+    kernel ``_shape`` at x = qbar1, the one that ``big_f`` wraps.  Both
+    arguments are taken as Python floats, as by ``big_f``.
     """
+    gamma, qbar1 = _to_float(gamma, "period's gamma"), _to_float(qbar1, "period's qbar1")
     if not math.isfinite(gamma):
         raise DomainError(f"period requires a finite gamma, got gamma={gamma!r}")
     if not 0.0 < qbar1 < math.inf:

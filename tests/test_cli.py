@@ -296,16 +296,22 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_verify_reports_every_check_when_a_route_breaks(capsys, broken_varpi):
-    # With the lemniscate's arc-length route broken, every check that needs
-    # the constant raises ConvergenceError; each is reported as a FAIL line
-    # naming the error, the one check without it still passes, and verify
-    # exits 1, the code of a failed verification, not 3.
+    # With the lemniscate's arc-length route broken, the routes' own check
+    # fails with its numbers, every other check that needs the constant
+    # raises ConvergenceError and is reported as a FAIL line naming the
+    # error, the one check without it still passes, and verify exits 1, the
+    # code of a failed verification, not 3.
     code, out, err = _run(capsys, ["verify", "fast"])
     lines = out.splitlines()
     assert (code, err) == (1, "")
     assert len(lines) == 8 and lines[-1] == "passed 1/7 (fast suite)"
     assert lines[0].startswith("[PASS] anchor_f_value ")
+    routes = [line for line in lines if line.startswith("[FAIL] lemniscate_routes ")]
+    assert len(routes) == 1 and "route agreement=" in routes[0], lines
+    assert "Error" not in routes[0], routes[0]
     for line in lines[1:-1]:
+        if line in routes:
+            continue
         assert line.startswith("[FAIL] ") and "  ConvergenceError: " in line, line
         assert "routes disagree" in line, line
 

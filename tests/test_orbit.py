@@ -1,8 +1,10 @@
 """Tests for trajectory reconstruction and its self-consistency diagnostics."""
 
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -28,6 +30,7 @@ from frozenplanet import (
 )
 from frozenplanet import orbit, quadrature
 from frozenplanet.quadrature import _time_map, ratio_integrals
+from frozenplanet.solver import OrbitSolution
 
 
 def test_reconstruct_rejects_bad_sample_counts(sol_mu2):
@@ -80,21 +83,61 @@ def test_reconstruct_deterministic(sol_mu2):
     assert np.array_equal(a.q1, b.q1)
 
 
+def _same_fields(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert type(x) is type(y), f.name
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+
+
+def _assert_built_like_its_dataclass(obj):
+    """``obj`` behaves as the instance its dataclass constructor builds from its fields.
+
+    ``solve_orbit`` and ``reconstruct`` write each instance's dict once
+    instead of calling the generated frozen ``__init__``.
+    """
+    cls = type(obj)
+    assert cls in (OrbitSolution, orbit.Trajectory)
+    fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(cls)}
+    assert list(vars(obj)) == list(fields)
+    built = cls(**fields)
+    # Arrays print summarised: printing 513 samples in full costs 3 ms.
+    with np.printoptions(threshold=16):
+        assert repr(obj) == repr(built)
+    if cls is OrbitSolution:
+        assert obj == built and hash(obj) == hash(built)
+        assert all(type(v) is float for v in fields.values()), fields
+    else:
+        # eq=False: equality and hashing are by identity, for both.
+        assert obj == obj and obj != built and hash(obj) == object.__hash__(obj)
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), dataclasses.replace(obj)):
+        assert type(twin) is cls
+        _same_fields(twin, obj)
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+
+
 def test_trajectory_properties():
     # A trajectory holds the solution it was rebuilt from, and the residuals
     # read its solved values: qbar2 / (gamma + 1) is one rounding off the
     # solved mean qbar1 at 18 of these charges, and so would move them.
+    # Each solution and trajectory, on both sides of mu*, behaves as the
+    # one its dataclass constructor builds.
     assert [f.name for f in dataclasses.fields(orbit.Trajectory)] == ["t", "q1", "orbit"]
-    for u in np.linspace(-12.0, 15.0, 271):
-        sol = solve_orbit(1.0 + 10.0**u)
-        traj = reconstruct(sol, 512)
-        assert traj.orbit is sol
-        assert traj.q1[0] == sol.q1max
-        mean = mean_q1(traj)
-        assert mean_residual(traj) == mean - sol.qbar1
-        g, x = sol.gamma, sol.qbar1
-        energy = sol.kappa - mean / (g * g * x * x) - sol.mu / sol.qbar2 + 1.0 / (g * x) + 1.0
-        assert energy_residual(traj) == energy, u
+    for mu in [1.0 + 10.0**u for u in np.linspace(-12.0, 15.0, 271)] + [critical_mu()]:
+        sol = solve_orbit(mu)
+        _assert_built_like_its_dataclass(sol)
+        for n in (16, 512):
+            traj = reconstruct(sol, n)
+            _assert_built_like_its_dataclass(traj)
+            assert traj.orbit is sol
+            assert traj.q1[0] == sol.q1max
+            mean = mean_q1(traj)
+            assert mean_residual(traj) == mean - sol.qbar1
+            g, x = sol.gamma, sol.qbar1
+            energy = sol.kappa - mean / (g * g * x * x) - sol.mu / sol.qbar2 + 1.0 / (g * x) + 1.0
+            assert energy_residual(traj) == energy, mu
 
 
 def test_mean_residual_small(sol_mu2, traj_mu2):

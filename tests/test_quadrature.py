@@ -269,7 +269,9 @@ def test_ratio_integrals_deep_well_limit():
 
 
 def test_ratio_integrals_rejects_positive_a():
-    for a in (1e-9, math.nan, -math.inf):
+    # An int beyond the double range is refused as such, not with the
+    # OverflowError of its conversion.
+    for a in (1e-9, math.nan, -math.inf, -(10**400)):
         with pytest.raises(DomainError):
             ratio_integrals(a)
 
@@ -349,6 +351,9 @@ def test_big_f_rejects_nonfinite_arguments():
     for gamma, x in ((1.0, math.nan), (math.nan, 1.0), (1.0, math.inf)):
         with pytest.raises(DomainError, match=f"finite gamma and x, got gamma={gamma!r}, x={x!r}"):
             big_f(gamma, x)
+    for gamma, x in ((1.0, 10**400), (-(10**400), 1.0)):
+        with pytest.raises(DomainError, match="beyond the double range"):
+            big_f(gamma, x)
 
 
 def test_big_f_rejects_negative_x():
@@ -415,6 +420,9 @@ def test_period_rejects_nonfinite_gamma():
     for gamma in (math.nan, math.inf):
         with pytest.raises(DomainError, match=f"finite gamma, got gamma={gamma!r}"):
             period(gamma, 1.0)
+    for gamma, qbar1 in ((10**400, 1.0), (1.0, 10**400)):
+        with pytest.raises(DomainError, match="beyond the double range"):
+            period(gamma, qbar1)
 
 
 def test_period_rejects_nonpositive_sigma_plus():

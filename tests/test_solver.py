@@ -248,6 +248,21 @@ def test_narrow_float_charges_and_tols_solve_in_double():
         assert abs(fixpoint_residual(mu, sol.qbar1)) <= sol.fixpoint_residual
     for tol in (np.float32(1e-8), np.float32(1e-12), np.float16(5e-7)):
         assert solve_orbit(2.0, tol=tol) == solve_orbit(2.0, tol=float(tol))
+    # So are the arguments of the public moment, shape and period entries,
+    # and of fixpoint_residual's mean, which reaches big_f.
+    calls = [
+        (big_f, 2.0, 1.5), (big_f, 1.0, 3.3), (period, 2.0, 1.5), (period, 0.4, 13.7),
+        (ratio_integrals, -0.6), (ratio_integrals, -6.48), (fixpoint_residual, 2.0, 1.7),
+    ]
+    for narrow in (np.float32, np.float16):
+        for fn, *args in calls:
+            for i in range(len(args)):
+                narrowed = [narrow(v) if j == i else v for j, v in enumerate(args)]
+                exact = [float(v) for v in narrowed]
+                value, expected = fn(*narrowed), fn(*exact)
+                assert type(value) is type(expected) and value == expected, (fn, narrowed)
+                values = value if isinstance(value, tuple) else (value,)
+                assert all(type(v) is float for v in values), (fn, narrowed, value)
 
 
 def test_solve_orbit_rejects_unbound_charge():
@@ -875,10 +890,11 @@ def test_solve_orbit_f_calls(monkeypatch):
     # and the counts are those of the constant bounds.
     # Each evaluated point is one call of the kernel that big_f wraps, and
     # every moment pair belongs to one: the swing and the period come from
-    # the accepted point, with no big_f, period or q1_extrema call.
+    # the accepted point, with no big_f, period, ratio_integrals or
+    # q1_extrema call.
     calls = []
     moment_calls = []
-    shape, moments = quadrature._shape, quadrature.ratio_integrals
+    shape, moments = quadrature._shape, quadrature._moments
 
     def counted(gamma, x):
         calls.append(x)
@@ -892,9 +908,10 @@ def test_solve_orbit_f_calls(monkeypatch):
         raise AssertionError("solve_orbit must not call this")
 
     monkeypatch.setattr(solver, "_shape", counted)
-    monkeypatch.setattr(quadrature, "ratio_integrals", counted_moments)
+    monkeypatch.setattr(quadrature, "_moments", counted_moments)
     for module, name in (
-        (solver, "big_f"), (quadrature, "big_f"), (quadrature, "period"), (model, "q1_extrema"),
+        (solver, "big_f"), (quadrature, "big_f"), (quadrature, "period"),
+        (quadrature, "ratio_integrals"), (model, "q1_extrema"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     for mu, expected in ((2.0, 1), (1e11, 32), (1e300, 31)):
