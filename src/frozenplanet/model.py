@@ -56,7 +56,16 @@ def mu_of_gamma(gamma: float) -> float:
 
 
 def qbar2_of(gamma: float, qbar1: float) -> float:
-    """Outer-electron rest position qbar2 = (gamma + 1) * qbar1."""
+    """Outer-electron rest position qbar2 = (gamma + 1) * qbar1.
+
+    Both arguments are taken as Python floats, so the product is formed in
+    double precision whatever their float type.
+    """
+    return _qbar2(_to_float(gamma, "qbar2_of's gamma"), _to_float(qbar1, "qbar2_of's qbar1"))
+
+
+def _qbar2(gamma: float, qbar1: float) -> float:
+    """:func:`qbar2_of` for Python floats, the kernel the orbit solve calls."""
     if not math.isfinite(gamma):
         raise DomainError(f"qbar2_of requires a finite gamma, got {gamma!r}")
     if not 0.0 < qbar1 < math.inf:
@@ -71,8 +80,14 @@ def kappa_of(gamma: float, qbar1: float) -> float:
     outer electron (kappa > 0), exactly touches it (kappa = 0), or stays
     short (kappa < 0).  Where gamma**2 * qbar1 underflows to 0 or 2 over it
     overflows, kappa is inf, as qbar2_of and mu_of_gamma give inf where
-    their values overflow.
+    their values overflow.  Both arguments are taken as Python floats, as
+    by :func:`qbar2_of`.
     """
+    return _kappa(_to_float(gamma, "kappa_of's gamma"), _to_float(qbar1, "kappa_of's qbar1"))
+
+
+def _kappa(gamma: float, qbar1: float) -> float:
+    """:func:`kappa_of` for Python floats, the kernel the orbit solve calls."""
     if not (math.isfinite(gamma) and gamma != 0.0):
         raise DomainError(f"kappa_of requires a finite gamma != 0, got {gamma!r}")
     if not 0.0 < qbar1 < math.inf:
@@ -94,8 +109,14 @@ def sigma_pair(gamma: float, x: float) -> tuple[float, float]:
     gamma, x (``plus`` only degenerates to 0 at gamma = -1, x >= 2).  Where
     this direct form overflows, as gamma**2 * x or (gamma + 1)**2 does
     from |gamma| of about 1.34e154, the pair comes from ``_scaled_pair``;
-    a root beyond the double range is then inf, and one below it 0.
+    a root beyond the double range is then inf, and one below it 0.  Both
+    arguments are taken as Python floats, as by :func:`qbar2_of`.
     """
+    return _sigma_pair(_to_float(gamma, "sigma_pair's gamma"), _to_float(x, "sigma_pair's x"))
+
+
+def _sigma_pair(gamma: float, x: float) -> tuple[float, float]:
+    """:func:`sigma_pair` for Python floats, the kernel ``quadrature._shape`` calls."""
     s = 2.0 - gamma * gamma * x
     gp1 = gamma + 1.0
     w = math.hypot(s, 2.0 * gp1)
@@ -149,12 +170,14 @@ def q1_extrema(gamma: float, qbar1: float) -> tuple[float, float]:
     q1max = sigma_plus * qbar1 / 2 is the inner electron's turning point;
     q1antimax = sigma_minus * qbar1 / 2 < 0 is the spurious second root of
     the same energy relation.  Their ratio parametrizes every moment integral.
+    Both arguments are taken as Python floats, as by :func:`qbar2_of`.
     """
+    gamma, qbar1 = _to_float(gamma, "q1_extrema's gamma"), _to_float(qbar1, "q1_extrema's qbar1")
     if not math.isfinite(gamma):
         raise DomainError(f"q1_extrema requires a finite gamma, got {gamma!r}")
     if not 0.0 < qbar1 < math.inf:
         raise DomainError(f"q1_extrema requires a finite qbar1 > 0, got {qbar1!r}")
-    plus, minus = sigma_pair(gamma, qbar1)
+    plus, minus = _sigma_pair(gamma, qbar1)
     return 0.5 * plus * qbar1, 0.5 * minus * qbar1
 
 
@@ -163,7 +186,11 @@ def q1max_of_kappa(kappa: float, gamma: float, qbar1: float) -> float:
 
     Same amplitude as ``q1_extrema(...)[0]`` but parametrized by kappa;
     uses mu * gamma**2 = (gamma + 1)**2 so mu never has to be formed.
+    Every argument is taken as a Python float, as by :func:`qbar2_of`.
     """
+    kappa = _to_float(kappa, "q1max_of_kappa's kappa")
+    gamma = _to_float(gamma, "q1max_of_kappa's gamma")
+    qbar1 = _to_float(qbar1, "q1max_of_kappa's qbar1")
     if not math.isfinite(kappa):
         raise DomainError(f"q1max_of_kappa requires a finite kappa, got {kappa!r}")
     if not math.isfinite(gamma):

@@ -46,7 +46,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .model import _to_float, sigma_pair
+from .model import _sigma_pair, _to_float
 from .specialfn import carlson_rf_rd
 
 # Below this b the moments equal their b = 0 values to far below rounding
@@ -201,7 +201,7 @@ def _shape(gamma: float, x: float) -> tuple[float, float, float, float]:
     Raises :class:`DomainError` unless x >= 0 and sigma_plus > 0, naming a
     non-finite argument first.
     """
-    plus, minus = sigma_pair(gamma, x)
+    plus, minus = _sigma_pair(gamma, x)
     if not plus > 0.0 or x < 0.0:
         if not (math.isfinite(gamma) and math.isfinite(x)):
             raise DomainError(
@@ -302,9 +302,11 @@ def time_integral(a: float, upper: float) -> float:
     Monotone increasing in ``upper`` on [0, 1]; G(U)/(2*G(1)) is the scaled
     time at which the inner electron passes q1 = q1max * (1 - U**2).
     Evaluated by ``_h`` at sin p = upper and cos(p)**2 = (1 - upper)(1 + upper).
+    Both arguments are taken as Python floats, as by :func:`big_f`.
     """
+    a, upper = _to_float(a, "time_integral's a"), _to_float(upper, "time_integral's upper")
     if not -math.inf < a <= 0.0:
         raise DomainError(f"time integral requires a finite a <= 0, got a={a!r}")
     if not 0.0 <= upper <= 1.0:
         raise DomainError(f"time integral requires 0 <= upper <= 1, got {upper!r}")
-    return float(_h(-a, upper, (1.0 - upper) * (1.0 + upper)))
+    return _h(-a, upper, (1.0 - upper) * (1.0 + upper))

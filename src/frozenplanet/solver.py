@@ -14,14 +14,16 @@ x >= x_r.  The window narrows further wherever the moments' argument b
 is at least 1, which covers every root up to the critical charge mu*:
 there R is a power series in t = 1 / (b + 1/2) <= 2/3 whose Taylor
 polynomials of even degree N and N + 1 bound it from above and below,
-with N chosen from t so that the two lie within tol / 32 of each other,
-and Newton's method finds the sigma_plus at which each bound makes F - 2 =
-+-(tol + E): for the upper bound from where its first two terms meet the
-target, and for the lower one from the upper end's last pass, since
-T_{N+1} = T_N + c_{N+1} t**(N+1).  E = 1e-14 is the difference between
-computed and exact F that the window tolerates.  The window (x_l, x_r)
-therefore brackets the root, and a trial point outside it takes the
-branch its F value would give without a call.
+with N chosen from t so that the two lie within tol / 32 of each other.
+Newton's method for the sigma_plus at which the upper bound makes F - 2 =
+-(tol + E) starts where its first two terms meet that target, and the
+tangent of its last pass, with a proved bound on the curvature, places
+both ends without a further evaluation: the lower one, where the lower
+bound makes F - 2 = tol + E, through T_{N+1} = T_N + c_{N+1} t**(N+1).
+A window takes 1.11 full-degree Horner passes on average.  E = 1e-14 is
+the difference between computed and exact F that the window tolerates.
+The window (x_l, x_r) therefore brackets the root, and a trial point
+outside it takes the branch its F value would give without a call.
 
 The solve bisects [0, top], where top is the least power of two at or
 above x_r: each pass halves the step, tries mid = lo + step and moves lo
@@ -69,7 +71,7 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from .errors import ConvergenceError, DomainError
-from .model import gamma_of_mu, kappa_of, qbar2_of, sigma_pair
+from .model import _kappa, _qbar2, _sigma_pair, gamma_of_mu
 from .quadrature import _eta, _shape, big_f
 
 _X_TOP = 2.0**1023
@@ -141,7 +143,7 @@ def _failure(
     call each, and the rest decided by the window.  ``a`` is sigma_minus /
     sigma_plus at x, never positive (see ``quadrature._shape``).
     """
-    plus, minus = sigma_pair(gamma, x)
+    plus, minus = _sigma_pair(gamma, x)
     trials = math.frexp(steps[0])[1] - math.frexp(steps[1])[1]
     return ConvergenceError(
         message, mu=mu, a=minus / plus, iterations=evaluated, last=x,
@@ -173,27 +175,29 @@ _F_ROUNDING = 1e-14
 # Relative margin on the targets of the series bounds, for the rounding of
 # their evaluation and of the mean at the end found.
 _BOUND_MARGIN = 64 * 2.0**-53
-# A Newton step for a series end of at most this share of sigma is the last:
-# the step after it would be below rounding (see ``_decided_window``).
-_LAST_STEP = 2.0**-26
+# A bound on |d**2 (sigma T(t(sigma))) / dsigma**2| for either series bound,
+# with room for the certificate's shift (see ``_decided_window``): a pass at
+# sigma_0 puts sigma T within _CURVATURE / 2 d**2 of its tangent at sigma_0 + d.
+_CURVATURE = 0.033
+# Newton's method for a series end stops at the pass whose step d has
+# (_CURVATURE / 2) d**2 <= tol / 64, that is d**2 <= _SETTLED tol.
+_SETTLED = 1.0 / (32.0 * _CURVATURE)
 
 
 def _series_end(
-    coefficients: tuple[float, ...], target: float, gp1_sq4: float, sigma: float, steps: int
-) -> tuple[float, float, float, float]:
-    """(sigma, t, sigma T(t), its derivative in sigma) at a certified end of sigma T = target.
+    coefficients: tuple[float, ...], target: float, gp1_sq4: float, sigma: float, settled: float
+) -> tuple[float, float, float, float, float]:
+    """(sigma, t, sigma T(t), its derivative in sigma, d) of the pass whose Newton step d settles.
 
     T is the polynomial given by ``coefficients``, t = sigma**2 / (gp1_sq4 +
     sigma**2 / 2), and with sigma dt/dsigma = t (2 - t) the derivative is
-    T + t (2 - t) T'.  Each pass evaluates both by Horner's rule and takes
-    a Newton step while ``steps`` remain and the step is nonzero; then it
-    steps sigma one double at a time until sigma T lies on the certified
-    side of the target: at or below it for the upper end, whose target is
-    below 2, and at or above it for the lower end.  A step of at most
-    _LAST_STEP sigma is the last.  The values returned are those of the
-    certifying pass.
+    T + t (2 - t) T'.  Each pass evaluates both by Horner's rule and forms
+    the Newton step d = (sigma T - target) / derivative; while d**2
+    exceeds ``settled`` it moves sigma to sigma - d and passes again.  The
+    pass returned is the first whose step is settled, and the caller turns
+    its tangent into a certified end without a further pass (see
+    ``_decided_window``); with ``settled`` infinite that is the first pass.
     """
-    upper = target < 2.0
     while True:
         sq = sigma * sigma
         t = sq / (gp1_sq4 + 0.5 * sq)
@@ -202,15 +206,10 @@ def _series_end(
             dp = dp * t + p
             p = p * t + c
         value, slope = sigma * p, p + t * (2.0 - t) * dp
-        if steps:
-            step = (value - target) / slope
-            if step != 0.0:
-                steps = steps - 1 if abs(step) > _LAST_STEP * sigma else 0
-                sigma -= step
-                continue
-        if value <= target if upper else value >= target:
-            return sigma, t, value, slope
-        sigma = math.nextafter(sigma, 0.0 if upper else math.inf)
+        step = (value - target) / slope
+        if step * step <= settled:
+            return sigma, t, value, slope, step
+        sigma -= step
 
 
 def _series_bounds(t: float, tol: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -276,27 +275,51 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
 
     The upper end sigma_r, with sigma T_N(t) = (2 - tol - E) (1 - m), lies
     left of the lower one sigma_l, with sigma T_{N+1}(t) = (2 + tol + E)
-    (1 + m), m = 64 u and u = 2**-53, since T_{N+1} < T_N.  One call of
-    ``_series_end`` finds each: Newton's method, then a walk one double at
-    a time until its bound, evaluated again, meets its target.  sigma_r
-    starts where the series' first two terms meet its target, within 7e-4
-    of it, and takes at most two Newton steps.  sigma_l starts from the
-    pass that certified sigma_r: T_{N+1}(t) = T_N(t) + c_{N+1} t**(N+1),
-    so that pass's sigma T_N and its slope, with the one term and its
-    slope added, give sigma T_{N+1} and its slope at sigma_r, and one
-    Newton step from there lands next to sigma_l.  That sum only seeds
-    Newton's method; the pass that certifies sigma_l evaluates T_{N+1} by
-    Horner's rule.  A Newton step s of at most 2**-26 sigma is the last
-    one: sigma T(t(sigma)) grows like sigma**k, k in (0.96, 1] (below), so
-    the next step would be about |k - 1| / 2 (s / sigma)**2 <= 0.02 *
-    2**-52 of sigma, below rounding.  So sigma_l takes a second step only
-    where its seed step is longer, as at tol = 1e-6, where the ends lie
-    about 2 tol apart, and sigma_r its second only where its first step
-    is longer too; where t is below rounding, near the ionization
-    threshold, the first step is zero, and that pass certifies the end.
-    m covers every rounding from the certifying evaluation to the mean at
-    the end, each a relative error, to first order in u, for the bound's
-    degree n <= 23:
+    (1 + m), m = 64 u and u = 2**-53, since T_{N+1} < T_N.  Each end comes
+    from the last pass of Newton's method, by that pass's tangent and a
+    proved bound on how far the curve leaves it, with no further
+    evaluation and no walk.  With V(sigma) = sigma T(t(sigma)) and sigma
+    dt/dsigma = t (2 - t),
+
+        V' = T + t (2 - t) T',  V'' = (t (2 - t) / sigma) P(t),
+        P = (3 - 2 t) T' + t (2 - t) T''.
+
+    For T = T_N and T_{N+1}, each even N in 2..22, and 0 <= t <= 2/3 +
+    2**-40, P(t) <= -0.0439; and as gamma > 0, sigma**2 = 4 (gamma + 1)**2
+    t / (1 - t / 2) >= 8 t / (2 - t), so |V''| <= sqrt(t (2 - t)**3 / 8)
+    |P(t)| <= M_0 = 0.0326 (both checked in exact rationals on 64 pieces of
+    that range, with the slope of P bounded on each).  Also V' >= 0.7
+    there.  So wherever t stays in that range V is concave, and it lies
+    below its tangent at sigma_0 and above the tangent less (M_0 / 2) d**2
+    at sigma_0 + d.  A pass at sigma_0 with value v_0, slope s_0 and Newton
+    step d = (v_0 - target) / s_0 thus certifies:
+
+    - the upper end at sigma_0 - d, where the tangent meets its target;
+    - the lower end at sigma_0 - d + e, e = (_CURVATURE / 2) d**2 / s_0,
+      where the tangent lies (_CURVATURE / 2) d**2 above its target.  The
+      remainder there is at most (M_0 / 2) (|d| + e)**2, and that is at
+      most (M_0 / 2) d**2 (1 + 2.4e-5)**2 < (_CURVATURE / 2) d**2 wherever
+      |d| <= 9.8e-4, as at every lower end kept (below).
+
+    Newton's method for sigma_r starts where the series' first two terms
+    meet its target, within 7e-4 of it, and ``_series_end`` stops at the
+    first pass whose step has (_CURVATURE / 2) d**2 <= tol / 64, so d**2
+    <= tol / (32 _CURVATURE) <= (9.8e-4)**2: each end then lies within tol
+    / 64 of its exact place, in V, and the window loses no more to the
+    certificate.  Where t is small the start already settles; a step from
+    |d| < 2.3e-3 leaves the next below 0.024 d**2 < 1.3e-7, and the one
+    after below 1e-15, which settles at every tol.  sigma_l comes from that
+    same pass: T_{N+1}(t) = T_N(t) + c_{N+1} t**(N+1), so the pass's sigma
+    T_N and its slope, with the one term and its slope added, give sigma
+    T_{N+1} and its slope there.  The ends lie a few tol apart, so the
+    lower end's step settles too, except where tol nears 1e-6 and the
+    upper end's step lies close to the limit; there sigma_l takes Newton
+    passes of its own, with T_{N+1} by Horner's rule.  Over 2,000 charges
+    from 1 + 1e-12 to mu*, a window takes 1.11 full-degree passes on
+    average at the default tol, 1.15 at 1e-14 and 1.02 at 1e-6, and never
+    more than 2.  m covers every rounding from the certifying pass to the
+    mean at the end, each a relative error, to first order in u, for the
+    bound's degree n <= 23:
 
     - t is formed within 6 u (three roundings in 4 (gamma + 1)**2, one
       each in sigma**2, the sum and the quotient), which moves T(t) by at
@@ -304,9 +327,17 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
     - Horner's rule errs by at most gamma_2n sum |c_k| t**k, gamma_2n =
       2 n u / (1 - 2 n u) (Higham, Accuracy and Stability of Numerical
       Algorithms, 2nd ed., section 5.1), and sum |c_k| t**k <= 1.06 T(t)
-      for t <= 2/3: 2.12 n u;
+      for t <= 2/3: 2.12 n u.  sigma_l taken from the pass of T_N = T_{N+1}
+      less its last term counts as degree N + 1: the term, formed within
+      (N + 3) u of itself and below tol / 32, and the one sum add 1.01 u;
     - the product by sigma, u; the target, 2 u, as 1 - m and 1 + m are
       exact;
+    - the end: v_0 - target is exact, as both lie within a factor 2 of
+      each other; d and e err by a few u relative, and the slope by at
+      most 60 u, on a move |sigma_0 - end| < 2.3e-3 with s_0 > 0.7, which
+      moves V by at most 0.1 u; the end is one rounding of sigma_0 - (d -
+      e), which moves V by at most u, as sigma V' / V = k <= 1 (below): 2
+      u;
     - the mean: s = (sigma**2 - 4 (gamma + 1)**2) / (2 sigma) errs by at
       most (2 b + (b - 1) / 2) sigma u, which is at most 5 u (2 - s), 2 - s
       = 2 + sigma (b - 1) / 2, for b >= 1 and sigma < 5, and 2 - s,
@@ -317,18 +348,24 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
       sigma**k with k = 1 + t (2 - t) T'(t) / T(t) in (0.96, 1], so its
       value moves by no more either.
 
-    In all (2.12 n + 11.2) u, at most 60 u at n = 23: inside m at every
+    In all (2.12 n + 13.2) u, at most 62 u at n = 23: inside m at every
     degree.  Only ends in the series domain sigma <= edge = 2 (gamma + 1)
-    count.  sigma_r is found again from edge, with no Newton step, where
-    its search ends past edge, and then steps down from there, and sigma_l
-    is kept where it ends at or below edge; the rounding of edge lets t
-    pass 2/3 by a few units there, which the non-growing terms leave room
-    for.  Above mu*, where the root's b is below 1, both ends lie past
-    edge, and the search stops before any Newton step where its start
-    does; that choice only saves work, as the two rules above keep every
-    end in the domain.  Since F grows with sigma, F < 2 - tol - E at every
-    sigma <= sigma_r and F > 2 + tol + E at every sigma >= sigma_l, and
-    the ends narrow the window to their means.  sigma_l always does, as the
+    count, and the pass that certifies one must lie there too, so that
+    the bounds on V hold between them: the rounding of edge lets t pass
+    2/3 by a few units there, inside the 2**-40 above and inside the room
+    the non-growing terms leave the bracket.  Where the upper end's Newton
+    method ends past edge, a pass at edge, with no Newton step, certifies
+    it instead, |d| < 2.3e-3 there; either way sigma_r is the lesser of the
+    tangent's root and edge, as the tangent lies above V up to edge.
+    sigma_l is kept where it and its pass lie at or below edge; it takes
+    no pass of its own where its tangent meets the target only past edge,
+    and then its end lies past edge too, so every kept lower end has a
+    settled step.  Above mu*, where the root's b is below 1, both ends lie
+    past edge, and the window returns before any pass where the start
+    does; that choice only saves work, as the rules above keep every end
+    in the domain.  Since F grows with sigma, F < 2 - tol - E at every
+    sigma <= sigma_r and F > 2 + tol + E at every sigma >= sigma_l, and the
+    ends narrow the window to their means.  sigma_l always does, as the
     odd partial sums of the series rise: T_{N+1} >= T_1 = 3/4 - t/32 >=
     0.729, so sigma_l < 2.75 < 3 (1 + tol).  The mean at sigma_r can lie
     right of the constant x_r, near the threshold at tol below 2.4e-14.
@@ -351,20 +388,29 @@ def _decided_window(gamma: float, tol: float) -> tuple[float, float]:
         return x_l, x_r
     sq = start * start
     above, below = _series_bounds(sq / (gp1_sq4 + 0.5 * sq), tol)
-    sigma, t, value, slope = _series_end(above, target, gp1_sq4, start, 2)
+    settled = _SETTLED * tol
+    sigma, t, value, slope, step = _series_end(above, target, gp1_sq4, start, settled)
     if sigma > edge:
-        sigma, t, value, slope = _series_end(above, target, gp1_sq4, edge, 0)
-    x_r = min(x_r, (2.0 - (sigma * sigma - gp1_sq4) / (2.0 * sigma)) / gamma_sq)
+        sigma, t, value, slope, step = _series_end(above, target, gp1_sq4, edge, math.inf)
+    # sigma T_N is concave in sigma, so its tangent's root certifies the
+    # upper end, or edge where that root lies past it.
+    end = sigma - step
+    if end > edge:
+        end = edge
+    x_r = min(x_r, (2.0 - (end * end - gp1_sq4) / (2.0 * end)) / gamma_sq)
     # sigma T_{N+1} and its slope from this pass's T_N, which lacks only
-    # the term c_{N+1} t**(N+1), seed one Newton step to the lower end.
+    # the term c_{N+1} t**(N+1), give the lower end's Newton step.
     target = (2.0 + reach) * (1.0 + _BOUND_MARGIN)
     n = len(above)
     term = below[0] * t**n
-    step = (value + sigma * term - target) / (slope + term * (1.0 + n * (2.0 - t)))
-    steps = 1 if abs(step) > _LAST_STEP * sigma else 0
-    sigma = _series_end(below, target, gp1_sq4, sigma - step, steps)[0]
-    if sigma <= edge:
-        x_l = (2.0 - (sigma * sigma - gp1_sq4) / (2.0 * sigma)) / gamma_sq
+    slope += term * (1.0 + n * (2.0 - t))
+    step = (value + sigma * term - target) / slope
+    if step * step > settled and sigma - step <= edge:
+        sigma, t, value, slope, step = _series_end(below, target, gp1_sq4, sigma - step, settled)
+    # The tangent's root, shifted right by the remainder over the slope.
+    end = sigma - (step - _CURVATURE / 2.0 * step * step / slope)
+    if sigma <= edge and end <= edge:
+        x_l = (2.0 - (end * end - gp1_sq4) / (2.0 * end)) / gamma_sq
     return x_l, x_r
 
 
@@ -379,7 +425,14 @@ def _first_undecided(x_l: float, x_r: float, top: float) -> tuple[float, float]:
     the trial points n u strictly inside are the integers n with left < n
     <= right, left = floor(x_l / u) and right = ceil(x_r / u) - 1; the one
     with the most trailing zero bits is right cleared below the highest
-    bit in which it differs from left.
+    bit in which it differs from left.  Every scaling by 1 / u = 2**53 /
+    top, a power of two in [2**-970, 2**53] as 1 <= top <= 2**1023, is
+    exact: x_l and x_r are positive and at most top, and a product that
+    could underflow lies below 1, where floor gives 0 as exactly.  Against
+    four ``math.ldexp`` calls and a ``math.frexp``, this arithmetic took
+    2.9% off the ``orbits`` benchmark's median op time over 10 alternating
+    10 s pairs on a shared 2-vCPU Xeon (better in 8 of 10), with every
+    solve bit-identical.
 
     Such a point exists, and the collapse check 2 step < _WIDTH_STOP mid
     fires at no skipped pass, as the window is wide: log(x_r / x_l) >=
@@ -399,13 +452,12 @@ def _first_undecided(x_l: float, x_r: float, top: float) -> tuple[float, float]:
     it fires it fires at every later pass (step halves, and the next mid
     is at least half of this one).
     """
-    shift = 54 - math.frexp(top)[1]
-    left = math.floor(math.ldexp(x_l, shift))
-    right = math.ceil(math.ldexp(x_r, shift)) - 1
+    scale = 2.0**53 / top
+    left = math.floor(x_l * scale)
+    right = math.ceil(x_r * scale) - 1
     bits = (left ^ right).bit_length() - 1
-    step = math.ldexp(1.0, bits - shift)
-    mid = math.ldexp(float(right >> bits << bits), -shift)
-    return mid - step, 2.0 * step
+    step = (1 << bits) / scale
+    return float(right >> bits << bits) / scale - step, 2.0 * step
 
 
 def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
@@ -483,8 +535,8 @@ def solve_orbit(mu: float, tol: float = 1e-10) -> OrbitSolution:
         "mu": mu,
         "gamma": gamma,
         "qbar1": qbar1,
-        "qbar2": qbar2_of(gamma, qbar1),
-        "kappa": kappa_of(gamma, qbar1),
+        "qbar2": _qbar2(gamma, qbar1),
+        "kappa": _kappa(gamma, qbar1),
         "q1max": q1max,
         "q1antimax": 0.5 * minus * qbar1,
         "eta": eta,

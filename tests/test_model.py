@@ -20,6 +20,7 @@ from frozenplanet import (
     qbar2_of,
     sigma_pair,
     solve_orbit,
+    time_integral,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -87,6 +88,37 @@ def test_values_beyond_double_range_raise_domain_error():
     for call in (gamma_of_mu, mu_of_gamma):
         with pytest.raises(TypeError):
             call("2")
+
+
+@pytest.mark.filterwarnings("error")
+def test_narrow_float_arguments_compute_in_double():
+    # A float32 or float16 argument of the closed-form entries and of the
+    # time integral is taken as its value in double precision: each result
+    # is the float one at float(value), with no warning, rather than a
+    # narrow scalar or a value computed in the narrow type (in float32,
+    # time_integral(-0.6, 0.5) came out as 0.38834065198898315, against
+    # 0.3883406578927609).  An int beyond the double range is a domain
+    # error there, not an OverflowError.
+    calls = [
+        (sigma_pair, 2.0, 1.5), (sigma_pair, 0.4, 13.7), (q1_extrema, 2.0, 1.5),
+        (kappa_of, 2.0, 1.5), (kappa_of, 0.4, 3.3), (qbar2_of, 2.0, 1.5),
+        (q1max_of_kappa, -0.5, 2.0, 1.5), (q1max_of_kappa, 0.3, 0.4, 3.3),
+        (time_integral, -0.6, 0.5), (time_integral, -6.48, 1.0),
+    ]
+    for narrow in (np.float32, np.float16):
+        for fn, *args in calls:
+            for i in range(len(args)):
+                narrowed = [narrow(v) if j == i else v for j, v in enumerate(args)]
+                value, expected = fn(*narrowed), fn(*[float(v) for v in narrowed])
+                assert value == expected, (fn, narrowed)
+                values = value if isinstance(value, tuple) else (value,)
+                assert all(type(v) is float for v in values), (fn, narrowed, value)
+    assert time_integral(np.float32(-0.6), np.float32(0.5)) == time_integral(
+        float(np.float32(-0.6)), 0.5
+    )
+    for fn, *args in calls:
+        with pytest.raises(DomainError, match="beyond the double range"):
+            fn(10**400, *args[1:])
 
 
 def test_mu_gamma_roundtrip_on_log_grid():

@@ -422,52 +422,110 @@ def _sweep_charges():
 
 
 def test_series_ends_settle_within_few_doubles(monkeypatch):
-    # The window steps each series end one double at a time from where
-    # Newton's method leaves it, and that walk is short only because the
-    # Newton steps land within two doubles of the end: at most two from the
-    # linear start for the upper end, and for the lower end one seeded from
-    # the upper end's last pass, plus one more where that step exceeds
-    # 2**-26 sigma.  Over the sweep's charges and tols, over consecutive
-    # doubles around each charge where the bounds' degree steps up, and at
-    # tols on both sides of the lower end's second step (1e-8, where no
-    # lower end takes it, and 3e-8, where every one does), neither walk
-    # takes more than 2 steps.
+    # The window takes each series end from the last pass of its Newton
+    # method, with no walk: the upper end at the root of that pass's
+    # tangent, or at edge where the root lies past it, and the lower end at
+    # its tangent's root shifted right by (_CURVATURE / 2) d**2 / s_0, with
+    # its value and slope from the upper end's pass and the one term of
+    # T_{N+1} it lacks, or from a pass of its own.  In exact arithmetic
+    # from the pass's doubles, each end the window keeps lies within 2
+    # doubles of that point.  Over the sweep's charges and tols, over
+    # consecutive doubles around each charge where the bounds' degree steps
+    # up, across the charges past mu* where the upper end comes from a pass
+    # at edge, and at tols 1e-8 and 3e-8 too.
     tols = _SWEEP_TOLS + (1e-8, 3e-8)
-    charges = {tol: _sweep_charges() for tol in tols}
+    extra = np.linspace(critical_mu(), 13.72, 200).tolist() + _lower_pass_charges()
+    charges = {tol: _sweep_charges() + extra for tol in tols}
     for tol in tols:
         for mu in _degree_switches(monkeypatch, tol):
             for _ in range(20):
                 mu = math.nextafter(mu, 0.0)
             charges[tol] += _consecutive_doubles(mu, 40)
-    directions = []
-    nextafter = math.nextafter
-
-    def counted(x, y):
-        directions.append(y)
-        return nextafter(x, y)
-
-    lower_steps = set()
-    series_end = solver._series_end
-
-    def recorded(coefficients, target, gp1_sq4, sigma, steps):
-        if target > 2.0:
-            lower_steps.add(steps)
-        return series_end(coefficients, target, gp1_sq4, sigma, steps)
-
-    monkeypatch.setattr(solver.math, "nextafter", counted)
-    monkeypatch.setattr(solver, "_series_end", recorded)
-    most = {0.0: 0, math.inf: 0}
+    passes, bounds = _recorded_series_work(monkeypatch)
+    half_curvature = Fraction(solver._CURVATURE) / 2
+    kept = {"upper": 0, "lower": 0, "edge": 0, "lower pass": 0}
     for tol in tols:
-        lower_steps.clear()
+        lower_target = (2.0 + tol + solver._F_ROUNDING) * (1.0 + solver._BOUND_MARGIN)
         for mu in charges[tol]:
-            directions.clear()
-            solver._decided_window(gamma_of_mu(mu), tol)
-            for direction in most:
-                most[direction] = max(most[direction], directions.count(direction))
-        if tol in (1e-8, 3e-8):
-            assert lower_steps == {1e-8: {0}, 3e-8: {1}}[tol], tol
-    monkeypatch.undo()
-    assert max(most.values()) <= 2, most
+            gamma = gamma_of_mu(mu)
+            passes.clear()
+            bounds.clear()
+            window = solver._decided_window(gamma, tol)
+            if not bounds:
+                continue
+            edge = 2.0 * (gamma + 1.0)
+            constant = _constant_window(gamma, tol)
+            upper = [(target, out) for _, target, out in passes if target < 2.0][-1]
+            target, (sigma, t, value, slope, step) = upper
+            d = (Fraction(value) - Fraction(target)) / Fraction(slope)
+            end = min(Fraction(sigma) - d, Fraction(edge))
+            if window[1] != constant[1]:
+                assert _mean_within_doubles(window[1], end, gamma, 2), (mu, tol)
+                kept["upper"] += 1
+                kept["edge"] += sigma == edge
+            lower = [(target, out) for _, target, out in passes if target > 2.0]
+            if lower:
+                target, (sigma, t, value, slope, step) = lower[-1]
+                value, slope = Fraction(value), Fraction(slope)
+            else:
+                target, n = lower_target, len(bounds[-1][0])
+                term = Fraction(bounds[-1][1][0]) * Fraction(t) ** n
+                value = Fraction(value) + Fraction(sigma) * term
+                slope = Fraction(slope) + term * (1 + n * (2 - Fraction(t)))
+            d = (value - Fraction(target)) / slope
+            end = Fraction(sigma) - d + half_curvature * d * d / slope
+            if window[0] != constant[0]:
+                assert sigma <= edge and end <= edge, (mu, tol)
+                assert _mean_within_doubles(window[0], end, gamma, 2), (mu, tol)
+                kept["lower"] += 1
+                kept["lower pass"] += bool(lower)
+    assert kept["upper"] > 15000 and kept["lower"] > 15000, kept
+    assert kept["edge"] > 500 and kept["lower pass"] > 0, kept
+
+
+def _recorded_series_work(monkeypatch):
+    """Lists that fill, as _decided_window runs, with each _series_end call's
+    (coefficients, target, result) and each _series_bounds result."""
+    passes, bounds = [], []
+    series_end, series_bounds = solver._series_end, solver._series_bounds
+
+    def recorded_end(coefficients, target, gp1_sq4, sigma, settled):
+        out = series_end(coefficients, target, gp1_sq4, sigma, settled)
+        passes.append((coefficients, target, out))
+        return out
+
+    def recorded_bounds(t, tol):
+        bounds.append(series_bounds(t, tol))
+        return bounds[-1]
+
+    monkeypatch.setattr(solver, "_series_end", recorded_end)
+    monkeypatch.setattr(solver, "_series_bounds", recorded_bounds)
+    return passes, bounds
+
+
+def _lower_pass_charges():
+    """Charges near mu = 7.1 at which, at tol = 1e-6, the lower end's step
+    from the upper end's pass does not settle, and it takes a pass of its
+    own (two of 20,000 log-spaced charges below mu* do, 7.0931 and 7.1023)."""
+    return np.linspace(7.09, 7.11, 201).tolist()
+
+
+def _mean_at(sigma, gamma):
+    """The orbit mean at which sigma_plus = sigma, as the solver forms it."""
+    s = (sigma * sigma - 4.0 * (gamma + 1.0) ** 2) / (2.0 * sigma)
+    return (2.0 - s) / (gamma * gamma)
+
+
+def _mean_within_doubles(x, sigma, gamma, k):
+    """Whether x is the mean at one of the doubles within k doubles of the rational sigma."""
+    near = float(sigma)
+    candidates = [near]
+    for direction in (0.0, math.inf):
+        step = near
+        for _ in range(k):
+            step = math.nextafter(step, direction)
+            candidates.append(step)
+    return any(_mean_at(c, gamma) == x for c in candidates)
 
 
 def _degree_switches(monkeypatch, tol):
@@ -610,11 +668,7 @@ def test_decided_window_is_wide():
 def _constant_window(gamma, tol):
     """(x_l, x_r) of the constant bounds, where sigma_plus = 3 (1 + tol) and
     (8/3) (1 - tol), as the solver forms them."""
-    ends = []
-    for sigma in (3.0 * (1.0 + tol), 8.0 / 3.0 * (1.0 - tol)):
-        s = (sigma * sigma - 4.0 * (gamma + 1.0) ** 2) / (2.0 * sigma)
-        ends.append((2.0 - s) / (gamma * gamma))
-    return tuple(ends)
+    return _mean_at(3.0 * (1.0 + tol), gamma), _mean_at(8.0 / 3.0 * (1.0 - tol), gamma)
 
 
 def test_series_lower_end_right_of_constant_end():
@@ -724,8 +778,8 @@ def test_decided_window_premise_in_exact_f_below_threshold(u, log_tol):
     # solver._F_ROUNDING.  A series end, one that differs from the constant
     # bounds' end, targets sigma T = (2 +- (tol + E)) (1 +- m), m =
     # solver._BOUND_MARGIN = 64 units, which covers the rounding of that end
-    # (60 units at most; 3.5 seen over 4,000 series ends): exact F lies past
-    # its target less m / 2.  That sees E: ends found for the reach tol
+    # (62 units at most; see also test_series_ends_certified_exactly): exact
+    # F lies past its target less m / 2.  That sees E: ends found for the reach tol
     # alone fall short of it, lying about 1.3 E out in exact F.
     mu, tol = 1.0 + 10.0**u, 10.0**log_tol
     gamma = gamma_of_mu(mu)
@@ -833,14 +887,162 @@ def test_series_bracket_certificate():
                 assert float(margins[1]) <= below <= 1.0, (n, t, below)
 
 
+def test_series_curvature_bound():
+    # The window certifies each series end from the tangent of its last
+    # Newton pass (see solver._decided_window).  With V(sigma) = sigma
+    # T(t(sigma)), V' = T + t (2 - t) T' and V'' = (t (2 - t) / sigma) P(t),
+    # P = (3 - 2 t) T' + t (2 - t) T'', and sigma**2 >= 8 t / (2 - t) for
+    # gamma > 0, so |V''| <= sqrt(t (2 - t)**3 / 8) |P(t)|.  On 64 pieces of
+    # 0 <= t <= 2/3 + 2**-40, in exact rationals from the solver's own
+    # coefficients, each piece bounded through the slope of its polynomial,
+    # for T = T_N and T_{N+1} of every degree the window uses: P <= -0.0439,
+    # so V is concave and lies below its tangents; |V''| <= M_0 = 0.0326;
+    # and V' >= 0.7.  _CURVATURE covers M_0 with the lower end's shift
+    # e <= 2.4e-5 |d| for a settled step d, |d| <= 9.8e-4 at every tol.
+    def derivative(p):
+        return [k * c for k, c in enumerate(p)][1:]
+
+    def plus(p, q):
+        n = max(len(p), len(q))
+        return [(p[k] if k < len(p) else 0) + (q[k] if k < len(q) else 0) for k in range(n)]
+
+    def times(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    def at(p, t):
+        value = Fraction(0)
+        for c in reversed(p):
+            value = value * t + c
+        return value
+
+    def slope_bound(p, t):
+        # A bound on |p'| over [0, t].
+        return sum(abs(c) * t**k for k, c in enumerate(derivative(p)))
+
+    top = Fraction(2, 3) + Fraction(1, 2**40)
+    pieces = 64
+    worst_p, worst_v2, least_v1 = -math.inf, Fraction(0), math.inf
+    coefficients = [Fraction(c) for c in solver._R_TAYLOR]
+    for degree in sorted({n + k for n in range(2, 23, 2) for k in (0, 1)}):
+        t_poly = coefficients[: degree + 1]
+        d1, d2 = derivative(t_poly), derivative(derivative(t_poly))
+        wing = [Fraction(0), Fraction(2), Fraction(-1)]  # t (2 - t)
+        p_poly = plus(times([Fraction(3), Fraction(-2)], d1), times(wing, d2))
+        v1_poly = plus(t_poly, times(wing, d1))
+        for i in range(pieces):
+            a, b = top * i / pieces, top * (i + 1) / pieces
+            spread = (b - a) * slope_bound(p_poly, b)
+            worst_p = max(worst_p, at(p_poly, a) + spread)
+            size = -at(p_poly, a) + spread
+            worst_v2 = max(worst_v2, b * (2 - a) ** 3 / 8 * size * size)
+            least_v1 = min(least_v1, at(v1_poly, a) - (b - a) * slope_bound(v1_poly, b))
+    m_0 = Fraction(326, 10000)
+    assert worst_p <= Fraction(-439, 10000), float(worst_p)
+    assert worst_v2 <= m_0 * m_0, math.sqrt(worst_v2)
+    assert least_v1 >= Fraction(7, 10), float(least_v1)
+    settled = solver._SETTLED * 1e-6
+    assert settled <= 9.8e-4**2
+    assert solver._CURVATURE / 2.0 * 9.8e-4 / 0.7 <= 2.4e-5
+    assert m_0 * (1 + Fraction(24, 10**6)) ** 2 < Fraction(solver._CURVATURE)
+    assert Fraction(solver._CURVATURE) / 2 * Fraction(settled) <= Fraction(1e-6) / 64
+
+
+def _exact_plus_bounds(gamma, x):
+    """Dyadic rationals 2**-80 apart around the exact sigma_plus at the doubles gamma and x.
+
+    sigma_plus = s + sqrt(s**2 + 4 (gamma + 1)**2), s = 2 - gamma**2 x (the
+    quadratic of ``model.sigma_pair``), with the root bounded by integers.
+    """
+    gamma, x = Fraction(gamma), Fraction(x)
+    s = 2 - gamma * gamma * x
+    q = s * s + 4 * (gamma + 1) ** 2
+    root = math.isqrt(q.numerator * q.denominator << 200)
+    below = s + Fraction(root, q.denominator << 100)
+    above = below + Fraction(1, q.denominator << 100)
+    scale = 2**80
+    return Fraction(math.floor(below * scale), scale), Fraction(math.ceil(above * scale), scale)
+
+
+def _exact_series_value(coefficients, gamma, sigma):
+    """(sigma T(t), t) at the rational sigma, exactly: t = sigma**2 / (4 (gamma + 1)**2
+    + sigma**2 / 2), and T has ``coefficients`` in Horner order."""
+    sq = sigma * sigma
+    t = sq / (4 * (Fraction(gamma) + 1) ** 2 + sq / 2)
+    value = Fraction(0)
+    for c in coefficients:
+        value = value * t + Fraction(c)
+    return sigma * value, t
+
+
+def test_series_ends_certified_exactly(monkeypatch):
+    # The window's series ends, each a prediction from the tangent of a
+    # Newton pass with no evaluation at the end itself, checked in exact
+    # rationals at the exact sigma_plus of the mean returned: sigma_r T_N
+    # <= 2 - tol - E and sigma_l T_{N+1} >= 2 + tol + E, E =
+    # solver._F_ROUNDING, with t <= 2/3 + 2**-40 at both, where T_N and
+    # T_{N+1} bracket R.  Each keeps more than half of its rounding margin
+    # m = solver._BOUND_MARGIN (at least 1.33e-14 of 1.42e-14 was left),
+    # and each, but an upper end at edge, gives up at most tol / 64 + 4 m
+    # more to the certificate.  Over 400 charges from 1 + 1e-12 to mu*, the
+    # 601 doubles around mu*, 200 charges past it, where the upper end
+    # comes from a pass at edge, and at tol = 1e-6 the charges where the
+    # lower end takes a pass of its own.
+    passes, bounds = _recorded_series_work(monkeypatch)
+    star = critical_mu()
+    for _ in range(300):
+        star = math.nextafter(star, 0.0)
+    charges = (1.0 + np.geomspace(1e-12, critical_mu() - 1.0, 400)).tolist()
+    charges += _consecutive_doubles(star, 600) + np.linspace(critical_mu(), 13.72, 200).tolist()
+    limit = Fraction(2, 3) + Fraction(1, 2**40)
+    margin = Fraction(solver._BOUND_MARGIN)
+    seen = {"upper": 0, "lower": 0, "edge": 0, "lower pass": 0}
+    for tol in (1e-14, 1e-10, 1e-8, 3e-8, 1e-6):
+        reach = Fraction(tol) + Fraction(solver._F_ROUNDING)
+        loss = Fraction(tol) / 64 + 4 * margin
+        for mu in charges + (_lower_pass_charges() if tol == 1e-6 else []):
+            gamma = gamma_of_mu(mu)
+            passes.clear()
+            bounds.clear()
+            x_l, x_r = solver._decided_window(gamma, tol)
+            if not bounds:
+                continue
+            above, below = bounds[-1]
+            constant = _constant_window(gamma, tol)
+            if x_r != constant[1]:
+                sigma = _exact_plus_bounds(gamma, x_r)[1]
+                value, t = _exact_series_value(above, gamma, sigma)
+                assert t <= limit, (mu, tol)
+                assert value <= (2 - reach) * (1 - margin / 2), (mu, tol)
+                upper = [out for _, target, out in passes if target < 2.0][-1]
+                at_edge = upper[0] == 2.0 * (gamma + 1.0)
+                assert at_edge or value >= 2 - reach - loss, (mu, tol)
+                seen["upper"] += 1
+                seen["edge"] += at_edge
+            if x_l != constant[0]:
+                low, high = _exact_plus_bounds(gamma, x_l)
+                assert _exact_series_value(below, gamma, high)[1] <= limit, (mu, tol)
+                value = _exact_series_value(below, gamma, low)[0]
+                assert (2 + reach) * (1 + margin / 2) <= value <= 2 + reach + loss, (mu, tol)
+                seen["lower"] += 1
+                seen["lower pass"] += any(target > 2.0 for _, target, _ in passes)
+    assert seen["upper"] > 5000 and seen["lower"] > 2000, seen
+    assert seen["edge"] > 500 and seen["lower pass"] > 0, seen
+
+
 def test_decided_window_passes(monkeypatch):
-    # Below mu* each end of the window costs one call of the series helper,
-    # and the lower end starts from the upper end's last pass, so a window
-    # takes few full-degree Horner passes: 3.11 on average at the default
-    # tol over 2,000 charges from 1 + 1e-12 to mu* (two Newton steps and a
-    # check at each end made 6.04), 2.76 at 1e-14 and 2.93 at 1e-6, and
-    # never more than 6, or 7 at 1e-6, where the lower end takes a second
-    # Newton step.  Each pass iterates one of the bound tuples that
+    # Below mu* the window certifies each end from the tangent of the last
+    # pass of its Newton method, with no pass to check it, and the lower end
+    # comes from the upper end's pass, so a window takes few full-degree
+    # Horner passes: 1.11 on average at the default tol over 2,000 charges
+    # from 1 + 1e-12 to mu* (3.11 when each end took one more pass and a
+    # walk, and 6.04 before that), 1.15 at 1e-14 and 1.02 at 1e-6, and
+    # never more than 2.  The series helper is called once, for the upper
+    # end, and for the lower end only where its step from that pass does
+    # not settle.  Each pass iterates one of the bound tuples that
     # _series_bounds hands out.
     passes = []
 
@@ -868,14 +1070,13 @@ def test_decided_window_passes(monkeypatch):
             passes.clear()
             helper_calls.clear()
             solver._decided_window(gamma_of_mu(mu), tol)
-            assert len(helper_calls) == 2 and helper_calls[0] < 2.0 < helper_calls[1], (mu, tol)
+            assert helper_calls[0] < 2.0 and all(h > 2.0 for h in helper_calls[1:]), (mu, tol)
             counts[tol].append(len(passes))
     counts = {tol: np.array(c) for tol, c in counts.items()}
-    assert counts[1e-10].mean() <= 3.2
-    assert counts[1e-14].mean() <= 2.9
-    assert counts[1e-6].mean() <= 3.0
-    assert counts[1e-10].max() <= 6 and counts[1e-14].max() <= 6
-    assert counts[1e-6].max() <= 7
+    assert counts[1e-10].mean() <= 1.15
+    assert counts[1e-14].mean() <= 1.2
+    assert counts[1e-6].mean() <= 1.05
+    assert max(c.max() for c in counts.values()) <= 2
 
 
 def test_solve_orbit_f_calls(monkeypatch):
